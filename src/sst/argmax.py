@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InfeasibleStructureError, InputError, InvalidSpecError
 from .structures import (
@@ -90,6 +89,9 @@ def kruskal_max_tree(graph: Graph, u: np.ndarray) -> np.ndarray:
 
 def hungarian_match(u: np.ndarray) -> np.ndarray:
     """Permutation matrix (flattened row-major) maximizing sum(u[i, sigma(i)])."""
+    # scipy.optimize takes about half a second to import; only matchings need it
+    from scipy.optimize import linear_sum_assignment
+
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InputError(f"utility matrix must be square, got shape {u.shape}")
@@ -387,8 +389,10 @@ def solve_map(spec: StructureSpec, u: np.ndarray) -> MapSolution:
         tie = bool((u == 0).any())
     elif kind == StructureKind.K_SUBSETS:
         bits = topk_select(u, spec.k)
-        vals = np.sort(u)[::-1]
-        tie = bool(vals[spec.k - 1] == vals[spec.k])
+        # the k-th largest value is the least chosen one, the (k+1)-th the
+        # greatest unchosen one
+        chosen = bits.astype(bool)
+        tie = bool(u[chosen].min() == u[~chosen].max())
     elif kind == StructureKind.CORR_K_SUBSETS:
         cell = [False]
         bits = _viterbi_corr_ksubsets(spec.n, spec.k, u, cell)

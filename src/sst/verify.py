@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit, gammaincc
-from scipy.stats import kstest
 
 from .argmax import (
     cle_max_arborescence,
@@ -197,6 +196,9 @@ def two_sample_equivalence(table_a: FrequencyTable, table_b: FrequencyTable,
 def ks_report(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
               level: float = 0.01) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a continuous cdf."""
+    # scipy.stats takes about half a second to import; only this test needs it
+    from scipy.stats import kstest
+
     res = kstest(samples, cdf)
     return TestReport(
         statistic=float(res.statistic), dof=None,

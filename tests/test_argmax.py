@@ -79,6 +79,25 @@ class TestSolveMap:
         )
         assert ties < 100  # < 0.1%
 
+    def test_k_subsets_ties_at_the_boundary(self):
+        spec = StructureSpec(StructureKind.K_SUBSETS, n=5, k=2)
+        sol = solve_map(spec, np.array([3.0, 1.0, 2.0, 2.0, 0.0]))
+        assert tuple(sol.vertex) == (1, 0, 1, 0, 0)
+        assert sol.tie_broken
+        # a tie inside the chosen set or below the boundary is not one
+        assert not solve_map(spec, np.array([3.0, 3.0, 2.0, 2.0, 0.0])).tie_broken
+        assert not solve_map(spec, np.array([3.0, 1.0, 2.0, 1.0, 1.0])).tie_broken
+        # against the flag read off a full descending sort, on small integers
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            u = rng.integers(-2, 3, size=n).astype(float)
+            sol = solve_map(StructureSpec(StructureKind.K_SUBSETS, n=n, k=k), u)
+            vals = np.sort(u)[::-1]
+            assert sol.tie_broken == (vals[k - 1] == vals[k])
+            assert np.array_equal(sol.vertex, topk_select(u, k))
+
 
 class TestTopK:
     def test_two_largest(self):

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sst
 from sst.cli import run
 
 
@@ -246,6 +248,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vertex"] == [0, 1, 0]
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    src = os.path.dirname(os.path.dirname(sst.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sst; print(sorted(m for m in ('scipy.optimize', 'scipy.stats') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bad_subcommand_exits_one():

@@ -1,0 +1,306 @@
+"""The batched tree eliminations and the count-vectorized DPs against the
+straightforward per-edge and per-count loops they replace.
+
+The oracles below are kept as plain loops on purpose: one full log-domain
+elimination per deleted edge, and the loop DPs.  They are slow
+(O(m n^3) Python-level steps for trees) but leave little room for an
+indexing slip, which is what the batched kernels risk.
+"""
+
+import importlib
+import itertools
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp
+
+from sst import Graph, directed_matrix_tree_marginals, matrix_tree_marginals
+
+# the package exports the function ``relax`` under the module's name
+relax_mod = importlib.import_module("sst.relax")
+
+TEMPERATURES = (1.0, 1e-2, 1e-4)
+
+
+# --- oracles ------------------------------------------------------------------
+
+def _logdet_reduced_laplacian(nn, boundary, log_w, directed):
+    """Per-graph star-mesh elimination; returns (logdet, pivots)."""
+    lw = log_w.astype(float).copy()
+    present = [v for v in range(nn) if v != boundary]
+    pivots = []
+    for pos, v in enumerate(present):
+        others = present[pos + 1:] + [boundary]
+        incoming = lw[others, v] if directed else lw[v, others]
+        pivot = float(logsumexp(incoming)) if len(incoming) else -np.inf
+        pivots.append(pivot)
+        if pivot == -np.inf:
+            return -np.inf, pivots
+        dst = [b for b in others if b != boundary]
+        if not dst:
+            continue
+        if directed:
+            src = others
+            upd = lw[src, v][:, None] + lw[v, dst][None, :] - pivot
+            lw[np.ix_(src, dst)] = np.logaddexp(lw[np.ix_(src, dst)], upd)
+        else:
+            upd = lw[v, others][:, None] + lw[v, others][None, :] - pivot
+            block = np.logaddexp(lw[np.ix_(others, others)], upd)
+            np.fill_diagonal(block, -np.inf)
+            lw[np.ix_(others, others)] = block
+    return float(np.sum(pivots)), pivots
+
+
+def _tree_marginals_per_edge(graph, boundary, theta):
+    """mu_e = 1 - exp(logdet without e - logdet), one elimination per edge."""
+    nn, directed = graph.num_nodes, graph.directed
+    log_w = np.full((nn, nn), -np.inf)
+    keep = []
+    for e, (i, j) in enumerate(graph.edges):
+        if directed and j == boundary:
+            continue
+        keep.append(e)
+        log_w[i, j] = theta[e]
+        if not directed:
+            log_w[j, i] = theta[e]
+    full, pivots = _logdet_reduced_laplacian(nn, boundary, log_w, directed)
+    mu = np.zeros(graph.num_edges)
+    for e in keep:
+        i, j = graph.edges[e]
+        cut = log_w.copy()
+        cut[i, j] = -np.inf
+        if not directed:
+            cut[j, i] = -np.inf
+        without, _ = _logdet_reduced_laplacian(nn, boundary, cut, directed)
+        mu[e] = -np.expm1(without - full)
+    return mu, pivots
+
+
+def _theta(u, t):
+    z = np.asarray(u, dtype=float) / t
+    return z - z.max()
+
+
+def _undirected_oracle(graph, u, t):
+    theta = _theta(u, t)
+    drop = graph.edges[int(np.argmax(theta))][0]
+    return _tree_marginals_per_edge(graph, drop, theta)
+
+
+def _directed_oracle(graph, root, u, t):
+    return _tree_marginals_per_edge(graph, root, _theta(u, t))
+
+
+def _cardinality_dp_loop(z, k):
+    n = z.shape[0]
+    fwd = np.full((n + 1, k + 1), -np.inf)
+    fwd[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for c in range(k + 1):
+            skip = fwd[i - 1, c]
+            take = fwd[i - 1, c - 1] + z[i - 1] if c else -np.inf
+            fwd[i, c] = np.logaddexp(skip, take)
+    bwd = np.full((n + 1, k + 1), -np.inf)
+    bwd[n, 0] = 0.0
+    for i in range(n - 1, -1, -1):
+        for c in range(k + 1):
+            skip = bwd[i + 1, c]
+            take = bwd[i + 1, c - 1] + z[i] if c else -np.inf
+            bwd[i, c] = np.logaddexp(skip, take)
+    mu = np.empty(n)
+    for i in range(n):
+        terms = [fwd[i, c] + bwd[i + 1, k - 1 - c] for c in range(k)]
+        mu[i] = np.exp(z[i] + logsumexp(terms) - fwd[n, k])
+    return mu
+
+
+def _chain_dp_loop(n, k, z):
+    phi, psi = z[:n], z[n:]
+    neg = -np.inf
+    fwd = np.full((n, 2, k + 1), neg)
+    fwd[0, 0, 0] = 0.0
+    fwd[0, 1, 1] = phi[0]
+    for i in range(1, n):
+        for s in (0, 1):
+            gain = phi[i] if s else 0.0
+            for c in range(s, k + 1):
+                a = fwd[i - 1, 0, c - s] + gain
+                b = fwd[i - 1, 1, c - s] + gain + (psi[i - 1] if s else 0.0)
+                fwd[i, s, c] = np.logaddexp(a, b)
+    log_z = logsumexp(fwd[n - 1, :, k])
+    bwd = np.full((n, 2, k + 1), neg)
+    bwd[n - 1, :, 0] = 0.0
+    for i in range(n - 2, -1, -1):
+        for s in (0, 1):
+            for c in range(k + 1):
+                a = bwd[i + 1, 0, c]
+                b = neg
+                if c >= 1:
+                    b = bwd[i + 1, 1, c - 1] + phi[i + 1] + (psi[i] if s else 0.0)
+                bwd[i, s, c] = np.logaddexp(a, b)
+    mu = np.zeros(2 * n - 1)
+    for i in range(n):
+        terms = [fwd[i, 1, c] + bwd[i, 1, k - c] for c in range(1, k + 1)]
+        mu[i] = np.exp(logsumexp(terms) - log_z)
+    for i in range(n - 1):
+        terms = [
+            fwd[i, 1, c] + psi[i] + phi[i + 1] + bwd[i + 1, 1, k - c - 1]
+            for c in range(1, k)
+        ]
+        if terms:
+            mu[n + i] = np.exp(logsumexp(terms) - log_z)
+    return mu
+
+
+# --- instances ----------------------------------------------------------------
+
+def _complete(n):
+    return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def _random_connected_digraph(n, p, seed):
+    """Random arcs with probability p, plus a random path from node 0 to all."""
+    rng = np.random.default_rng(seed)
+    arcs = {(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p}
+    perm = [0] + list(rng.permutation(np.arange(1, n)))
+    arcs |= {(int(a), int(b)) for a, b in zip(perm, perm[1:])}
+    return Graph(n, sorted(arcs), directed=True)
+
+
+def _random_connected_graph(n, m, seed):
+    """A random spanning path plus random extra edges, m edges in all."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    edges = {tuple(sorted((int(a), int(b)))) for a, b in zip(perm, perm[1:])}
+    pairs = list(itertools.combinations(range(n), 2))
+    for idx in rng.permutation(len(pairs)):
+        if len(edges) >= m:
+            break
+        edges.add(pairs[idx])
+    return Graph(n, sorted(edges))
+
+
+def _chunks(graph):
+    nn = graph.num_nodes
+    per_chunk = max(1, relax_mod._ELIMINATION_CHUNK // (nn * nn))
+    return -(-(graph.num_edges + 1) // per_chunk)
+
+
+# --- tree marginals -----------------------------------------------------------
+
+class TestBatchedTreeMarginals:
+    @pytest.mark.parametrize("n", [6, 10, 16])
+    @pytest.mark.parametrize("t", TEMPERATURES)
+    def test_complete_graphs_match_per_edge_path(self, n, t):
+        g = _complete(n)
+        u = np.random.default_rng(n).normal(size=g.num_edges)
+        got = matrix_tree_marginals(g, u, t).x
+        want, _ = _undirected_oracle(g, u, t)
+        np.testing.assert_allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-10)
+        assert abs(got.sum() - (n - 1)) < 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("t", TEMPERATURES)
+    def test_random_digraphs_match_per_edge_path(self, seed, t):
+        g = _random_connected_digraph(7 + seed, 0.5, seed)
+        u = np.random.default_rng(100 + seed).normal(size=g.num_edges)
+        got = directed_matrix_tree_marginals(g, 0, u, t).x
+        want, _ = _directed_oracle(g, 0, u, t)
+        np.testing.assert_allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-10)
+        assert abs(got.sum() - (g.num_nodes - 1)) < 1e-9
+
+    def test_equal_weights(self):
+        g = _complete(7)
+        u = np.zeros(g.num_edges)
+        got = matrix_tree_marginals(g, u).x
+        want, _ = _undirected_oracle(g, u, 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        # every edge of K_n is in the same share (n - 1) / m of the trees
+        np.testing.assert_allclose(got, 2.0 / 7, rtol=0, atol=1e-12)
+        d = Graph(6, [(i, j) for i in range(6) for j in range(6) if i != j], directed=True)
+        got = directed_matrix_tree_marginals(d, 2, np.zeros(d.num_edges)).x
+        want, _ = _directed_oracle(d, 2, np.zeros(d.num_edges), 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert abs(got.sum() - 5) < 1e-9
+
+    @pytest.mark.parametrize("t", TEMPERATURES)
+    def test_bridges_have_marginal_exactly_one(self, t):
+        # two triangles joined by the bridge (2, 3), and a pendant edge (5, 6)
+        g = Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6)])
+        u = np.random.default_rng(3).normal(size=g.num_edges)
+        got = matrix_tree_marginals(g, u, t).x
+        assert got[3] == 1.0 and got[7] == 1.0
+        want, _ = _undirected_oracle(g, u, t)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert abs(got.sum() - 6) < 1e-9
+        # node 3 is entered only from node 2
+        d = Graph(5, [(0, 1), (1, 0), (0, 2), (2, 1), (2, 3), (3, 4), (4, 3)], directed=True)
+        u = np.random.default_rng(4).normal(size=d.num_edges)
+        got = directed_matrix_tree_marginals(d, 0, u, t).x
+        assert got[4] == 1.0
+        want, _ = _directed_oracle(d, 0, u, t)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert abs(got.sum() - 4) < 1e-9
+
+    def test_deletions_spanning_several_chunks(self):
+        g = _random_connected_graph(40, 200, seed=5)
+        assert _chunks(g) > 1
+        u = np.random.default_rng(6).normal(size=g.num_edges)
+        got = matrix_tree_marginals(g, u, 0.1).x
+        want, _ = _undirected_oracle(g, u, 0.1)
+        np.testing.assert_allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-10)
+        assert abs(got.sum() - 39) < 1e-9
+
+    @pytest.mark.parametrize("t", TEMPERATURES)
+    def test_chunk_size_does_not_change_the_result(self, t, monkeypatch):
+        g = _complete(9)
+        d = Graph(7, [(i, j) for i in range(7) for j in range(7) if i != j], directed=True)
+        u = np.random.default_rng(8).normal(size=g.num_edges)
+        v = np.random.default_rng(9).normal(size=d.num_edges)
+        whole_u = matrix_tree_marginals(g, u, t).x
+        whole_d = directed_matrix_tree_marginals(d, 1, v, t).x
+        monkeypatch.setattr(relax_mod, "_ELIMINATION_CHUNK", 3 * 81)
+        assert _chunks(g) == 13
+        np.testing.assert_allclose(matrix_tree_marginals(g, u, t).x, whole_u, rtol=0, atol=1e-13)
+        monkeypatch.setattr(relax_mod, "_ELIMINATION_CHUNK", 1)  # one row per chunk
+        np.testing.assert_allclose(
+            directed_matrix_tree_marginals(d, 1, v, t).x, whole_d, rtol=0, atol=1e-13
+        )
+
+    def test_condition_estimate_is_the_log_pivot_spread(self):
+        g = _complete(6)
+        u = np.random.default_rng(11).normal(size=g.num_edges)
+        point = matrix_tree_marginals(g, u, 1e-4)
+        _, pivots = _undirected_oracle(g, u, 1e-4)
+        finite = [p for p in pivots if np.isfinite(p)]
+        assert np.isfinite(point.condition_estimate)
+        assert point.condition_estimate == pytest.approx(max(finite) - min(finite), rel=1e-12)
+        assert point.condition_estimate > 700  # where exp(spread) used to saturate
+
+    def test_directed_condition_estimate_is_the_log_pivot_spread(self):
+        d = _random_connected_digraph(6, 0.6, 2)
+        u = np.random.default_rng(12).normal(size=d.num_edges)
+        point = directed_matrix_tree_marginals(d, 0, u, 1e-2)
+        _, pivots = _directed_oracle(d, 0, u, 1e-2)
+        finite = [p for p in pivots if np.isfinite(p)]
+        assert point.condition_estimate == pytest.approx(max(finite) - min(finite), rel=1e-12)
+
+
+# --- k-subset DPs -------------------------------------------------------------
+
+class TestVectorizedDPs:
+    @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 4), (9, 8), (40, 39), (100, 10)])
+    def test_cardinality_dp_matches_loops(self, n, k):
+        z = 4.0 * np.random.default_rng(n * 100 + k).normal(size=n)
+        got = relax_mod._cardinality_dp_marginals(z, k)
+        np.testing.assert_allclose(got, _cardinality_dp_loop(z, k), rtol=0, atol=1e-10)
+        assert abs(got.sum() - k) < 1e-9
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 2), (9, 5), (9, 8), (30, 29), (50, 10)])
+    def test_chain_dp_matches_loops(self, n, k):
+        z = 4.0 * np.random.default_rng(n * 100 + k).normal(size=2 * n - 1)
+        got = relax_mod._chain_dp_marginals(n, k, z)
+        np.testing.assert_allclose(got, _chain_dp_loop(n, k, z), rtol=0, atol=1e-10)
+        assert abs(got[:n].sum() - k) < 1e-9
+        if k == 1:
+            assert not got[n:].any()
