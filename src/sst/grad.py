@@ -4,7 +4,7 @@ The Jacobian of every relaxation here is symmetric, so a single central
 finite difference along a direction ``d`` doubles as the vector-Jacobian
 product needed for backpropagation: two extra solver calls, no dense
 matrix.  Closed forms exist for the softmax, the coordinatewise maps,
-the bisection solvers (by the implicit function theorem), and any
+the shift solvers (by the implicit function theorem), and any
 exponential-family relaxation small enough to enumerate, where the
 Jacobian is the Gibbs covariance over temperature.
 """

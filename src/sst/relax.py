@@ -81,9 +81,10 @@ class Regularizer(str, Enum):
 class RelaxationSpec:
     """Regularizer choice, temperature and solver tolerances.
 
-    ``max_iter`` of ``None`` resolves to 200 for bisections and 1000 for
-    Sinkhorn.  ``clip_range`` caps the spread of the log edge weights in
-    the matrix-tree solvers before inversion; off by default.
+    ``max_iter`` of ``None`` resolves to 200 for the shift searches and
+    1000 for Sinkhorn.  ``clip_range`` caps the spread of the log edge
+    weights before the matrix-tree elimination (a training-time cap that
+    changes the computed distribution); off by default.
     """
 
     regularizer: Regularizer
@@ -139,12 +140,20 @@ def softmax_simplex(u: np.ndarray, t: float) -> RelaxedPoint:
     return RelaxedPoint(x=e / e.sum())
 
 
-def _bisect_shift(values_of, target, z, tol, max_iter):
-    """Find ``nu`` with ``sum(values_of(z - nu)) = target``.
+def _newton_shift(values_of, slope_of, target, z, tol, max_iter):
+    """Find ``nu`` with ``sum(values_of(z - nu)) = target``; returns ``(nu, x)``.
 
-    ``values_of`` is coordinatewise nonincreasing in ``nu``; the partial
-    sum therefore decreases from the left bracket to the right one,
-    which is asserted on every step.
+    ``values_of`` is coordinatewise nonincreasing in ``nu`` and
+    ``slope_of(w, x)`` is its derivative in ``w = z - nu`` given
+    ``x = values_of(w)``, so the partial sum decreases from the left
+    bracket to the right one.  After the bracket is expanded to hold the
+    root, each step evaluates the sum once, shrinks the bracket to the
+    side the root lies on, and takes the Newton step when it lands
+    strictly inside the bracket and is at most half the step before
+    last; otherwise it bisects (Numerical Recipes' ``rtsafe``).  Newton
+    ends in a few steps where bisection halves some 40 times.  ``tol``
+    bounds ``|sum(x) - target|`` and ``max_iter`` the evaluations after
+    the expansion.
     """
     n = z.shape[0]
     lo = z.min() - np.log(n) - 1.0
@@ -164,31 +173,41 @@ def _bisect_shift(values_of, target, z, tol, max_iter):
         width *= 2.0
         s_hi = float(values_of(z - hi).sum())
         guard += 1
+    if s_lo < s_hi:
+        raise NumericalError("shift objective is not decreasing in nu")
     best_res = min(abs(s_lo - target), abs(s_hi - target))
+    nu = 0.5 * (lo + hi)
+    last = prev = hi - lo
     for _ in range(max_iter):
-        if s_lo < s_hi:
-            raise NumericalError("bisection objective is not decreasing in nu")
-        mid = 0.5 * (lo + hi)
-        s = float(values_of(z - mid).sum())
+        w = z - nu
+        x = values_of(w)
+        s = float(x.sum())
         best_res = min(best_res, abs(s - target))
         if abs(s - target) <= tol:
-            return mid
+            return nu, x
         if s > target:
-            lo, s_lo = mid, s
+            lo = nu
         else:
-            hi, s_hi = mid, s
+            hi = nu
+        slope = float(slope_of(w, x).sum())
+        step = (s - target) / slope if slope > 0.0 else np.nan
+        if lo < nu + step < hi and abs(step) <= 0.5 * abs(prev):
+            nu_next = nu + step
+        else:
+            nu_next = 0.5 * (lo + hi)
+        prev, last = last, nu_next - nu
+        nu = nu_next
     raise ConvergenceError(
-        f"bisection did not reach |sum(x) - {target}| <= {tol}", residual=best_res
+        f"shift search did not reach |sum(x) - {target}| <= {tol}", residual=best_res
     )
 
 
-def _capped_simplex_point(spec, u, t, target, values_of, tol, max_iter):
+def _capped_simplex_point(spec, u, t, target, values_of, slope_of, tol, max_iter):
     z = _scaled(u, t)
     n = z.shape[0]
     if target == n:  # the feasible set is the single all-ones point
         return RelaxedPoint(x=np.ones(n))
-    nu = _bisect_shift(values_of, target, z, tol, max_iter)
-    x = values_of(z - nu)
+    nu, x = _newton_shift(values_of, slope_of, target, z, tol, max_iter)
     return RelaxedPoint(x=x, dual=np.asarray(nu), residual=abs(float(x.sum()) - target))
 
 
@@ -212,7 +231,7 @@ def euclidean_project(spec: StructureSpec, u: np.ndarray, t: float,
     """Euclidean projection of ``u / t`` onto the structure's hull.
 
     One-hot uses the simplex threshold rule, subsets clamp to the unit
-    box, and k-subsets bisect the shift of a clamped affine map on the
+    box, and k-subsets search the shift of a clamped affine map on the
     capped simplex.
     """
     u = _check_dim(spec, u)
@@ -224,27 +243,28 @@ def euclidean_project(spec: StructureSpec, u: np.ndarray, t: float,
         return RelaxedPoint(x=np.clip(z, 0.0, 1.0))
     if spec.kind == StructureKind.K_SUBSETS:
         return _capped_simplex_point(
-            spec, u, t, spec.k, lambda v: np.clip(v, 0.0, 1.0), tol, max_iter
+            spec, u, t, spec.k, lambda w: np.clip(w, 0.0, 1.0),
+            lambda w, x: (w > 0.0) & (w < 1.0), tol, max_iter
         )
     raise UnsupportedPairError(f"euclidean relaxation does not support {spec.kind.value}")
 
 
 def binary_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
                          tol: float = 1e-10, max_iter: int = DEFAULT_BISECT_ITER) -> RelaxedPoint:
-    """Coordinatewise sigmoid, with a bisected shift under a cardinality sum."""
+    """Coordinatewise sigmoid, with a searched shift under a cardinality sum."""
     u = _check_dim(spec, u)
     if spec.kind == StructureKind.SUBSETS:
         return RelaxedPoint(x=expit(_scaled(u, t)))
     if spec.kind in (StructureKind.ONE_HOT, StructureKind.K_SUBSETS):
         return _capped_simplex_point(
-            spec, u, t, _require_target(spec), expit, tol, max_iter
+            spec, u, t, _require_target(spec), expit, lambda w, x: x * (1.0 - x), tol, max_iter
         )
     raise UnsupportedPairError(f"binary-entropy relaxation does not support {spec.kind.value}")
 
 
 def categorical_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
                               tol: float = 1e-10, max_iter: int = DEFAULT_BISECT_ITER) -> RelaxedPoint:
-    """Capped exponential, with a bisected shift under a cardinality sum."""
+    """Capped exponential, with a searched shift under a cardinality sum."""
     u = _check_dim(spec, u)
     if spec.kind == StructureKind.SUBSETS:
         z = _scaled(u, t)
@@ -254,8 +274,8 @@ def categorical_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
         return softmax_simplex(u, t)
     if spec.kind == StructureKind.K_SUBSETS:
         return _capped_simplex_point(
-            spec, u, t, spec.k,
-            lambda v: np.minimum(1.0, np.exp(np.minimum(v, 0.0))), tol, max_iter
+            spec, u, t, spec.k, lambda w: np.minimum(1.0, np.exp(np.minimum(w, 0.0))),
+            lambda w, x: np.where(w < 0.0, x, 0.0), tol, max_iter
         )
     raise UnsupportedPairError(
         f"categorical-entropy relaxation does not support {spec.kind.value}"
@@ -491,44 +511,58 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
                    warm_start: Optional[np.ndarray] = None) -> RelaxedPoint:
     """Doubly stochastic matrix from alternating log-domain normalization.
 
-    Iterates until the worst row/column sum deviates from 1 by at most
+    Each sweep updates the row log-scalings ``f`` so that the rows of
+    ``x = exp(U/t - f - g)`` sum to 1, then the column ones ``g`` so that
+    its columns do.  The columns of the result therefore sum to 1 up to
+    rounding, and ``residual`` is the worst row-sum deviation, read off
+    the sums of the next row update.  Iterates until it is at most
     ``tol``; raises ``ConvergenceError`` (carrying the residual) past
-    ``max_iter``.  The output ``x`` is flattened row-major; ``dual``
-    stacks the row and column log-scalings and can seed ``warm_start``
-    of a nearby solve, e.g. along a decreasing temperature schedule
-    where cold starts converge slowly.
+    ``max_iter`` sweeps.  The output ``x`` is flattened row-major;
+    ``dual`` stacks ``f`` and ``g`` and can seed ``warm_start`` of a
+    nearby solve, e.g. along a decreasing temperature schedule where cold
+    starts converge slowly (only ``g`` is read: the first row update
+    replaces ``f``).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InputError(f"utility matrix must be square, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise InputError("utilities must be finite")
-    n = u.shape[0]
     base = _scaled(u, t)
-    if warm_start is not None:
-        f = np.array(warm_start[0], dtype=float)
-        g = np.array(warm_start[1], dtype=float)
-    else:
-        f = np.zeros(n)
-        g = np.zeros(n)
+    g = np.array(warm_start[1], dtype=float) if warm_start is not None else np.zeros(u.shape[0])
+    m = np.empty_like(base)
+
+    def lse(axis, shift):
+        # max-stabilized log-sum-exp of base - shift along axis
+        np.subtract(base, shift, out=m)
+        mx = m.max(axis=axis, keepdims=True)
+        np.subtract(m, mx, out=m)
+        np.exp(m, out=m)
+        return np.log(m.sum(axis=axis)) + mx.reshape(-1)
+
+    def current():
+        # exp(base - f - g), in the scratch matrix m
+        np.subtract(base, f[:, None], out=m)
+        np.subtract(m, g, out=m)
+        return np.exp(m, out=m)
+
+    # The first sweep starts from arbitrary duals and needs the max.  After
+    # it every update divides by sums in [1/n, n]: an update leaves its
+    # rows (or columns) summing to 1, so every entry is at most 1, and the
+    # other update divides each entry by at most n.  So ``current`` can
+    # neither overflow nor lose a whole row or column to underflow.
+    f = lse(1, g[None, :])
+    g = lse(0, f[:, None])
     residual = np.inf
     for _ in range(max_iter):
-        m = base - f[:, None] - g[None, :]
-        mx = m.max(axis=1)
-        f += mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
-        m = base - f[:, None] - g[None, :]
-        mx = m.max(axis=0)
-        g += mx + np.log(np.exp(m - mx[None, :]).sum(axis=0))
-        x = np.exp(base - f[:, None] - g[None, :])
-        residual = float(
-            max(np.abs(x.sum(axis=1) - 1.0).max(), np.abs(x.sum(axis=0) - 1.0).max())
-        )
+        rows = current().sum(axis=1)
+        residual = float(np.abs(rows - 1.0).max())
         if residual <= tol:
-            return RelaxedPoint(
-                x=x.reshape(-1), dual=np.stack([f, g]), residual=residual
-            )
+            return RelaxedPoint(x=m.reshape(-1), dual=np.stack([f, g]), residual=residual)
+        f += np.log(rows)
+        g += np.log(current().sum(axis=0))
     raise ConvergenceError(
-        f"sinkhorn row/col residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",
+        f"sinkhorn row residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",
         residual=residual,
     )
 
@@ -572,23 +606,22 @@ def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float,
 
 
 _CLOSED_SIMPLEX = (Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY, Regularizer.EXPFAM_ENTROPY)
+_COORDINATE_KINDS = (StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS)
+
+# The structure kinds each regularizer supports, in the order
+# ``supported_pairs`` lists them.
+_SUPPORTED_KINDS = {
+    Regularizer.SHANNON: (StructureKind.ONE_HOT, StructureKind.MATCHING),
+    Regularizer.EUCLIDEAN: _COORDINATE_KINDS,
+    Regularizer.BINARY_ENTROPY: _COORDINATE_KINDS,
+    Regularizer.CATEGORICAL_ENTROPY: _COORDINATE_KINDS,
+    Regularizer.EXPFAM_ENTROPY: tuple(StructureKind),
+}
 
 
 def supported_pairs() -> list:
     """All (kind, regularizer) pairs ``relax`` accepts."""
-    pairs = []
-    for reg in (Regularizer.SHANNON, Regularizer.EUCLIDEAN,
-                Regularizer.BINARY_ENTROPY, Regularizer.CATEGORICAL_ENTROPY,
-                Regularizer.EXPFAM_ENTROPY):
-        kinds = {
-            Regularizer.SHANNON: (StructureKind.ONE_HOT, StructureKind.MATCHING),
-            Regularizer.EUCLIDEAN: (StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS),
-            Regularizer.BINARY_ENTROPY: (StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS),
-            Regularizer.CATEGORICAL_ENTROPY: (StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS),
-            Regularizer.EXPFAM_ENTROPY: tuple(StructureKind),
-        }[reg]
-        pairs.extend((kind, reg) for kind in kinds)
-    return pairs
+    return [(kind, reg) for reg, kinds in _SUPPORTED_KINDS.items() for kind in kinds]
 
 
 def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedPoint:
@@ -599,24 +632,21 @@ def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedP
     t = rspec.temperature
     reg = rspec.regularizer
     kind = spec.kind
+    if kind not in _SUPPORTED_KINDS[reg]:
+        raise UnsupportedPairError(
+            f"no solver for structure {kind.value!r} with regularizer {reg.value!r}"
+        )
     if reg == Regularizer.EXPFAM_ENTROPY:
         return expfam_marginals(spec, u, t, clip_range=rspec.clip_range)
     if kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX:
         return softmax_simplex(u, t)
-    if reg == Regularizer.SHANNON and kind == StructureKind.MATCHING:
+    if reg == Regularizer.SHANNON:
         return sinkhorn_relax(u.reshape(spec.n, spec.n), t, rspec.tol, rspec.sinkhorn_iter())
     if reg == Regularizer.EUCLIDEAN:
-        if kind in (StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS):
-            return euclidean_project(spec, u, t, rspec.tol, rspec.bisect_iter())
+        return euclidean_project(spec, u, t, rspec.tol, rspec.bisect_iter())
     if reg == Regularizer.BINARY_ENTROPY:
-        if kind in (StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS):
-            return binary_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
-    if reg == Regularizer.CATEGORICAL_ENTROPY:
-        if kind in (StructureKind.SUBSETS, StructureKind.K_SUBSETS):
-            return categorical_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
-    raise UnsupportedPairError(
-        f"no solver for structure {kind.value!r} with regularizer {reg.value!r}"
-    )
+        return binary_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
+    return categorical_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
 
 
 # --- JSON wire format -------------------------------------------------------
