@@ -237,18 +237,11 @@ def sample_arborescence_categorical(
 
     def pick(cands):
         ws = [work[eid] for (_, eid) in cands]
-        inf_pos = [p for p, w in enumerate(ws) if w == inf]
-        if inf_pos:
+        if inf in ws:
+            inf_pos = [p for p, w in enumerate(ws) if w == inf]
             pos = inf_pos[int(rng.integers(len(inf_pos)))]
         else:
-            r = rng.random() * sum(ws)
-            acc = 0.0
-            pos = len(ws) - 1
-            for p, w in enumerate(ws):
-                acc += w
-                if r < acc:
-                    pos = p
-                    break
+            pos = _categorical_pick(ws, range(len(ws)), rng)
         work[cands[pos][1]] = inf
         return pos
 
@@ -259,24 +252,25 @@ def sample_arborescence_categorical(
     return bits
 
 
+def _categorical_pick(weights, live, rng):
+    """Position in ``live`` of one draw of an index ``i`` with probability
+    proportional to ``weights[i]``: an inverse-CDF scan over ``live``."""
+    total = 0.0
+    for i in live:
+        total += weights[i]
+    r = rng.random() * total
+    acc = 0.0
+    for p, i in enumerate(live):
+        acc += weights[i]
+        if r < acc:
+            return p
+    return len(live) - 1
+
+
 def _sample_without_replacement(weights, count, rng):
     """Indices of ``count`` sequential draws without replacement, p ~ weights."""
     live = list(range(len(weights)))
-    out = []
-    for _ in range(count):
-        total = 0.0
-        for i in live:
-            total += weights[i]
-        r = rng.random() * total
-        acc = 0.0
-        pos = len(live) - 1
-        for p, i in enumerate(live):
-            acc += weights[i]
-            if r < acc:
-                pos = p
-                break
-        out.append(live.pop(pos))
-    return out
+    return [live.pop(_categorical_pick(weights, live, rng)) for _ in range(count)]
 
 
 def sample_tree_categorical(
@@ -298,18 +292,7 @@ def sample_tree_categorical(
     bits = np.zeros(graph.num_edges, dtype=np.int8)
     taken = 0
     while live and taken < graph.num_nodes - 1:
-        total = 0.0
-        for i in live:
-            total += w[i]
-        r = rng.random() * total
-        acc = 0.0
-        pos = len(live) - 1
-        for p, i in enumerate(live):
-            acc += w[i]
-            if r < acc:
-                pos = p
-                break
-        edge = live.pop(pos)
+        edge = live.pop(_categorical_pick(w, live, rng))
         t, h = graph.edges[edge]
         if uf.union(t, h):
             bits[edge] = 1

@@ -17,8 +17,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationLimitError, InputError, InvalidSpecError, UnsupportedPairError
-from .relax import Regularizer, RelaxationSpec, relax, softmax_simplex
-from .structures import StructureKind, StructureSpec, _check_dim, enumerate_vertices
+from .relax import (
+    _CLOSED_SIMPLEX,
+    _COORDINATE_KINDS,
+    _SEPARABLE,
+    Regularizer,
+    RelaxationSpec,
+    relax,
+    softmax_simplex,
+)
+from .structures import StructureKind, StructureSpec, _check_dim, gibbs_moments
 
 __all__ = [
     "FDConfig",
@@ -74,87 +82,44 @@ def fd_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     return cols
 
 
-def _gibbs_covariance_jacobian(spec, u, t, limit=10_000):
-    verts = np.stack(enumerate_vertices(spec, limit=limit)).astype(float)
-    logw = verts @ (u / t)
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    mean = verts.T @ w
-    second = verts.T @ (verts * w[:, None])
-    return (second - np.outer(mean, mean)) / t
-
-
 def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of the relaxed solution in ``u`` where a form is known."""
+    """Exact Jacobian of the relaxed solution in ``u`` where a form is known.
+
+    The softmax has ``(diag(p) - p p^T) / t``; an exponential family small
+    enough to enumerate has its Gibbs covariance over ``t``.  A separable
+    relaxation with coordinate slopes ``s`` has ``diag(s) / t`` on subsets
+    and ``(diag(s) - s s^T / sum(s)) / t`` under a cardinality sum, whose
+    shift moves with ``u``; the product-Bernoulli family on subsets is the
+    binary-entropy sigmoid.
+    """
     u = np.asarray(_check_dim(spec, u), dtype=float)
     t = rspec.temperature
     reg = rspec.regularizer
     kind = spec.kind
-    n = u.shape[0]
-
-    if kind == StructureKind.ONE_HOT and reg in (
-        Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY, Regularizer.EXPFAM_ENTROPY
-    ):
+    if kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX:
         p = softmax_simplex(u, t).x
         return (np.diag(p) - np.outer(p, p)) / t
-
-    if reg == Regularizer.EXPFAM_ENTROPY:
-        if kind == StructureKind.SUBSETS:
-            x = relax(spec, rspec, u).x
-            return np.diag(x * (1.0 - x)) / t
-        # Gibbs covariance over temperature, by enumeration
+    if reg == Regularizer.EXPFAM_ENTROPY and kind != StructureKind.SUBSETS:
         try:
-            return _gibbs_covariance_jacobian(spec, u, t)
+            _, cov = gibbs_moments(spec, u / t, 10_000, covariance=True)
         except EnumerationLimitError as exc:
             raise UnsupportedPairError(
                 f"{kind.value!r} instance too large to enumerate a covariance Jacobian; use fd_vjp"
             ) from exc
-
-    if reg == Regularizer.BINARY_ENTROPY and kind in (
-        StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS
-    ):
-        x = relax(spec, rspec, u).x
-        s = x * (1.0 - x)
-        if kind == StructureKind.SUBSETS:
-            return np.diag(s) / t
-        total = s.sum()
-        if total == 0.0:
-            return np.zeros((n, n))
-        return (np.diag(s) - np.outer(s, s) / total) / t
-
-    if reg == Regularizer.CATEGORICAL_ENTROPY and kind in (
-        StructureKind.SUBSETS, StructureKind.K_SUBSETS
-    ):
-        x = relax(spec, rspec, u).x
-        free = x < 1.0
-        if kind == StructureKind.SUBSETS:
-            return np.diag(np.where(free, x, 0.0)) / t
-        xf = np.where(free, x, 0.0)
-        total = xf.sum()
-        if total == 0.0:
-            return np.zeros((n, n))
-        return (np.diag(xf) - np.outer(xf, xf) / total) / t
-
-    if reg == Regularizer.EUCLIDEAN and kind in (
-        StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS
-    ):
-        x = relax(spec, rspec, u).x
-        if kind == StructureKind.SUBSETS:
-            z = u / t
-            return np.diag(((z > 0.0) & (z < 1.0)).astype(float)) / t
-        if kind == StructureKind.ONE_HOT:
-            free = x > 0.0
-        else:
-            free = (x > 0.0) & (x < 1.0)
-        m = int(free.sum())
-        if m == 0:
-            return np.zeros((n, n))
-        fv = free.astype(float)
-        return (np.diag(fv) - np.outer(fv, fv) / m) / t
-
-    raise UnsupportedPairError(
-        f"no closed-form Jacobian for {kind.value!r} with {reg.value!r}; use fd_vjp"
-    )
+        return cov / t
+    if reg == Regularizer.EXPFAM_ENTROPY:
+        reg = Regularizer.BINARY_ENTROPY  # the product-Bernoulli marginals are the sigmoid
+    if reg not in _SEPARABLE or kind not in _COORDINATE_KINDS:
+        raise UnsupportedPairError(
+            f"no closed-form Jacobian for {kind.value!r} with {reg.value!r}; use fd_vjp"
+        )
+    s = _SEPARABLE[reg][1](relax(spec, rspec, u).x)
+    if kind == StructureKind.SUBSETS:
+        return np.diag(s) / t
+    total = s.sum()
+    if total == 0.0:
+        return np.zeros((u.shape[0], u.shape[0]))
+    return (np.diag(s) - np.outer(s, s) / total) / t
 
 
 @dataclass(frozen=True)
@@ -189,11 +154,10 @@ def gradcheck(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
         pass
     cov_disc = None
     if rspec.regularizer == Regularizer.EXPFAM_ENTROPY:
+        t = rspec.temperature
         try:
-            cov = _gibbs_covariance_jacobian(
-                spec, np.asarray(u, dtype=float), rspec.temperature
-            )
-            cov_disc = float(np.abs(jac - cov).max())
+            _, cov = gibbs_moments(spec, np.asarray(u, dtype=float) / t, 10_000, covariance=True)
+            cov_disc = float(np.abs(jac - cov / t).max())
         except EnumerationLimitError:
             pass
     checks = [symmetry] + [v for v in (discrepancy, cov_disc) if v is not None]

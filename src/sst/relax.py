@@ -1,24 +1,12 @@
 """Temperature-controlled relaxations: maximize ``u . x - t * f(x)`` over
 the convex hull of a structure's vertex set.
 
-Supported (structure, regularizer) pairs:
-
-====================  =======  =========  ==============  ==================  =======
-structure             shannon  euclidean  binary_entropy  categorical_entropy expfam
-====================  =======  =========  ==============  ==================  =======
-one_hot               yes      yes        yes             yes                 yes
-subsets               -        yes        yes             yes                 yes
-k_subsets             -        yes        yes             yes                 yes
-corr_k_subsets        -        -          -               -                   yes
-matching              yes      -          -               -                   n <= 6
-spanning_tree         -        -          -               -                   yes
-arborescence          -        -          -               -                   yes
-====================  =======  =========  ==============  ==================  =======
-
-On the probability simplex the shannon, categorical-entropy and
-exponential-family solutions coincide with the tempered softmax, so all
-three dispatch to it.  Every solver works in a shifted or log domain so
-that temperatures far below 1 stay finite.
+``supported_pairs()`` lists the (structure, regularizer) pairs ``relax``
+accepts; the README tabulates them.  On the probability simplex the
+shannon, categorical-entropy and exponential-family solutions coincide
+with the tempered softmax, so all three dispatch to it.  Every solver
+works in a shifted or log domain so that temperatures far below 1 stay
+finite.
 """
 
 from __future__ import annotations
@@ -44,7 +32,7 @@ from .structures import (
     StructureKind,
     StructureSpec,
     _check_dim,
-    enumerate_vertices,
+    gibbs_moments,
 )
 
 __all__ = [
@@ -144,7 +132,7 @@ def _newton_shift(values_of, slope_of, target, z, tol, max_iter):
     """Find ``nu`` with ``sum(values_of(z - nu)) = target``; returns ``(nu, x)``.
 
     ``values_of`` is coordinatewise nonincreasing in ``nu`` and
-    ``slope_of(w, x)`` is its derivative in ``w = z - nu`` given
+    ``slope_of(x)`` is its derivative in ``w = z - nu``, written through
     ``x = values_of(w)``, so the partial sum decreases from the left
     bracket to the right one.  After the bracket is expanded to hold the
     root, each step evaluates the sum once, shrinks the bracket to the
@@ -179,8 +167,7 @@ def _newton_shift(values_of, slope_of, target, z, tol, max_iter):
     nu = 0.5 * (lo + hi)
     last = prev = hi - lo
     for _ in range(max_iter):
-        w = z - nu
-        x = values_of(w)
+        x = values_of(z - nu)
         s = float(x.sum())
         best_res = min(best_res, abs(s - target))
         if abs(s - target) <= tol:
@@ -189,7 +176,7 @@ def _newton_shift(values_of, slope_of, target, z, tol, max_iter):
             lo = nu
         else:
             hi = nu
-        slope = float(slope_of(w, x).sum())
+        slope = float(slope_of(x).sum())
         step = (s - target) / slope if slope > 0.0 else np.nan
         if lo < nu + step < hi and abs(step) <= 0.5 * abs(prev):
             nu_next = nu + step
@@ -202,12 +189,36 @@ def _newton_shift(values_of, slope_of, target, z, tol, max_iter):
     )
 
 
-def _capped_simplex_point(spec, u, t, target, values_of, slope_of, tol, max_iter):
+# The coordinate map ``x = values(w)`` of each separable regularizer, the
+# maximizer of ``w x - f(x)`` over [0, 1], and its slope ``dx/dw``
+# written as a function of ``x``: the shift search steps with the slope,
+# and the Jacobian of every separable relaxation is formed from it alone.
+_SEPARABLE = {
+    Regularizer.EUCLIDEAN: (lambda w: np.clip(w, 0.0, 1.0),
+                            lambda x: ((x > 0.0) & (x < 1.0)).astype(float)),
+    Regularizer.BINARY_ENTROPY: (expit, lambda x: x * (1.0 - x)),
+    Regularizer.CATEGORICAL_ENTROPY: (lambda w: np.minimum(1.0, np.exp(np.minimum(w, 0.0))),
+                                      lambda x: np.where(x < 1.0, x, 0.0)),
+}
+
+
+def _separable_point(reg, spec, u, t, tol, max_iter):
+    """The coordinate map of ``reg`` applied to ``u / t`` on subsets; on
+    one-hot and k-subsets applied to ``u / t - nu``, with the shift ``nu``
+    searched so that the coordinates sum to the cardinality."""
+    u = _check_dim(spec, u)
+    if spec.kind not in _COORDINATE_KINDS:
+        raise UnsupportedPairError(
+            f"{reg.value.replace('_', '-')} relaxation does not support {spec.kind.value}"
+        )
+    values, slope = _SEPARABLE[reg]
+    if spec.kind == StructureKind.SUBSETS:
+        return RelaxedPoint(x=values(_scaled(u, t)))
+    target = 1 if spec.kind == StructureKind.ONE_HOT else spec.k
     z = _scaled(u, t)
-    n = z.shape[0]
-    if target == n:  # the feasible set is the single all-ones point
-        return RelaxedPoint(x=np.ones(n))
-    nu, x = _newton_shift(values_of, slope_of, target, z, tol, max_iter)
+    if target == z.shape[0]:  # the feasible set is the single all-ones point
+        return RelaxedPoint(x=np.ones(target))
+    nu, x = _newton_shift(values, slope, target, z, tol, max_iter)
     return RelaxedPoint(x=x, dual=np.asarray(nu), residual=abs(float(x.sum()) - target))
 
 
@@ -222,10 +233,6 @@ def _project_simplex(z: np.ndarray) -> tuple:
     return np.maximum(z - tau, 0.0), tau
 
 
-def _require_target(spec: StructureSpec) -> int:
-    return 1 if spec.kind == StructureKind.ONE_HOT else spec.k
-
-
 def euclidean_project(spec: StructureSpec, u: np.ndarray, t: float,
                       tol: float = 1e-10, max_iter: int = DEFAULT_BISECT_ITER) -> RelaxedPoint:
     """Euclidean projection of ``u / t`` onto the structure's hull.
@@ -234,52 +241,25 @@ def euclidean_project(spec: StructureSpec, u: np.ndarray, t: float,
     box, and k-subsets search the shift of a clamped affine map on the
     capped simplex.
     """
-    u = _check_dim(spec, u)
-    z = _scaled(u, t)
     if spec.kind == StructureKind.ONE_HOT:
-        x, tau = _project_simplex(z)
+        x, tau = _project_simplex(_scaled(_check_dim(spec, u), t))
         return RelaxedPoint(x=x, dual=np.asarray(tau))
-    if spec.kind == StructureKind.SUBSETS:
-        return RelaxedPoint(x=np.clip(z, 0.0, 1.0))
-    if spec.kind == StructureKind.K_SUBSETS:
-        return _capped_simplex_point(
-            spec, u, t, spec.k, lambda w: np.clip(w, 0.0, 1.0),
-            lambda w, x: (w > 0.0) & (w < 1.0), tol, max_iter
-        )
-    raise UnsupportedPairError(f"euclidean relaxation does not support {spec.kind.value}")
+    return _separable_point(Regularizer.EUCLIDEAN, spec, u, t, tol, max_iter)
 
 
 def binary_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
                          tol: float = 1e-10, max_iter: int = DEFAULT_BISECT_ITER) -> RelaxedPoint:
     """Coordinatewise sigmoid, with a searched shift under a cardinality sum."""
-    u = _check_dim(spec, u)
-    if spec.kind == StructureKind.SUBSETS:
-        return RelaxedPoint(x=expit(_scaled(u, t)))
-    if spec.kind in (StructureKind.ONE_HOT, StructureKind.K_SUBSETS):
-        return _capped_simplex_point(
-            spec, u, t, _require_target(spec), expit, lambda w, x: x * (1.0 - x), tol, max_iter
-        )
-    raise UnsupportedPairError(f"binary-entropy relaxation does not support {spec.kind.value}")
+    return _separable_point(Regularizer.BINARY_ENTROPY, spec, u, t, tol, max_iter)
 
 
 def categorical_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
                               tol: float = 1e-10, max_iter: int = DEFAULT_BISECT_ITER) -> RelaxedPoint:
     """Capped exponential, with a searched shift under a cardinality sum."""
-    u = _check_dim(spec, u)
-    if spec.kind == StructureKind.SUBSETS:
-        z = _scaled(u, t)
-        return RelaxedPoint(x=np.minimum(1.0, np.exp(np.minimum(z, 0.0))))
     if spec.kind == StructureKind.ONE_HOT:
         # the cap is inactive on the simplex; coincides with the softmax
-        return softmax_simplex(u, t)
-    if spec.kind == StructureKind.K_SUBSETS:
-        return _capped_simplex_point(
-            spec, u, t, spec.k, lambda w: np.minimum(1.0, np.exp(np.minimum(w, 0.0))),
-            lambda w, x: np.where(w < 0.0, x, 0.0), tol, max_iter
-        )
-    raise UnsupportedPairError(
-        f"categorical-entropy relaxation does not support {spec.kind.value}"
-    )
+        return softmax_simplex(_check_dim(spec, u), t)
+    return _separable_point(Regularizer.CATEGORICAL_ENTROPY, spec, u, t, tol, max_iter)
 
 
 # --- exponential-family marginals -------------------------------------------
@@ -450,17 +430,16 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
 
 
 def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0,
-                          clip_range: Optional[float] = None,
-                          drop_index: Optional[int] = None) -> RelaxedPoint:
+                          clip_range: Optional[float] = None) -> RelaxedPoint:
     """Per-edge spanning-tree marginals of p(T) ~ exp(u . x_T / t).
 
-    Works on the weighted Laplacian of exp(u/t) with one row/column
-    deleted (by default that of a node incident to the largest weight);
-    each marginal is a ratio of reduced-Laplacian determinants, taken in
-    the log domain by one batched elimination over the full graph and
-    every single-edge deletion.  ``condition_estimate`` is the spread of
-    the elimination pivots: the largest minus the smallest finite log
-    pivot of the full graph.
+    Works on the weighted Laplacian of exp(u/t) with the row and column
+    of a node incident to the largest weight deleted; each marginal is a
+    ratio of reduced-Laplacian determinants, taken in the log domain by
+    one batched elimination over the full graph and every single-edge
+    deletion.  ``condition_estimate`` is the spread of the elimination
+    pivots: the largest minus the smallest finite log pivot of the full
+    graph.
     """
     if graph.directed:
         raise InvalidSpecError("matrix_tree_marginals needs an undirected graph")
@@ -470,9 +449,7 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0,
     if not graph.is_connected():
         raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
     theta = _center_and_clip(_scaled(u, t), clip_range)
-    drop = drop_index if drop_index is not None else graph.edges[int(np.argmax(theta))][0]
-    if not 0 <= drop < graph.num_nodes:
-        raise InputError(f"drop_index {drop} out of range")
+    drop = graph.edges[int(np.argmax(theta))][0]
     mu, spread = _tree_marginals_by_logdet(
         graph.num_nodes, drop, graph.edges, theta, directed=False
     )
@@ -567,18 +544,6 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     )
 
 
-def _matching_marginals_by_enumeration(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoint:
-    if spec.n > MATCHING_EXACT_LIMIT:
-        raise EnumerationLimitError(
-            f"exact matching marginals are limited to n <= {MATCHING_EXACT_LIMIT}"
-        )
-    verts = np.stack(enumerate_vertices(spec, limit=10_000)).astype(float)
-    logw = verts @ _scaled(u, t)
-    w = np.exp(logw - logw.max())
-    mu = verts.T @ w / w.sum()
-    return RelaxedPoint(x=np.clip(mu, 0.0, 1.0))
-
-
 def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float,
                      clip_range: Optional[float] = None) -> RelaxedPoint:
     """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices.
@@ -601,7 +566,11 @@ def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float,
     if kind == StructureKind.ARBORESCENCE:
         return directed_matrix_tree_marginals(spec.graph, spec.root, u, t, clip_range=clip_range)
     if kind == StructureKind.MATCHING:
-        return _matching_marginals_by_enumeration(spec, u, t)
+        if spec.n > MATCHING_EXACT_LIMIT:
+            raise EnumerationLimitError(
+                f"exact matching marginals are limited to n <= {MATCHING_EXACT_LIMIT}"
+            )
+        return RelaxedPoint(x=np.clip(gibbs_moments(spec, _scaled(u, t), 10_000), 0.0, 1.0))
     raise InvalidSpecError(f"unknown kind {kind!r}")  # pragma: no cover
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "embedding_dim",
     "is_vertex",
     "enumerate_vertices",
+    "gibbs_moments",
     "default_enum_limit",
     "spec_to_dict",
     "spec_from_dict",
@@ -345,6 +346,23 @@ def enumerate_vertices(spec: StructureSpec, limit: int = 10_000) -> list:
             )
     out.sort()
     return [np.array(bits, dtype=np.int8) for bits in out]
+
+
+def gibbs_moments(spec: StructureSpec, z: np.ndarray, limit: int, covariance: bool = False):
+    """Mean of p(x) ~ exp(z . x) over the spec's vertices, by enumeration.
+
+    With ``covariance`` returns ``(mean, covariance)``.  Raises
+    ``EnumerationLimitError`` past ``limit`` vertices.
+    """
+    verts = np.stack(enumerate_vertices(spec, limit)).astype(float)
+    logw = verts @ z
+    w = np.exp(logw - logw.max())
+    if not covariance:
+        return verts.T @ w / w.sum()
+    # the covariance needs normalized weights, which round the mean differently
+    w /= w.sum()
+    mean = verts.T @ w
+    return mean, verts.T @ (verts * w[:, None]) - np.outer(mean, mean)
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -46,6 +46,7 @@ from .structures import (
     StructureSpec,
     default_enum_limit,
     enumerate_vertices,
+    gibbs_moments,
 )
 from .utilities import UtilityFamily, UtilitySpec, draw, draw_block
 
@@ -114,10 +115,7 @@ class TestReport:
 def gibbs_marginals_bruteforce(spec: StructureSpec, u: np.ndarray, t: float,
                                limit: Optional[int] = None) -> np.ndarray:
     """Exact marginal vector of p(x) ~ exp(u . x / t) by enumeration."""
-    verts = np.stack(enumerate_vertices(spec, limit or default_enum_limit())).astype(float)
-    logw = verts @ (np.asarray(u, dtype=float) / t)
-    w = np.exp(logw - logw.max())
-    return verts.T @ w / w.sum()
+    return gibbs_moments(spec, np.asarray(u, dtype=float) / t, limit or default_enum_limit())
 
 
 def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
@@ -427,20 +425,25 @@ def suite_matrix_tree(seed: int, tol: float = 1e-8, instances: int = 50) -> list
     return out
 
 
-def _limit_instances():
-    g4 = _complete_graph(4)
-    d3 = _complete_digraph(3)
-    for kind, reg in supported_pairs():
-        spec = {
-            StructureKind.ONE_HOT: StructureSpec(StructureKind.ONE_HOT, n=5),
-            StructureKind.SUBSETS: StructureSpec(StructureKind.SUBSETS, n=5),
-            StructureKind.K_SUBSETS: StructureSpec(StructureKind.K_SUBSETS, n=5, k=2),
-            StructureKind.CORR_K_SUBSETS: StructureSpec(StructureKind.CORR_K_SUBSETS, n=5, k=2),
-            StructureKind.MATCHING: StructureSpec(StructureKind.MATCHING, n=3),
-            StructureKind.SPANNING_TREE: StructureSpec(StructureKind.SPANNING_TREE, graph=g4),
-            StructureKind.ARBORESCENCE: StructureSpec(StructureKind.ARBORESCENCE, graph=d3, root=0),
-        }[kind]
-        yield spec, reg
+def _pair_instances(n: int) -> list:
+    """One small instance per supported (kind, regularizer) pair.
+
+    One-hot, subsets and correlated k-subsets take ``n`` elements and
+    spanning trees the complete graph on ``n - 1`` nodes; the other kinds
+    are fixed.
+    """
+    specs = {
+        StructureKind.ONE_HOT: StructureSpec(StructureKind.ONE_HOT, n=n),
+        StructureKind.SUBSETS: StructureSpec(StructureKind.SUBSETS, n=n),
+        StructureKind.K_SUBSETS: StructureSpec(StructureKind.K_SUBSETS, n=5, k=2),
+        StructureKind.CORR_K_SUBSETS: StructureSpec(StructureKind.CORR_K_SUBSETS, n=n, k=2),
+        StructureKind.MATCHING: StructureSpec(StructureKind.MATCHING, n=3),
+        StructureKind.SPANNING_TREE: StructureSpec(StructureKind.SPANNING_TREE,
+                                                   graph=_complete_graph(n - 1)),
+        StructureKind.ARBORESCENCE: StructureSpec(StructureKind.ARBORESCENCE,
+                                                  graph=_complete_digraph(3), root=0),
+    }
+    return [(specs[kind], reg) for kind, reg in supported_pairs()]
 
 
 def suite_limits(seed: int, draws: int = 100, gap: float = 1e-3,
@@ -454,7 +457,7 @@ def suite_limits(seed: int, draws: int = 100, gap: float = 1e-3,
     """
     ss = np.random.SeedSequence(seed)
     out = []
-    for (spec, reg), child in zip(_limit_instances(), ss.spawn(64)):
+    for (spec, reg), child in zip(_pair_instances(5), ss.spawn(64)):
         rng = np.random.default_rng(child)
         sinkhorn_pair = (
             spec.kind == StructureKind.MATCHING and reg == Regularizer.SHANNON
@@ -497,27 +500,11 @@ def suite_limits(seed: int, draws: int = 100, gap: float = 1e-3,
     return out
 
 
-def _gradcheck_instances():
-    g3 = _complete_graph(3)
-    d3 = _complete_digraph(3)
-    for kind, reg in supported_pairs():
-        spec = {
-            StructureKind.ONE_HOT: StructureSpec(StructureKind.ONE_HOT, n=4),
-            StructureKind.SUBSETS: StructureSpec(StructureKind.SUBSETS, n=4),
-            StructureKind.K_SUBSETS: StructureSpec(StructureKind.K_SUBSETS, n=5, k=2),
-            StructureKind.CORR_K_SUBSETS: StructureSpec(StructureKind.CORR_K_SUBSETS, n=4, k=2),
-            StructureKind.MATCHING: StructureSpec(StructureKind.MATCHING, n=3),
-            StructureKind.SPANNING_TREE: StructureSpec(StructureKind.SPANNING_TREE, graph=g3),
-            StructureKind.ARBORESCENCE: StructureSpec(StructureKind.ARBORESCENCE, graph=d3, root=0),
-        }[kind]
-        yield spec, reg
-
-
 def suite_gradcheck(seed: int, instances: int = 20, tolerance: float = 1e-6) -> list:
     """Finite differences agree with exact Jacobians; Jacobians are symmetric."""
     ss = np.random.SeedSequence(seed)
     out = []
-    for (spec, reg), child in zip(_gradcheck_instances(), ss.spawn(64)):
+    for (spec, reg), child in zip(_pair_instances(4), ss.spawn(64)):
         rng = np.random.default_rng(child)
         rspec = RelaxationSpec(reg, temperature=1.0, tol=1e-12, max_iter=20_000)
         worst_sym = worst_disc = worst_cov = 0.0

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import zlib
 
@@ -297,10 +298,27 @@ class TestMatrixTree:
             assert matrix_tree_marginals(K4, u).x.sum() == pytest.approx(3.0, abs=1e-8)
 
     def test_drop_index_immaterial(self):
-        u = np.random.default_rng(13).normal(size=6)
-        outs = [matrix_tree_marginals(K4, u, drop_index=d).x for d in range(4)]
-        for x in outs[1:]:
-            np.testing.assert_allclose(x, outs[0], atol=1e-12)
+        # Any node can be the boundary whose row and column the reduced
+        # Laplacian drops.  On a symmetric digraph the arborescences rooted
+        # anywhere are the spanning trees oriented away from the root, so
+        # the marginals of an edge's two arcs sum to its marginal.
+        kernel = importlib.import_module("sst.relax")._tree_marginals_by_logdet
+        rng = np.random.default_rng(13)
+        cases = [(K4, rng.normal(size=6))]
+        while len(cases) < 2:
+            g = Graph(6, [e for e in itertools.combinations(range(6), 2) if rng.random() < 0.6])
+            if g.is_connected():
+                cases.append((g, rng.normal(size=g.num_edges)))
+        for g, theta in cases:
+            outs = [kernel(g.num_nodes, b, g.edges, theta, directed=False)[0]
+                    for b in range(g.num_nodes)]
+            for x in outs[1:]:
+                np.testing.assert_allclose(x, outs[0], atol=1e-12)
+            arcs = list(g.edges) + [(h, t) for t, h in g.edges]
+            for root in range(g.num_nodes):
+                mu, _ = kernel(g.num_nodes, root, arcs, np.r_[theta, theta], directed=True)
+                np.testing.assert_allclose(mu[:g.num_edges] + mu[g.num_edges:], outs[0],
+                                           atol=1e-12)
 
     def test_clip_range_matches_manual_clipping(self):
         u = np.array([0.0, -40.0, 1.0, -3.0, 2.0, -25.0])
