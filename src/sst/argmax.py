@@ -48,16 +48,46 @@ def _has_duplicates(u: np.ndarray) -> bool:
     return np.unique(u).size < u.size
 
 
+def _require_finite(x: np.ndarray, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise InputError(f"{what} must be finite")
+
+
+def _indicator(dim: int, chosen) -> np.ndarray:
+    bits = np.zeros(dim, dtype=np.int8)
+    bits[chosen] = 1
+    return bits
+
+
+def _stable_order(U: np.ndarray) -> np.ndarray:
+    """Per row, coordinate indices by non-increasing value, lowest index first among ties."""
+    return np.argsort(-U, axis=-1, kind="stable")
+
+
 def topk_select(u: np.ndarray, k: int) -> np.ndarray:
     """k-hot indicator of the k largest coordinates of ``u``."""
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
     if not 1 <= k < n:
         raise InputError(f"k must satisfy 1 <= k < {n}, got {k}")
-    order = np.argsort(-u, kind="stable")
-    bits = np.zeros(n, dtype=np.int8)
-    bits[order[:k]] = 1
-    return bits
+    _require_finite(u, "utilities")
+    return _indicator(n, _stable_order(u)[:k])
+
+
+def _kruskal(graph: Graph, order) -> list:
+    """Edges a union-find accumulator keeps when scanning ``order`` (edge ids)."""
+    need = graph.num_nodes - 1
+    chosen = []
+    if need == 0:
+        return chosen
+    uf = _UnionFind(graph.num_nodes)
+    for i in order:
+        t, h = graph.edges[i]
+        if uf.union(t, h):
+            chosen.append(i)
+            if len(chosen) == need:
+                return chosen
+    raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
 
 
 def kruskal_max_tree(graph: Graph, u: np.ndarray) -> np.ndarray:
@@ -71,35 +101,26 @@ def kruskal_max_tree(graph: Graph, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (graph.num_edges,):
         raise InputError(f"expected {graph.num_edges} edge utilities, got shape {u.shape}")
-    order = np.argsort(-u, kind="stable")
-    uf = _UnionFind(graph.num_nodes)
-    bits = np.zeros(graph.num_edges, dtype=np.int8)
-    if graph.num_nodes == 1:
-        return bits
-    taken = 0
-    for i in order:
-        t, h = graph.edges[i]
-        if uf.union(t, h):
-            bits[i] = 1
-            taken += 1
-            if taken == graph.num_nodes - 1:
-                return bits
-    raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
+    _require_finite(u, "edge utilities")
+    return _indicator(graph.num_edges, _kruskal(graph, _stable_order(u).tolist()))
+
+
+def _assignment(u: np.ndarray) -> np.ndarray:
+    """Flat row-major indices of the permutation maximizing a square ``u``."""
+    # scipy.optimize takes about half a second to import; only matchings need it
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(u, maximize=True)
+    return rows * u.shape[0] + cols
 
 
 def hungarian_match(u: np.ndarray) -> np.ndarray:
     """Permutation matrix (flattened row-major) maximizing sum(u[i, sigma(i)])."""
-    # scipy.optimize takes about half a second to import; only matchings need it
-    from scipy.optimize import linear_sum_assignment
-
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InputError(f"utility matrix must be square, got shape {u.shape}")
-    n = u.shape[0]
-    rows, cols = linear_sum_assignment(u, maximize=True)
-    bits = np.zeros(n * n, dtype=np.int8)
-    bits[rows * n + cols] = 1
-    return bits
+    _require_finite(u, "utilities")
+    return _indicator(u.size, _assignment(u))
 
 
 # --- cycle-contraction engine ------------------------------------------------
@@ -110,32 +131,35 @@ def hungarian_match(u: np.ndarray) -> np.ndarray:
 # one cycle edge.  They differ only in the pick rule, supplied as a
 # callback that may mutate per-edge state (utilities or rates).
 
-def _contract_and_pick(num_nodes, root, edge_list, pick):
-    """``edge_list``: (tail, head, eid) triples in ascending eid order.
+def _contract_and_pick(num_nodes, root, edge_list, pick, enter=None):
+    """``edge_list``: (tail, head, eid) triples in ascending eid order;
+    ``enter``: per node the (tail, eid) pairs entering it, built from
+    ``edge_list`` when not given (``Graph.arcs`` holds both for a graph).
 
     ``pick(candidates)`` gets the (tail, eid) pairs entering one node and
     returns the position of the chosen pair.  Returns the chosen eids.
     """
-    enter = [[] for _ in range(num_nodes)]
-    for t, h, eid in edge_list:
-        enter[h].append((t, eid))
-    parent = {}
+    if enter is None:
+        enter = [[] for _ in range(num_nodes)]
+        for t, h, eid in edge_list:
+            enter[h].append((t, eid))
+    parent = [None] * num_nodes
     for v in range(num_nodes):
         if v == root:
             continue
-        if not enter[v]:
+        cands = enter[v]
+        if not cands:
             raise InfeasibleStructureError(
                 "no arborescence: a (super)node has no entering edge"
             )
-        pos = pick(enter[v])
-        parent[v] = enter[v][pos]
+        parent[v] = cands[pick(cands)]
 
     # Find a directed cycle among the picked edges, if any.
     color = [0] * num_nodes  # 0 fresh, 1 on current path, 2 settled
     color[root] = 2
     cycle = None
     for v0 in range(num_nodes):
-        if color[v0] or cycle is not None:
+        if color[v0]:
             continue
         path = []
         v = v0
@@ -145,47 +169,62 @@ def _contract_and_pick(num_nodes, root, edge_list, pick):
             v = parent[v][0]
         if color[v] == 1:
             cycle = path[path.index(v):]
+            break
         for w in path:
             color[w] = 2
     if cycle is None:
-        return [eid for (_, eid) in parent.values()]
+        return [p[1] for p in parent if p is not None]
 
-    cyc = set(cycle)
-    new_id = {}
+    # Renumber: nodes off the cycle keep their order, the cycle becomes the
+    # last node; edges inside the cycle vanish.
+    super_id = num_nodes - len(cycle)
+    new_id = [super_id] * num_nodes
+    in_cycle = [False] * num_nodes
+    for v in cycle:
+        in_cycle[v] = True
+    count = 0
     for v in range(num_nodes):
-        if v not in cyc:
-            new_id[v] = len(new_id)
-    super_id = len(new_id)
-    sub_edges = []
-    for t, h, eid in edge_list:
-        nt = super_id if t in cyc else new_id[t]
-        nh = super_id if h in cyc else new_id[h]
-        if nt != nh:
-            sub_edges.append((nt, nh, eid))
+        if not in_cycle[v]:
+            new_id[v] = count
+            count += 1
+    sub_edges = [(nt, nh, eid) for t, h, eid in edge_list
+                 if (nt := new_id[t]) != (nh := new_id[h])]
     chosen = _contract_and_pick(super_id + 1, new_id[root], sub_edges, pick)
 
     # The sub-solution enters the supernode through exactly one edge;
     # keep every cycle edge except the one entering that edge's head.
-    head_here = {eid: h for (_, h, eid) in edge_list}
-    h_star = None
-    for eid in chosen:
-        if head_here[eid] in cyc:
-            h_star = head_here[eid]
-            break
-    result = list(chosen)
-    for v in cycle:
-        if v != h_star:
-            result.append(parent[v][1])
-    return result
+    into_cycle = {eid: h for t, h, eid in edge_list if in_cycle[h] and not in_cycle[t]}
+    h_star = next(into_cycle[eid] for eid in chosen if eid in into_cycle)
+    chosen.extend(parent[v][1] for v in cycle if v != h_star)
+    return chosen
+
+
+def _cle(graph: Graph, root: int, work: list, tie) -> list:
+    """Edges of the maximum arborescence for the utilities ``work`` (a list
+    of floats, consumed).  Per node keep the best entering edge and subtract
+    its utility from all entering edges, contract any cycle, recurse on the
+    modified utilities, expand.  ``tie[0]`` is set when a tie decided a pick."""
+
+    def pick(cands):
+        ws = [work[eid] for _, eid in cands]
+        best = max(ws)  # the first of equal maxima, as ws.index finds it
+        if tie is not None:
+            # a candidate equal to the best one scanned before it
+            running = ws[0]
+            for w in ws[1:]:
+                if w == running:
+                    tie[0] = True
+                running = max(running, w)
+        for _, eid in cands:
+            work[eid] -= best
+        return ws.index(best)
+
+    edge_list, enter = graph.arcs
+    return _contract_and_pick(graph.num_nodes, root, edge_list, pick, enter)
 
 
 def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray, _tie=None) -> np.ndarray:
-    """Edge indicator of the maximum-utility arborescence rooted at ``root``.
-
-    Contraction recursion: per node keep the best entering edge and
-    subtract its utility from all entering edges, contract any cycle,
-    recurse on the modified utilities, expand.
-    """
+    """Edge indicator of the maximum-utility arborescence rooted at ``root``."""
     if not graph.directed:
         raise InvalidSpecError("arborescences need a directed graph")
     u = np.asarray(u, dtype=float)
@@ -193,26 +232,8 @@ def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray, _tie=None) -> n
         raise InputError(f"expected {graph.num_edges} edge utilities, got shape {u.shape}")
     if not 0 <= root < graph.num_nodes:
         raise InputError(f"root {root} out of range")
-    work = u.tolist()  # mutated copy; plain floats keep the recursion cheap
-
-    def pick(cands):
-        best_pos = 0
-        best = work[cands[0][1]]
-        for pos in range(1, len(cands)):
-            w = work[cands[pos][1]]
-            if w > best:
-                best, best_pos = w, pos
-            elif w == best and _tie is not None:
-                _tie[0] = True
-        for _, eid in cands:
-            work[eid] -= best
-        return best_pos
-
-    edge_list = [(t, h, i) for i, (t, h) in enumerate(graph.edges)]
-    chosen = _contract_and_pick(graph.num_nodes, root, edge_list, pick)
-    bits = np.zeros(graph.num_edges, dtype=np.int8)
-    bits[chosen] = 1
-    return bits
+    _require_finite(u, "edge utilities")
+    return _indicator(graph.num_edges, _cle(graph, root, u.tolist(), _tie))
 
 
 def sample_arborescence_categorical(
@@ -230,7 +251,7 @@ def sample_arborescence_categorical(
     lam = np.asarray(rates, dtype=float)
     if lam.shape != (graph.num_edges,):
         raise InputError(f"expected {graph.num_edges} rates, got shape {lam.shape}")
-    if not ((lam > 0) | np.isinf(lam)).all():
+    if not (lam > 0).all():
         raise InputError("rates must be strictly positive or +inf")
     work = lam.tolist()
     inf = math.inf
@@ -239,17 +260,17 @@ def sample_arborescence_categorical(
         ws = [work[eid] for (_, eid) in cands]
         if inf in ws:
             inf_pos = [p for p, w in enumerate(ws) if w == inf]
-            pos = inf_pos[int(rng.integers(len(inf_pos)))]
+            # rng.integers(1) draws nothing from the generator, so a lone
+            # infinite rate is taken without the call
+            pos = inf_pos[0] if len(inf_pos) == 1 else inf_pos[int(rng.integers(len(inf_pos)))]
         else:
             pos = _categorical_pick(ws, range(len(ws)), rng)
         work[cands[pos][1]] = inf
         return pos
 
-    edge_list = [(t, h, i) for i, (t, h) in enumerate(graph.edges)]
-    chosen = _contract_and_pick(graph.num_nodes, root, edge_list, pick)
-    bits = np.zeros(graph.num_edges, dtype=np.int8)
-    bits[chosen] = 1
-    return bits
+    edge_list, enter = graph.arcs
+    chosen = _contract_and_pick(graph.num_nodes, root, edge_list, pick, enter)
+    return _indicator(graph.num_edges, chosen)
 
 
 def _categorical_pick(weights, live, rng):
@@ -286,6 +307,7 @@ def sample_tree_categorical(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (graph.num_edges,):
         raise InputError(f"expected {graph.num_edges} edge scores, got shape {theta.shape}")
+    _require_finite(theta, "edge scores")
     w = np.exp(theta - theta.max()).tolist()
     live = list(range(graph.num_edges))
     uf = _UnionFind(graph.num_nodes)
@@ -310,86 +332,140 @@ def sample_topk_without_replacement(
     n = theta.shape[0]
     if not 1 <= k < n:
         raise InputError(f"k must satisfy 1 <= k < {n}, got {k}")
+    _require_finite(theta, "scores")
     w = np.exp(theta - theta.max()).tolist()
     bits = np.zeros(n, dtype=np.int8)
     bits[_sample_without_replacement(w, k, rng)] = 1
     return bits
 
 
-def _viterbi_corr_ksubsets(n, k, u, tie):
-    """MAP over the chain with node scores u[:n], pair scores u[n:], sum = k."""
-    phi, psi = u[:n], u[n:]
-    neg = -math.inf
-    score = np.full((2, k + 1), neg)
-    score[0, 0] = 0.0
-    score[1, 1] = phi[0]
-    back = np.zeros((n, 2, k + 1), dtype=np.int8)
+def _viterbi_block(n: int, k: int, U: np.ndarray):
+    """MAP over the chain with node scores ``U[:, :n]`` and pair scores
+    ``U[:, n:]`` subject to ``sum = k``, for every row of ``U`` at once.
+
+    Row for row this makes the decisions of a scalar Viterbi that scores
+    state ``s`` at position ``i`` with count ``c`` from the previous states
+    ``0`` then ``1`` and keeps the first best, and that ends in state 0
+    unless state 1 scores strictly more.  Returns the int8 vertices and a
+    per-row flag: some choice between two equal finite scores was made.
+    """
+    rows = U.shape[0]
+    phi, psi = U[:, :n, None], U[:, n:, None]
+    neg = -np.inf
+    score = np.full((rows, 2, k + 1), neg)
+    score[:, 0, 0] = 0.0
+    score[:, 1, 1] = phi[:, 0, 0]
+    back = np.zeros((rows, n, 2, k + 1), dtype=np.int8)
+    tie = np.zeros(rows, dtype=bool)
+    # Candidates for every (state, count) from the previous state 0 (a) and
+    # 1 (b): state 0 keeps the count, state 1 adds phi_i, and psi_{i-1}
+    # after a 1.  State 1 with count 0 is unreachable and stays -inf.
+    a = np.full((rows, 2, k + 1), neg)
+    b = np.full((rows, 2, k + 1), neg)
     for i in range(1, n):
-        nxt = np.full((2, k + 1), neg)
-        for s in (0, 1):
-            for c in range(k + 1):
-                if c - s < 0:
-                    continue
-                gain = phi[i] if s else 0.0
-                best, best_prev = neg, 0
-                for prev in (0, 1):
-                    cand = score[prev, c - s] + gain + (psi[i - 1] if s and prev else 0.0)
-                    if cand > best:
-                        best, best_prev = cand, prev
-                    elif cand == best and cand > neg and prev != best_prev:
-                        tie[0] = True
-                nxt[s, c] = best
-                back[i, s, c] = best_prev
-        score = nxt
-    s = 0 if score[0, k] >= score[1, k] else 1
-    if score[0, k] == score[1, k]:
-        tie[0] = True
-    bits = np.zeros(2 * n - 1, dtype=np.int8)
-    c = k
+        a[:, 0] = score[:, 0]
+        b[:, 0] = score[:, 1]
+        np.add(score[:, 0, :-1], phi[:, i], out=a[:, 1, 1:])
+        np.add(score[:, 1, :-1], phi[:, i], out=b[:, 1, 1:])
+        b[:, 1, 1:] += psi[:, i - 1]
+        take1 = b > a
+        tie |= ((b == a) & (b > neg)).reshape(rows, -1).any(axis=1)
+        score = np.where(take1, b, a)
+        back[:, i] = take1
+    last0, last1 = score[:, 0, k], score[:, 1, k]
+    tie |= last0 == last1
+    s = (last1 > last0).astype(np.intp)
+    c = np.full(rows, k)
+    r = np.arange(rows)
+    bits = np.zeros((rows, 2 * n - 1), dtype=np.int8)
     for i in range(n - 1, -1, -1):
-        bits[i] = s
-        prev = int(back[i, s, c]) if i > 0 else 0
-        c -= s
+        bits[:, i] = s
+        prev = back[r, i, s, c]
+        c = c - s
         s = prev
-    bits[n:] = bits[: n - 1] * bits[1:n]
+    bits[:, n:] = bits[:, : n - 1] * bits[:, 1:n]
+    return bits, tie
+
+
+def _map_block(spec: StructureSpec, U: np.ndarray) -> np.ndarray:
+    """``solve_map``'s vertex for every row of a finite ``(rows, dim)`` block, as int8 rows."""
+    kind = spec.kind
+    rows, dim = U.shape
+    if kind == StructureKind.SUBSETS:
+        return (U > 0).astype(np.int8)
+    if kind == StructureKind.CORR_K_SUBSETS:
+        return _viterbi_block(spec.n, spec.k, U)[0]
+    bits = np.zeros((rows, dim), dtype=np.int8)
+    if kind == StructureKind.ONE_HOT:
+        bits[np.arange(rows), U.argmax(axis=1)] = 1
+    elif kind == StructureKind.K_SUBSETS:
+        np.put_along_axis(bits, _stable_order(U)[:, : spec.k], 1, axis=1)
+    elif kind == StructureKind.MATCHING:
+        for row, u in zip(bits, U.reshape(rows, spec.n, spec.n)):
+            row[_assignment(u)] = 1
+    elif kind == StructureKind.SPANNING_TREE:
+        for row, order in zip(bits, _stable_order(U).tolist()):
+            row[_kruskal(spec.graph, order)] = 1
+    elif kind == StructureKind.ARBORESCENCE:
+        for row, work in zip(bits, U.tolist()):
+            row[_cle(spec.graph, spec.root, work, None)] = 1
+    else:  # pragma: no cover
+        raise InvalidSpecError(f"unknown kind {kind!r}")
     return bits
+
+
+# Rows per chunk of ``_map_chunks``: a chunk's utilities (doubles), and the
+# Viterbi back-pointers of correlated k-subsets (bytes), hold at most this
+# many elements.  On a 2-core VM, 64 KiB blocks ran the benchmark's
+# perturb_map workload as fast as 512 KiB ones, with a peak resident set
+# 2-3 MB lower.
+_MAP_CHUNK = 1 << 13
+
+
+def _chunk_rows(spec: StructureSpec) -> int:
+    width = spec.dim
+    if spec.kind == StructureKind.CORR_K_SUBSETS:
+        width = 2 * spec.n * (spec.k + 1)
+    return max(1, _MAP_CHUNK // width)
+
+
+def _map_chunks(spec: StructureSpec, noise, draws: int):
+    """Yield the MAP vertices of ``draws`` utility rows as int8 blocks, in order.
+
+    ``noise(rows)`` returns the next ``(rows, dim)`` utilities; it is called
+    on chunks of ``_chunk_rows(spec)`` rows (the last one shorter), and each
+    chunk is checked for finiteness once.
+    """
+    per = _chunk_rows(spec)
+    for start in range(0, draws, per):
+        U = noise(min(per, draws - start))
+        _require_finite(U, "utilities")
+        yield _map_block(spec, U)
 
 
 def solve_map(spec: StructureSpec, u: np.ndarray) -> MapSolution:
     """Maximize ``u . x`` over the spec's vertex set."""
     u = np.asarray(_check_dim(spec, u), dtype=float)
-    if not np.isfinite(u).all():
-        raise InputError("utilities must be finite")
+    _require_finite(u, "utilities")
     kind = spec.kind
-    tie = False
-    if kind == StructureKind.ONE_HOT:
-        i = int(np.argmax(u))
-        bits = np.zeros(spec.n, dtype=np.int8)
-        bits[i] = 1
-        tie = int((u == u[i]).sum()) > 1
-    elif kind == StructureKind.SUBSETS:
-        bits = (u > 0).astype(np.int8)
-        tie = bool((u == 0).any())
-    elif kind == StructureKind.K_SUBSETS:
-        bits = topk_select(u, spec.k)
-        # the k-th largest value is the least chosen one, the (k+1)-th the
-        # greatest unchosen one
-        chosen = bits.astype(bool)
-        tie = bool(u[chosen].min() == u[~chosen].max())
-    elif kind == StructureKind.CORR_K_SUBSETS:
-        cell = [False]
-        bits = _viterbi_corr_ksubsets(spec.n, spec.k, u, cell)
-        tie = cell[0]
-    elif kind == StructureKind.MATCHING:
-        bits = hungarian_match(u.reshape(spec.n, spec.n))
-        tie = _has_duplicates(u)
-    elif kind == StructureKind.SPANNING_TREE:
-        bits = kruskal_max_tree(spec.graph, u)
-        tie = _has_duplicates(u)
+    if kind == StructureKind.CORR_K_SUBSETS:
+        block, ties = _viterbi_block(spec.n, spec.k, u[None])
+        bits, tie = block[0], ties[0]
     elif kind == StructureKind.ARBORESCENCE:
         cell = [False]
-        bits = cle_max_arborescence(spec.graph, spec.root, u, _tie=cell)
+        bits = _indicator(spec.dim, _cle(spec.graph, spec.root, u.tolist(), cell))
         tie = cell[0]
-    else:  # pragma: no cover
-        raise InvalidSpecError(f"unknown kind {kind!r}")
+    else:
+        bits = _map_block(spec, u[None])[0]
+        if kind == StructureKind.ONE_HOT:
+            tie = int((u == u.max()).sum()) > 1
+        elif kind == StructureKind.SUBSETS:
+            tie = (u == 0).any()
+        elif kind == StructureKind.K_SUBSETS:
+            # the k-th largest value is the least chosen one, the (k+1)-th
+            # the greatest unchosen one
+            chosen = bits.astype(bool)
+            tie = u[chosen].min() == u[~chosen].max()
+        else:  # matching, spanning tree
+            tie = _has_duplicates(u)
     return MapSolution(vertex=bits, objective=float(u @ bits), tie_broken=bool(tie))

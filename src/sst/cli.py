@@ -14,13 +14,14 @@ defaults to 10000 vertices and can be overridden with SST_MAX_ENUM.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import verify as verify_mod
-from .argmax import solve_map
+from .argmax import _map_chunks, solve_map
 from .errors import InputError, SolverError, SstError
 from .grad import FDConfig, gradcheck
 from .relax import RelaxationSpec, Regularizer, expfam_marginals, relax
@@ -31,8 +32,8 @@ from .structures import (
     enumerate_vertices,
     spec_from_dict,
 )
-from .utilities import draw, utility_from_dict
-from .verify import SUITE_NAMES, gibbs_marginals_bruteforce, mc_frequencies
+from .utilities import draw_block, utility_from_dict
+from .verify import SUITE_NAMES, _tally_rows, gibbs_marginals_bruteforce
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -84,7 +85,7 @@ def _load_vector(path: str, dim: int) -> np.ndarray:
 
 def _to_jsonable(value):
     if isinstance(value, np.ndarray):
-        return [_to_jsonable(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
@@ -172,19 +173,17 @@ def _cmd_sample(args) -> int:
         raise InputError(
             f"noise dimension {uspec.dim} != embedding dimension {embedding_dim(spec)}"
         )
+    if not args.raw and args.draws < 1:
+        raise InputError("draws must be >= 1")
+    # Each chunk's noise block holds the bytes of the same number of
+    # sequential draws, so the output of a seed does not depend on chunking.
+    rng = np.random.default_rng(args.seed)
+    blocks = _map_chunks(spec, lambda rows: draw_block(uspec, rng, rows).u, args.draws)
     if args.raw:
-        rng = np.random.default_rng(args.seed)
-        draws = [
-            solve_map(spec, draw(uspec, rng).u).vertex for _ in range(args.draws)
-        ]
-        _emit({"draws": [list(map(int, v)) for v in draws]}, args)
+        _emit({"draws": np.concatenate([np.zeros((0, uspec.dim), np.int8), *blocks])}, args)
     else:
-        table = mc_frequencies(
-            lambda rng: solve_map(spec, draw(uspec, rng).u).vertex,
-            args.draws,
-            args.seed,
-        )
-        _emit(table.to_dict(), args)
+        support, counts = _tally_rows(blocks)
+        _emit({"support": support, "counts": counts, "total": args.draws}, args)
     return EXIT_OK
 
 
@@ -326,8 +325,14 @@ def _fail(code: str, exc: Exception, exit_code: int) -> int:
     return exit_code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs a few milliseconds; parse_args leaves it unchanged
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -18,6 +18,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -93,9 +94,19 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def arcs(self) -> tuple:
+        """``(tail, head, index)`` per edge, and per node the ``(tail, index)``
+        pairs of the edges entering it, all in index order; built once."""
+        triples = tuple((t, h, i) for i, (t, h) in enumerate(self.edges))
+        enter = [[] for _ in range(self.num_nodes)]
+        for t, h, i in triples:
+            enter[h].append((t, i))
+        return triples, tuple(map(tuple, enter))
+
     def in_edges(self, node: int) -> list:
         """Indices of edges entering ``node`` (directed graphs)."""
-        return [i for i, (_, h) in enumerate(self.edges) if h == node]
+        return [i for _, i in self.arcs[1][node]]
 
     def is_connected(self) -> bool:
         """Connectivity ignoring edge direction."""

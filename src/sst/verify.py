@@ -21,13 +21,11 @@ import numpy as np
 from scipy.special import expit, gammaincc
 
 from .argmax import (
-    cle_max_arborescence,
-    kruskal_max_tree,
+    _map_chunks,
     sample_arborescence_categorical,
     sample_tree_categorical,
     sample_topk_without_replacement,
     solve_map,
-    topk_select,
 )
 from .errors import InputError, SolverError
 from .grad import FDConfig, gradcheck
@@ -48,7 +46,7 @@ from .structures import (
     enumerate_vertices,
     gibbs_moments,
 )
-from .utilities import UtilityFamily, UtilitySpec, draw, draw_block
+from .utilities import UtilityFamily, UtilitySpec, draw_block
 
 __all__ = [
     "FrequencyTable",
@@ -118,35 +116,88 @@ def gibbs_marginals_bruteforce(spec: StructureSpec, u: np.ndarray, t: float,
     return gibbs_moments(spec, np.asarray(u, dtype=float) / t, limit or default_enum_limit())
 
 
+def _group(rows: np.ndarray, counts: np.ndarray) -> tuple:
+    """Distinct rows of an int8 block in lexicographic order, with summed counts.
+
+    ``np.lexsort`` sorts the rows (its last key is the primary one), a
+    group starts where a row differs from the row before, and
+    ``np.add.reduceat`` sums each group's counts.
+    """
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    rows, counts = rows[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    return rows[starts], np.add.reduceat(counts, starts)
+
+
+def _tally_rows(blocks) -> tuple:
+    """Distinct rows of a stream of int8 ``(rows, dim)`` blocks in
+    lexicographic order, and how often each occurred (int64); an empty
+    stream gives ``(None, None)``.
+
+    Each block is grouped on arrival.  The groups are merged with the
+    running tally once they hold at least as many rows as it does, so a
+    row takes part in O(1) merges on average, however wide the rows.
+    """
+    parts, pending, merged = [], 0, 0
+    for rows in blocks:
+        parts.append(_group(rows, np.ones(len(rows), dtype=np.int64)))
+        pending += len(parts[-1][0])
+        if len(parts) > 1 and pending >= merged:
+            parts = [_group(*map(np.concatenate, zip(*parts)))]
+            merged, pending = len(parts[0][0]), 0
+    if not parts:
+        return None, None
+    return parts[0] if len(parts) == 1 else _group(*map(np.concatenate, zip(*parts)))
+
+
+# Sampler outputs stacked per tally chunk in ``mc_frequencies``.
+_TALLY_ROWS = 1 << 12
+
+
+def _table(support, counts, draws: int, given: Optional[Sequence] = None) -> FrequencyTable:
+    """A ``FrequencyTable`` from ``_tally_rows``' output, aligned to ``given`` if set."""
+    realized = tuple(map(tuple, support.tolist()))
+    if given is None:
+        return FrequencyTable(support=realized, counts=counts, total=draws)
+    keys = [as_bits(v) for v in given]
+    unknown = set(realized) - set(keys)
+    if unknown:
+        raise InputError(
+            f"sampler produced vertices outside the given support: {sorted(unknown)[:3]}"
+        )
+    found = dict(zip(realized, counts.tolist()))
+    counts = np.array([found.get(k, 0) for k in keys], dtype=np.int64)
+    return FrequencyTable(support=tuple(keys), counts=counts, total=draws)
+
+
 def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
                    draws: int, seed: int,
                    support: Optional[Sequence] = None) -> FrequencyTable:
     """Tally ``draws`` calls of ``sampler(rng)`` under a fresh seeded stream.
 
-    With ``support`` given, the table is aligned to it (zero counts kept)
+    The sampler returns int8-convertible vectors of one length; they are
+    stacked ``_TALLY_ROWS`` at a time and tallied by ``_tally_rows``.  With
+    ``support`` given, the table is aligned to it (zero counts kept)
     and draws outside it are an error; otherwise the realized support is
     used, sorted lexicographically.
     """
     if draws < 1:
         raise InputError("draws must be >= 1")
     rng = np.random.default_rng(seed)
-    counter: dict = {}
-    for _ in range(draws):
-        # raw bytes of the int8 bit vector; cheap and hashable
-        key = np.asarray(sampler(rng), dtype=np.int8).tobytes()
-        counter[key] = counter.get(key, 0) + 1
-    realized = {as_bits(np.frombuffer(k, dtype=np.int8)): c for k, c in counter.items()}
-    if support is None:
-        keys = sorted(realized)
-    else:
-        keys = [as_bits(v) for v in support]
-        unknown = set(realized) - set(keys)
-        if unknown:
-            raise InputError(
-                f"sampler produced vertices outside the given support: {sorted(unknown)[:3]}"
-            )
-    counts = np.array([realized.get(k, 0) for k in keys], dtype=np.int64)
-    return FrequencyTable(support=tuple(keys), counts=counts, total=draws)
+    blocks = (
+        np.array([sampler(rng) for _ in range(min(_TALLY_ROWS, draws - start))], dtype=np.int8)
+        for start in range(0, draws, _TALLY_ROWS)
+    )
+    return _table(*_tally_rows(blocks), draws, support)
+
+
+def _map_frequencies(spec: StructureSpec, noise: Callable[[int], np.ndarray],
+                    draws: int) -> FrequencyTable:
+    """Tally the MAP vertices of ``draws`` utility rows; ``noise(rows)``
+    returns the next ``(rows, dim)`` block, called in bounded chunks."""
+    if draws < 1:
+        raise InputError("draws must be >= 1")
+    return _table(*_tally_rows(_map_chunks(spec, noise, draws)), draws)
 
 
 def chi_square_gof(table: FrequencyTable, expected: np.ndarray,
@@ -273,9 +324,8 @@ def suite_subsets(seed: int, draws: int = 100_000) -> list:
 
     def run(noise_seed):
         rng = np.random.default_rng(noise_seed)
-        hits = np.zeros(n)
-        for _ in range(draws):
-            hits += solve_map(spec, draw(uspec, rng).u).vertex
+        blocks = _map_chunks(spec, lambda rows: draw_block(uspec, rng, rows).u, draws)
+        hits = sum(block.sum(axis=0, dtype=np.int64) for block in blocks)
         freq = hits / draws
         se = np.sqrt(target * (1.0 - target) / draws)
         return np.abs(freq - target) / se
@@ -294,12 +344,12 @@ def suite_topk(seed: int, draws: int = 100_000) -> list:
     ss = np.random.SeedSequence(seed).spawn(3)
     n, k = 4, 2
     theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, n)
+    spec = StructureSpec(StructureKind.K_SUBSETS, n=n, k=k)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
 
     def run(noise_seed) -> TestReport:
-        ta = mc_frequencies(
-            lambda rng: topk_select(draw(uspec, rng).u, k), draws, noise_seed
-        )
+        rng = np.random.default_rng(noise_seed)
+        ta = _map_frequencies(spec, lambda rows: draw_block(uspec, rng, rows).u, draws)
         tb = mc_frequencies(
             lambda rng: sample_topk_without_replacement(theta, k, rng),
             draws, noise_seed + 1,
@@ -316,13 +366,12 @@ def suite_tree(seed: int, draws: int = 100_000) -> list:
     ss = np.random.SeedSequence(seed).spawn(3)
     graph = _complete_graph(4)
     theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, graph.num_edges)
+    spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
 
     def run(noise_seed) -> TestReport:
-        ta = mc_frequencies(
-            lambda rng: kruskal_max_tree(graph, draw(uspec, rng).u),
-            draws, noise_seed,
-        )
+        rng = np.random.default_rng(noise_seed)
+        ta = _map_frequencies(spec, lambda rows: draw_block(uspec, rng, rows).u, draws)
         tb = mc_frequencies(
             lambda rng: sample_tree_categorical(graph, theta, rng),
             draws, noise_seed + 1,
@@ -347,11 +396,13 @@ def suite_arborescence(seed: int, draws: int = 100_000, roots=(0, 1, 2)) -> list
     out = []
     for i, root in enumerate(roots):
         def run(noise_seed, root=root) -> TestReport:
-            def maximize(rng):
-                u = -rng.exponential(scale=1.0 / lam)
-                return cle_max_arborescence(graph, root, u)
-
-            ta = mc_frequencies(maximize, draws, noise_seed)
+            # a (rows, m) block holds the bytes of rows sequential size-m draws
+            rng = np.random.default_rng(noise_seed)
+            spec = StructureSpec(StructureKind.ARBORESCENCE, graph=graph, root=root)
+            ta = _map_frequencies(
+                spec, lambda rows: -rng.exponential(scale=1.0 / lam, size=(rows, lam.size)),
+                draws,
+            )
             tb = mc_frequencies(
                 lambda rng: sample_arborescence_categorical(graph, root, lam, rng),
                 draws, noise_seed + 1,
