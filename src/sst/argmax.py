@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -75,7 +76,8 @@ def topk_select(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def _kruskal(graph: Graph, order) -> list:
-    """Edges a union-find accumulator keeps when scanning ``order`` (edge ids)."""
+    """Edges a union-find accumulator keeps when scanning ``order`` (edge
+    ids); it reads no further once the tree is complete."""
     need = graph.num_nodes - 1
     chosen = []
     if need == 0:
@@ -223,7 +225,7 @@ def _cle(graph: Graph, root: int, work: list, tie) -> list:
     return _contract_and_pick(graph.num_nodes, root, edge_list, pick, enter)
 
 
-def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray, _tie=None) -> np.ndarray:
+def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray) -> np.ndarray:
     """Edge indicator of the maximum-utility arborescence rooted at ``root``."""
     if not graph.directed:
         raise InvalidSpecError("arborescences need a directed graph")
@@ -233,7 +235,7 @@ def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray, _tie=None) -> n
     if not 0 <= root < graph.num_nodes:
         raise InputError(f"root {root} out of range")
     _require_finite(u, "edge utilities")
-    return _indicator(graph.num_edges, _cle(graph, root, u.tolist(), _tie))
+    return _indicator(graph.num_edges, _cle(graph, root, u.tolist(), None))
 
 
 def sample_arborescence_categorical(
@@ -288,10 +290,12 @@ def _categorical_pick(weights, live, rng):
     return len(live) - 1
 
 
-def _sample_without_replacement(weights, count, rng):
-    """Indices of ``count`` sequential draws without replacement, p ~ weights."""
+def _sampled_order(weights, rng):
+    """Indices in the order of sequential draws without replacement,
+    p ~ weights, drawn one at a time as the consumer asks for them."""
     live = list(range(len(weights)))
-    return [live.pop(_categorical_pick(weights, live, rng)) for _ in range(count)]
+    while live:
+        yield live.pop(_categorical_pick(weights, live, rng))
 
 
 def sample_tree_categorical(
@@ -309,19 +313,7 @@ def sample_tree_categorical(
         raise InputError(f"expected {graph.num_edges} edge scores, got shape {theta.shape}")
     _require_finite(theta, "edge scores")
     w = np.exp(theta - theta.max()).tolist()
-    live = list(range(graph.num_edges))
-    uf = _UnionFind(graph.num_nodes)
-    bits = np.zeros(graph.num_edges, dtype=np.int8)
-    taken = 0
-    while live and taken < graph.num_nodes - 1:
-        edge = live.pop(_categorical_pick(w, live, rng))
-        t, h = graph.edges[edge]
-        if uf.union(t, h):
-            bits[edge] = 1
-            taken += 1
-    if taken < graph.num_nodes - 1:
-        raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
-    return bits
+    return _indicator(graph.num_edges, _kruskal(graph, _sampled_order(w, rng)))
 
 
 def sample_topk_without_replacement(
@@ -334,9 +326,7 @@ def sample_topk_without_replacement(
         raise InputError(f"k must satisfy 1 <= k < {n}, got {k}")
     _require_finite(theta, "scores")
     w = np.exp(theta - theta.max()).tolist()
-    bits = np.zeros(n, dtype=np.int8)
-    bits[_sample_without_replacement(w, k, rng)] = 1
-    return bits
+    return _indicator(n, list(islice(_sampled_order(w, rng), k)))
 
 
 def _viterbi_block(n: int, k: int, U: np.ndarray):

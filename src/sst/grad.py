@@ -21,6 +21,7 @@ from .relax import (
     _CLOSED_SIMPLEX,
     _COORDINATE_KINDS,
     _SEPARABLE,
+    _scaled,
     Regularizer,
     RelaxationSpec,
     relax,
@@ -101,7 +102,7 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
         return (np.diag(p) - np.outer(p, p)) / t
     if reg == Regularizer.EXPFAM_ENTROPY and kind != StructureKind.SUBSETS:
         try:
-            _, cov = gibbs_moments(spec, u / t, 10_000, covariance=True)
+            _, cov = gibbs_moments(spec, _scaled(u, t), 10_000, covariance=True)
         except EnumerationLimitError as exc:
             raise UnsupportedPairError(
                 f"{kind.value!r} instance too large to enumerate a covariance Jacobian; use fd_vjp"
@@ -156,7 +157,7 @@ def gradcheck(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     if rspec.regularizer == Regularizer.EXPFAM_ENTROPY:
         t = rspec.temperature
         try:
-            _, cov = gibbs_moments(spec, np.asarray(u, dtype=float) / t, 10_000, covariance=True)
+            _, cov = gibbs_moments(spec, _scaled(u, t), 10_000, covariance=True)
             cov_disc = float(np.abs(jac - cov / t).max())
         except EnumerationLimitError:
             pass

@@ -110,9 +110,12 @@ class RelaxedPoint:
 
 
 def _scaled(u: np.ndarray, t: float) -> np.ndarray:
-    """``u / t``, failing loudly if the division itself overflows."""
+    """``u / t`` for finite ``u``, failing loudly if the division itself overflows."""
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise InputError("utilities must be finite")
     with np.errstate(over="ignore"):
-        z = np.asarray(u, dtype=float) / t
+        z = u / t
     if not np.isfinite(z).all():
         raise NumericalError(
             f"u / t overflows double precision at temperature {t:.3e}"
@@ -503,8 +506,6 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InputError(f"utility matrix must be square, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise InputError("utilities must be finite")
     base = _scaled(u, t)
     g = np.array(warm_start[1], dtype=float) if warm_start is not None else np.zeros(u.shape[0])
     m = np.empty_like(base)

@@ -32,6 +32,7 @@ from .grad import FDConfig, gradcheck
 from .relax import (
     Regularizer,
     RelaxationSpec,
+    _scaled,
     directed_matrix_tree_marginals,
     matrix_tree_marginals,
     relax,
@@ -113,7 +114,7 @@ class TestReport:
 def gibbs_marginals_bruteforce(spec: StructureSpec, u: np.ndarray, t: float,
                                limit: Optional[int] = None) -> np.ndarray:
     """Exact marginal vector of p(x) ~ exp(u . x / t) by enumeration."""
-    return gibbs_moments(spec, np.asarray(u, dtype=float) / t, limit or default_enum_limit())
+    return gibbs_moments(spec, _scaled(u, t), limit or default_enum_limit())
 
 
 def _group(rows: np.ndarray, counts: np.ndarray) -> tuple:
@@ -189,15 +190,6 @@ def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
         for start in range(0, draws, _TALLY_ROWS)
     )
     return _table(*_tally_rows(blocks), draws, support)
-
-
-def _map_frequencies(spec: StructureSpec, noise: Callable[[int], np.ndarray],
-                    draws: int) -> FrequencyTable:
-    """Tally the MAP vertices of ``draws`` utility rows; ``noise(rows)``
-    returns the next ``(rows, dim)`` block, called in bounded chunks."""
-    if draws < 1:
-        raise InputError("draws must be >= 1")
-    return _table(*_tally_rows(_map_chunks(spec, noise, draws)), draws)
 
 
 def chi_square_gof(table: FrequencyTable, expected: np.ndarray,
@@ -277,17 +269,42 @@ def _report(name, ok, **extra) -> dict:
     return out
 
 
-def _from_test(name, rep: TestReport, **extra) -> dict:
-    return _report(name, rep.passed, statistic=rep.statistic, dof=rep.dof,
-                   p_value=rep.p_value, **extra)
+def _with_retry(name: str, run: Callable[[int], tuple], seed: int, draws: int) -> dict:
+    """Report ``run(seed)``, which returns ``(passed, fields)``; a failed
+    first attempt is rerun once at ``seed + RETRY_OFFSET`` and the report
+    marked ``retried``."""
+    passed, fields = run(seed)
+    if not passed:
+        passed, fields = run(seed + RETRY_OFFSET)
+        fields["retried"] = True
+    return _report(name, passed, **fields, draws=draws)
 
 
-def _with_retry(make: Callable[[int], TestReport], noise_seed: int, name: str, **extra) -> dict:
-    rep = make(noise_seed)
-    if rep.passed:
-        return _from_test(name, rep, **extra)
-    rep = make(noise_seed + RETRY_OFFSET)
-    return _from_test(name, rep, retried=True, **extra)
+def _map_law(name: str, spec: StructureSpec, noise: Callable, seed: int, draws: int,
+             law) -> dict:
+    """Report whether the MAP vertices of ``draws`` utility rows follow a
+    reference law, retried as in ``_with_retry``.
+
+    Under a noise seed ``s``, ``noise(rng, rows)`` returns the next
+    ``(rows, dim)`` block of ``default_rng(s)``, called in bounded chunks.
+    ``law`` is either the exact probabilities of ``enumerate_vertices(spec)``
+    (a chi-square test) or a sampler of the categorical process, called
+    ``draws`` times under seed ``s + 1`` (a two-sample test).
+    """
+    if draws < 1:
+        raise InputError("draws must be >= 1")
+
+    def run(noise_seed):
+        rng = np.random.default_rng(noise_seed)
+        tally = _tally_rows(_map_chunks(spec, lambda rows: noise(rng, rows), draws))
+        if callable(law):
+            rep = two_sample_equivalence(_table(*tally, draws),
+                                         mc_frequencies(law, draws, noise_seed + 1))
+        else:
+            rep = chi_square_gof(_table(*tally, draws, enumerate_vertices(spec)), law)
+        return rep.passed, {"statistic": rep.statistic, "dof": rep.dof, "p_value": rep.p_value}
+
+    return _with_retry(name, run, seed, draws)
 
 
 def suite_gumbel_max(seed: int, draws: int = 100_000) -> list:
@@ -296,21 +313,10 @@ def suite_gumbel_max(seed: int, draws: int = 100_000) -> list:
     theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, 5)
     spec = StructureSpec(StructureKind.ONE_HOT, n=5)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
-    support = enumerate_vertices(spec)
-
-    def run(noise_seed) -> TestReport:
-        # Batched solve_map: argmax takes the lowest index among ties, as
-        # the one-hot maximizer does, and each vertex's count is the
-        # count of its hot coordinate.
-        u = draw_block(uspec, np.random.default_rng(noise_seed), draws).u
-        hits = np.bincount(u.argmax(axis=1), minlength=spec.n)
-        table = FrequencyTable(support=tuple(as_bits(v) for v in support),
-                               counts=np.stack(support) @ hits, total=draws)
-        expected = np.array([_softmax(theta) @ v for v in support])
-        return chi_square_gof(table, expected, level=0.01)
-
-    return [_with_retry(run, ss[1].generate_state(1)[0], "one_hot argmax matches softmax law",
-                        draws=draws)]
+    expected = np.array([_softmax(theta) @ v for v in enumerate_vertices(spec)])
+    return [_map_law("one_hot argmax matches softmax law", spec,
+                     lambda rng, rows: draw_block(uspec, rng, rows).u,
+                     ss[1].generate_state(1)[0], draws, expected)]
 
 
 def suite_subsets(seed: int, draws: int = 100_000) -> list:
@@ -328,15 +334,11 @@ def suite_subsets(seed: int, draws: int = 100_000) -> list:
         hits = sum(block.sum(axis=0, dtype=np.int64) for block in blocks)
         freq = hits / draws
         se = np.sqrt(target * (1.0 - target) / draws)
-        return np.abs(freq - target) / se
+        z = float((np.abs(freq - target) / se).max())
+        return z <= 3.0, {"max_z_score": z}
 
-    z = run(ss[1].generate_state(1)[0])
-    ok = bool(z.max() <= 3.0)
-    if not ok:
-        z = run(ss[1].generate_state(1)[0] + RETRY_OFFSET)
-        ok = bool(z.max() <= 3.0)
-    return [_report("subset coordinate frequencies match sigmoid(theta)", ok,
-                    max_z_score=float(z.max()), draws=draws)]
+    return [_with_retry("subset coordinate frequencies match sigmoid(theta)", run,
+                        ss[1].generate_state(1)[0], draws)]
 
 
 def suite_topk(seed: int, draws: int = 100_000) -> list:
@@ -344,21 +346,13 @@ def suite_topk(seed: int, draws: int = 100_000) -> list:
     ss = np.random.SeedSequence(seed).spawn(3)
     n, k = 4, 2
     theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, n)
-    spec = StructureSpec(StructureKind.K_SUBSETS, n=n, k=k)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
-
-    def run(noise_seed) -> TestReport:
-        rng = np.random.default_rng(noise_seed)
-        ta = _map_frequencies(spec, lambda rows: draw_block(uspec, rng, rows).u, draws)
-        tb = mc_frequencies(
-            lambda rng: sample_topk_without_replacement(theta, k, rng),
-            draws, noise_seed + 1,
-        )
-        return two_sample_equivalence(ta, tb, level=0.01)
-
-    return [_with_retry(run, ss[1].generate_state(1)[0],
-                        "top-k on gumbel scores matches without-replacement sampling",
-                        draws=draws)]
+    return [_map_law(
+        "top-k on gumbel scores matches without-replacement sampling",
+        StructureSpec(StructureKind.K_SUBSETS, n=n, k=k),
+        lambda rng, rows: draw_block(uspec, rng, rows).u, ss[1].generate_state(1)[0], draws,
+        lambda rng: sample_topk_without_replacement(theta, k, rng),
+    )]
 
 
 def suite_tree(seed: int, draws: int = 100_000) -> list:
@@ -366,21 +360,13 @@ def suite_tree(seed: int, draws: int = 100_000) -> list:
     ss = np.random.SeedSequence(seed).spawn(3)
     graph = _complete_graph(4)
     theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, graph.num_edges)
-    spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
-
-    def run(noise_seed) -> TestReport:
-        rng = np.random.default_rng(noise_seed)
-        ta = _map_frequencies(spec, lambda rows: draw_block(uspec, rng, rows).u, draws)
-        tb = mc_frequencies(
-            lambda rng: sample_tree_categorical(graph, theta, rng),
-            draws, noise_seed + 1,
-        )
-        return two_sample_equivalence(ta, tb, level=0.01)
-
-    return [_with_retry(run, ss[1].generate_state(1)[0],
-                        "kruskal on gumbel scores matches categorical tree process",
-                        draws=draws)]
+    return [_map_law(
+        "kruskal on gumbel scores matches categorical tree process",
+        StructureSpec(StructureKind.SPANNING_TREE, graph=graph),
+        lambda rng, rows: draw_block(uspec, rng, rows).u, ss[1].generate_state(1)[0], draws,
+        lambda rng: sample_tree_categorical(graph, theta, rng),
+    )]
 
 
 def suite_arborescence(seed: int, draws: int = 100_000, roots=(0, 1, 2)) -> list:
@@ -393,28 +379,14 @@ def suite_arborescence(seed: int, draws: int = 100_000, roots=(0, 1, 2)) -> list
     graph = _complete_digraph(3)
     theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, graph.num_edges)
     lam = np.exp(theta)
-    out = []
-    for i, root in enumerate(roots):
-        def run(noise_seed, root=root) -> TestReport:
-            # a (rows, m) block holds the bytes of rows sequential size-m draws
-            rng = np.random.default_rng(noise_seed)
-            spec = StructureSpec(StructureKind.ARBORESCENCE, graph=graph, root=root)
-            ta = _map_frequencies(
-                spec, lambda rows: -rng.exponential(scale=1.0 / lam, size=(rows, lam.size)),
-                draws,
-            )
-            tb = mc_frequencies(
-                lambda rng: sample_arborescence_categorical(graph, root, lam, rng),
-                draws, noise_seed + 1,
-            )
-            return two_sample_equivalence(ta, tb, level=0.01)
-
-        out.append(_with_retry(
-            run, ss[1].generate_state(1)[0] + 7 * i,
-            f"max arborescence on -Exp(rates) matches rate sampling (root {root})",
-            draws=draws,
-        ))
-    return out
+    # a (rows, m) block holds the bytes of rows sequential size-m draws
+    return [_map_law(
+        f"max arborescence on -Exp(rates) matches rate sampling (root {root})",
+        StructureSpec(StructureKind.ARBORESCENCE, graph=graph, root=root),
+        lambda rng, rows: -rng.exponential(scale=1.0 / lam, size=(rows, lam.size)),
+        ss[1].generate_state(1)[0] + 7 * i, draws,
+        lambda rng: sample_arborescence_categorical(graph, root, lam, rng),
+    ) for i, root in enumerate(roots)]
 
 
 def _random_connected_graph(rng: np.random.Generator) -> Graph:

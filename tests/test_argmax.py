@@ -17,6 +17,8 @@ from sst import (
     solve_map,
     topk_select,
 )
+from sst.argmax import _categorical_pick, _sampled_order
+from sst.structures import _UnionFind
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -310,3 +312,81 @@ class TestSamplers:
             sample_arborescence_categorical(
                 D3, 0, np.array([1, 1, 1, 1, 1, -1.0]), np.random.default_rng(0)
             )
+
+
+# --- the categorical processes against their former loops -----------------------------
+#
+# Both samplers now read one lazily sampled order (``argmax._sampled_order``):
+# the tree sampler through Kruskal's scan, top-k as its first k indices.
+# The loops below are the earlier implementations, kept as oracles: same
+# vertices, same generator consumption.
+
+def _old_sample_without_replacement(weights, count, rng):
+    live = list(range(len(weights)))
+    return [live.pop(_categorical_pick(weights, live, rng)) for _ in range(count)]
+
+
+def _old_tree_sampler(graph, theta, rng):
+    w = np.exp(theta - theta.max()).tolist()
+    live = list(range(graph.num_edges))
+    uf = _UnionFind(graph.num_nodes)
+    bits = np.zeros(graph.num_edges, dtype=np.int8)
+    taken = 0
+    while live and taken < graph.num_nodes - 1:
+        edge = live.pop(_categorical_pick(w, live, rng))
+        t, h = graph.edges[edge]
+        if uf.union(t, h):
+            bits[edge] = 1
+            taken += 1
+    if taken < graph.num_nodes - 1:
+        raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
+    return bits
+
+
+def _old_topk_sampler(theta, k, rng):
+    w = np.exp(theta - theta.max()).tolist()
+    bits = np.zeros(theta.shape[0], dtype=np.int8)
+    bits[_old_sample_without_replacement(w, k, rng)] = 1
+    return bits
+
+
+K5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tree_sampler_matches_its_former_loop(seed):
+    theta = 2.0 * np.random.default_rng(100 + seed).normal(size=K5.num_edges)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = np.stack([sample_tree_categorical(K5, theta, a) for _ in range(3000)])
+    want = np.stack([_old_tree_sampler(K5, theta, b) for _ in range(3000)])
+    assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_topk_sampler_matches_its_former_loop(seed):
+    theta = 2.0 * np.random.default_rng(200 + seed).normal(size=10)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = np.stack([sample_topk_without_replacement(theta, 4, a) for _ in range(3000)])
+    want = np.stack([_old_topk_sampler(theta, 4, b) for _ in range(3000)])
+    assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_tree_sampler_on_a_disconnected_graph_fails_as_before():
+    split = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(InfeasibleStructureError) as got:
+        sample_tree_categorical(split, np.zeros(3), a)
+    with pytest.raises(InfeasibleStructureError) as want:
+        _old_tree_sampler(split, np.zeros(3), b)
+    assert str(got.value) == str(want.value)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_sampled_order_draws_only_what_is_read():
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    order = _sampled_order([1.0, 2.0, 3.0, 4.0], a)
+    first = [next(order), next(order)]
+    assert first == _old_sample_without_replacement([1.0, 2.0, 3.0, 4.0], 2, b)
+    assert a.bit_generator.state == b.bit_generator.state

@@ -2,8 +2,9 @@
 
 ``tests/golden/`` holds recorded outputs: ``sst sample`` frequency
 tables (seed 7, 200 draws) and ``sst marginals --bruteforce`` output for
-one instance of every structure kind, the ``topk``, ``tree`` and
-``arborescence`` suites at seed 20240 with 2000 draws, and the exception
+one instance of every structure kind, the five statistical suites
+(``gumbel-max``, ``subsets``, ``topk``, ``tree`` and ``arborescence``) at
+seed 20240 with 2000 draws, and the exception
 type and message (or ``null`` for a result) of ``relax`` and
 ``analytic_jacobian`` on a small and a large instance of every (kind,
 regularizer) pair.  A seed maps to the same output across versions, so

@@ -10,17 +10,20 @@ from scipy.special import expit, logit
 from sst import (
     ConvergenceError,
     Graph,
+    InputError,
     RelaxationSpec,
     Regularizer,
     StructureKind,
     StructureSpec,
     UnsupportedPairError,
+    analytic_jacobian,
     binary_entropy_relax,
     categorical_entropy_relax,
     directed_matrix_tree_marginals,
     euclidean_project,
     expfam_marginals,
     gibbs_marginals_bruteforce,
+    gradcheck,
     hungarian_match,
     matrix_tree_marginals,
     relax,
@@ -564,3 +567,41 @@ class TestRelaxDispatch:
         rspec = RelaxationSpec(Regularizer.SHANNON, temperature=1e-307)
         with pytest.raises(NumericalError):
             relax(spec, rspec, np.array([200.0, 0.0]))
+
+    def test_overflowing_temperature_reported_by_the_enumeration_callers(self):
+        from sst.errors import NumericalError
+
+        spec = StructureSpec(StructureKind.K_SUBSETS, n=4, k=2)
+        rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=1e-320)
+        u = np.array([1.0, -0.5, 0.25, 2.0])
+        with pytest.raises(NumericalError, match="overflows"):
+            analytic_jacobian(spec, rspec, u)
+        with pytest.raises(NumericalError, match="overflows"):
+            gibbs_marginals_bruteforce(spec, u, 1e-320)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_utilities_are_input_errors(bad):
+    """Every solver that divides by the temperature blames the utilities,
+    not the temperature, for a non-finite input."""
+    kspec = StructureSpec(StructureKind.K_SUBSETS, n=4, k=2)
+    ones = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=1.0)
+    vec = np.array([0.0, bad, 1.0, 2.0])
+    tree_u = np.zeros(K4.num_edges)
+    tree_u[2] = bad
+    arb_u = np.zeros(D3.num_edges)
+    arb_u[1] = bad
+    calls = [
+        lambda: matrix_tree_marginals(K4, tree_u),
+        lambda: directed_matrix_tree_marginals(D3, 0, arb_u),
+        lambda: expfam_marginals(kspec, vec, 1.0),
+        lambda: expfam_marginals(StructureSpec(StructureKind.SUBSETS, n=4), vec, 1.0),
+        lambda: euclidean_project(StructureSpec(StructureKind.ONE_HOT, n=4), vec, 1.0),
+        lambda: softmax_simplex(vec, 1.0),
+        lambda: analytic_jacobian(kspec, ones, vec),
+        lambda: gradcheck(kspec, ones, vec),
+        lambda: gibbs_marginals_bruteforce(kspec, vec, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="utilities must be finite"):
+            call()

@@ -282,6 +282,17 @@ def test_gumbel_max_suite_matches_per_draw_path(seed, retried):
     assert got.get("retried", False) is retried
 
 
+# At these seeds some first attempt of each statistical suite fails at 2000
+# draws, so its report must say that it was retried.
+@pytest.mark.parametrize("name, seed", [
+    ("gumbel-max", 87), ("topk", 22), ("tree", 26), ("arborescence", 48), ("subsets", 95),
+])
+def test_every_statistical_suite_marks_its_retries(name, seed):
+    reports = run_suite(name, seed, draws=2000)
+    assert any(r.get("retried") is True for r in reports)
+    assert all(r["passed"] for r in reports)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(InputError):
         run_suite("nonsense", seed=0)
