@@ -16,12 +16,14 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InfeasibleStructureError, InputError, InvalidSpecError
+from .errors import InfeasibleStructureError, InputError, InvalidSpecError, _require_finite
 from .structures import (
     Graph,
     StructureKind,
     StructureSpec,
     _check_dim,
+    _edge_vector,
+    _square_matrix,
     _UnionFind,
 )
 
@@ -49,11 +51,6 @@ def _has_duplicates(u: np.ndarray) -> bool:
     return np.unique(u).size < u.size
 
 
-def _require_finite(x: np.ndarray, what: str) -> None:
-    if not np.isfinite(x).all():
-        raise InputError(f"{what} must be finite")
-
-
 def _indicator(dim: int, chosen) -> np.ndarray:
     bits = np.zeros(dim, dtype=np.int8)
     bits[chosen] = 1
@@ -65,14 +62,19 @@ def _stable_order(U: np.ndarray) -> np.ndarray:
     return np.argsort(-U, axis=-1, kind="stable")
 
 
+def _k_of_n(x, k: int, what: str) -> np.ndarray:
+    """``x`` as a finite float vector of ``what`` whose length n has 1 <= k < n."""
+    x = np.asarray(x, dtype=float)
+    if not 1 <= k < x.shape[0]:
+        raise InputError(f"k must satisfy 1 <= k < {x.shape[0]}, got {k}")
+    _require_finite(x, what)
+    return x
+
+
 def topk_select(u: np.ndarray, k: int) -> np.ndarray:
     """k-hot indicator of the k largest coordinates of ``u``."""
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    if not 1 <= k < n:
-        raise InputError(f"k must satisfy 1 <= k < {n}, got {k}")
-    _require_finite(u, "utilities")
-    return _indicator(n, _stable_order(u)[:k])
+    u = _k_of_n(u, k, "utilities")
+    return _indicator(u.shape[0], _stable_order(u)[:k])
 
 
 def _kruskal(graph: Graph, order) -> list:
@@ -98,11 +100,7 @@ def kruskal_max_tree(graph: Graph, u: np.ndarray) -> np.ndarray:
     Edges are processed in non-increasing utility order (index order
     within equal utilities) with a union-find accumulator.
     """
-    if graph.directed:
-        raise InvalidSpecError("spanning trees need an undirected graph")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.num_edges,):
-        raise InputError(f"expected {graph.num_edges} edge utilities, got shape {u.shape}")
+    u = _edge_vector(graph, u, "edge utilities", directed=False)
     _require_finite(u, "edge utilities")
     return _indicator(graph.num_edges, _kruskal(graph, _stable_order(u).tolist()))
 
@@ -118,9 +116,7 @@ def _assignment(u: np.ndarray) -> np.ndarray:
 
 def hungarian_match(u: np.ndarray) -> np.ndarray:
     """Permutation matrix (flattened row-major) maximizing sum(u[i, sigma(i)])."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InputError(f"utility matrix must be square, got shape {u.shape}")
+    u = _square_matrix(u)
     _require_finite(u, "utilities")
     return _indicator(u.size, _assignment(u))
 
@@ -227,13 +223,7 @@ def _cle(graph: Graph, root: int, work: list, tie) -> list:
 
 def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray) -> np.ndarray:
     """Edge indicator of the maximum-utility arborescence rooted at ``root``."""
-    if not graph.directed:
-        raise InvalidSpecError("arborescences need a directed graph")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.num_edges,):
-        raise InputError(f"expected {graph.num_edges} edge utilities, got shape {u.shape}")
-    if not 0 <= root < graph.num_nodes:
-        raise InputError(f"root {root} out of range")
+    u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
     _require_finite(u, "edge utilities")
     return _indicator(graph.num_edges, _cle(graph, root, u.tolist(), None))
 
@@ -248,11 +238,7 @@ def sample_arborescence_categorical(
     contracted exactly as in the maximizer.  Among infinite rates the
     choice is uniform.
     """
-    if not graph.directed:
-        raise InvalidSpecError("arborescences need a directed graph")
-    lam = np.asarray(rates, dtype=float)
-    if lam.shape != (graph.num_edges,):
-        raise InputError(f"expected {graph.num_edges} rates, got shape {lam.shape}")
+    lam = _edge_vector(graph, rates, "rates", directed=True, root=root)
     if not (lam > 0).all():
         raise InputError("rates must be strictly positive or +inf")
     work = lam.tolist()
@@ -306,11 +292,7 @@ def sample_tree_categorical(
     Edges are sampled without replacement with probability proportional
     to exp(theta_e) and added in sampled order unless they close a cycle.
     """
-    if graph.directed:
-        raise InvalidSpecError("spanning trees need an undirected graph")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (graph.num_edges,):
-        raise InputError(f"expected {graph.num_edges} edge scores, got shape {theta.shape}")
+    theta = _edge_vector(graph, theta, "edge scores", directed=False)
     _require_finite(theta, "edge scores")
     w = np.exp(theta - theta.max()).tolist()
     return _indicator(graph.num_edges, _kruskal(graph, _sampled_order(w, rng)))
@@ -320,13 +302,9 @@ def sample_topk_without_replacement(
     theta: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """k-hot vector from k sequential draws without replacement, p ~ exp(theta)."""
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape[0]
-    if not 1 <= k < n:
-        raise InputError(f"k must satisfy 1 <= k < {n}, got {k}")
-    _require_finite(theta, "scores")
+    theta = _k_of_n(theta, k, "scores")
     w = np.exp(theta - theta.max()).tolist()
-    return _indicator(n, list(islice(_sampled_order(w, rng), k)))
+    return _indicator(theta.shape[0], list(islice(_sampled_order(w, rng), k)))
 
 
 def _viterbi_block(n: int, k: int, U: np.ndarray):
@@ -435,7 +413,7 @@ def _map_chunks(spec: StructureSpec, noise, draws: int):
 
 def solve_map(spec: StructureSpec, u: np.ndarray) -> MapSolution:
     """Maximize ``u . x`` over the spec's vertex set."""
-    u = np.asarray(_check_dim(spec, u), dtype=float)
+    u = _check_dim(spec, u)
     _require_finite(u, "utilities")
     kind = spec.kind
     if kind == StructureKind.CORR_K_SUBSETS:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .argmax import _map_chunks, solve_map
-from .errors import InputError, SolverError, SstError
+from .errors import InputError, SolverError, SstError, _require_finite
 from .grad import FDConfig, gradcheck
 from .relax import RelaxationSpec, Regularizer, expfam_marginals, relax
 from .structures import (
@@ -78,25 +78,14 @@ def _load_vector(path: str, dim: int) -> np.ndarray:
     vec = np.asarray(raw, dtype=float)
     if vec.ndim != 1 or vec.shape[0] != dim:
         raise InputError(f"{path}: expected a vector of length {dim}")
-    if not np.isfinite(vec).all():
-        raise InputError(f"{path}: utilities must be finite")
+    _require_finite(vec, f"{path}: utilities")
     return vec
 
 
-def _to_jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    return value
+def _dumps(value, **kwargs) -> str:
+    # numpy arrays and scalars go through tolist(); numpy floats are floats
+    # and serialize as such
+    return json.dumps(value, default=lambda v: v.tolist(), **kwargs)
 
 
 def _csv_lines(payload) -> list:
@@ -106,21 +95,20 @@ def _csv_lines(payload) -> list:
             if isinstance(row, dict):
                 if i == 0:
                     lines.append(",".join(row))
-                lines.append(",".join(json.dumps(v) for v in row.values()))
+                lines.append(",".join(_dumps(v) for v in row.values()))
             else:
-                lines.append(f"{i},{json.dumps(row)}")
+                lines.append(f"{i},{_dumps(row)}")
         return lines
     if isinstance(payload, dict):
-        return [f"{k},{json.dumps(v)}" for k, v in payload.items()]
-    return [json.dumps(payload)]
+        return [f"{k},{_dumps(v)}" for k, v in payload.items()]
+    return [_dumps(payload)]
 
 
 def _emit(payload, args) -> None:
-    payload = _to_jsonable(payload)
     if args.format == "csv":
         text = "\n".join(_csv_lines(payload)) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        text = _dumps(payload, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the finiteness check
+every public entry raises through.
 
 Two broad families matter for the CLI exit codes: problems with the
 caller's input (``InputError``, exit 1) and failures of a solver on a
 well-formed input (``SolverError``, exit 2).
 """
+
+import numpy as np
 
 
 class SstError(Exception):
@@ -56,3 +59,9 @@ class ConvergenceError(SolverError):
 
 class NumericalError(SolverError):
     """A computation lost validity (singular matrix, overflow)."""
+
+
+def _require_finite(x, what: str, error=InputError) -> None:
+    """Raise ``error("<what> must be finite")`` unless every entry of ``x`` is."""
+    if not np.isfinite(x).all():
+        raise error(f"{what} must be finite")

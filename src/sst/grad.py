@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnumerationLimitError, InputError, InvalidSpecError, UnsupportedPairError
+from .errors import (EnumerationLimitError, InputError, InvalidSpecError,
+                     UnsupportedPairError, _require_finite)
 from .relax import (
     _CLOSED_SIMPLEX,
     _COORDINATE_KINDS,
@@ -41,14 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FDConfig:
+    """Step of the central differences ``(f(u + eps d) - f(u - eps d)) / (2 eps)``."""
+
     epsilon: float = 1e-4
-    scheme: str = "central"
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise InvalidSpecError("epsilon must be > 0")
-        if self.scheme != "central":
-            raise InvalidSpecError(f"unknown finite-difference scheme {self.scheme!r}")
 
 
 def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
@@ -58,12 +58,11 @@ def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     Because the Jacobian of the relaxed solution is symmetric, this is
     also the pullback of ``d`` through the solver.
     """
-    u = np.asarray(_check_dim(spec, u), dtype=float)
+    u = _check_dim(spec, u)
     d = np.asarray(d, dtype=float)
     if d.shape != u.shape:
         raise InputError(f"direction must have shape {u.shape}, got {d.shape}")
-    if not np.isfinite(d).all():
-        raise InputError("direction must be finite")
+    _require_finite(d, "direction")
     eps = fd.epsilon
     xp = relax(spec, rspec, u + eps * d).x
     xm = relax(spec, rspec, u - eps * d).x
@@ -73,7 +72,7 @@ def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
 def fd_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
                 fd: FDConfig = FDConfig()) -> np.ndarray:
     """Dense central-difference Jacobian, one coordinate direction at a time."""
-    u = np.asarray(_check_dim(spec, u), dtype=float)
+    u = _check_dim(spec, u)
     n = u.shape[0]
     cols = np.empty((n, n))
     for j in range(n):
@@ -93,7 +92,7 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
     shift moves with ``u``; the product-Bernoulli family on subsets is the
     binary-entropy sigmoid.
     """
-    u = np.asarray(_check_dim(spec, u), dtype=float)
+    u = _check_dim(spec, u)
     t = rspec.temperature
     reg = rspec.regularizer
     kind = spec.kind

@@ -26,12 +26,15 @@ from .errors import (
     InvalidSpecError,
     NumericalError,
     UnsupportedPairError,
+    _require_finite,
 )
 from .structures import (
     Graph,
     StructureKind,
     StructureSpec,
     _check_dim,
+    _edge_vector,
+    _square_matrix,
     gibbs_moments,
 )
 
@@ -48,8 +51,6 @@ __all__ = [
     "matrix_tree_marginals",
     "directed_matrix_tree_marginals",
     "sinkhorn_relax",
-    "relaxation_to_dict",
-    "relaxation_from_dict",
 ]
 
 DEFAULT_BISECT_ITER = 200
@@ -110,10 +111,12 @@ class RelaxedPoint:
 
 
 def _scaled(u: np.ndarray, t: float) -> np.ndarray:
-    """``u / t`` for finite ``u``, failing loudly if the division itself overflows."""
+    """``u / t`` for finite ``u`` and ``t > 0``, failing loudly if the division
+    itself overflows.  Every solver that takes a temperature divides by it here."""
     u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise InputError("utilities must be finite")
+    _require_finite(u, "utilities")
+    if not t > 0:
+        raise InputError("temperature must be > 0")
     with np.errstate(over="ignore"):
         z = u / t
     if not np.isfinite(z).all():
@@ -444,11 +447,7 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0,
     pivots: the largest minus the smallest finite log pivot of the full
     graph.
     """
-    if graph.directed:
-        raise InvalidSpecError("matrix_tree_marginals needs an undirected graph")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.num_edges,):
-        raise InputError(f"expected {graph.num_edges} edge utilities, got shape {u.shape}")
+    u = _edge_vector(graph, u, "edge utilities", directed=False)
     if not graph.is_connected():
         raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
     theta = _center_and_clip(_scaled(u, t), clip_range)
@@ -470,13 +469,7 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
     ``condition_estimate`` is the same log-pivot spread.  Edges entering
     the root have marginal zero by definition.
     """
-    if not graph.directed:
-        raise InvalidSpecError("directed_matrix_tree_marginals needs a directed graph")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.num_edges,):
-        raise InputError(f"expected {graph.num_edges} edge utilities, got shape {u.shape}")
-    if not 0 <= root < graph.num_nodes:
-        raise InputError(f"root {root} out of range")
+    u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
     if graph.reachable_from(root) != set(range(graph.num_nodes)):
         raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
     theta = _center_and_clip(_scaled(u, t), clip_range)
@@ -503,11 +496,8 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     starts converge slowly (only ``g`` is read: the first row update
     replaces ``f``).
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InputError(f"utility matrix must be square, got shape {u.shape}")
-    base = _scaled(u, t)
-    g = np.array(warm_start[1], dtype=float) if warm_start is not None else np.zeros(u.shape[0])
+    base = _scaled(_square_matrix(u), t)
+    g = np.array(warm_start[1], dtype=float) if warm_start is not None else np.zeros(len(base))
     m = np.empty_like(base)
 
     def lse(axis, shift):
@@ -552,7 +542,7 @@ def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float,
     ``clip_range`` only affects the tree and arborescence weights; the
     other kinds run entirely in the log domain and need no cap.
     """
-    u = np.asarray(_check_dim(spec, u), dtype=float)
+    u = _check_dim(spec, u)
     kind = spec.kind
     if kind == StructureKind.ONE_HOT:
         return softmax_simplex(u, t)
@@ -596,9 +586,7 @@ def supported_pairs() -> list:
 
 def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedPoint:
     """Dispatch to the solver for (structure kind, regularizer)."""
-    u = np.asarray(_check_dim(spec, u), dtype=float)
-    if not np.isfinite(u).all():
-        raise InputError("utilities must be finite")
+    u = _check_dim(spec, u)
     t = rspec.temperature
     reg = rspec.regularizer
     kind = spec.kind
@@ -618,30 +606,3 @@ def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedP
         return binary_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
     return categorical_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
 
-
-# --- JSON wire format -------------------------------------------------------
-
-def relaxation_to_dict(rspec: RelaxationSpec) -> dict:
-    d = {
-        "regularizer": rspec.regularizer.value,
-        "temperature": rspec.temperature,
-        "tol": rspec.tol,
-    }
-    if rspec.max_iter is not None:
-        d["max_iter"] = rspec.max_iter
-    if rspec.clip_range is not None:
-        d["clip_range"] = rspec.clip_range
-    return d
-
-
-def relaxation_from_dict(d: dict) -> RelaxationSpec:
-    try:
-        return RelaxationSpec(
-            regularizer=Regularizer(d["regularizer"]),
-            temperature=float(d.get("temperature", 1.0)),
-            tol=float(d.get("tol", 1e-10)),
-            max_iter=d.get("max_iter"),
-            clip_range=d.get("clip_range"),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidSpecError(f"malformed relaxation spec: {d!r}") from exc

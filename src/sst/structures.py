@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
+    InputError,
     InvalidSpecError,
 )
 
@@ -46,9 +47,6 @@ __all__ = [
 def default_enum_limit() -> int:
     """Vertex-count guard for brute-force oracles; SST_MAX_ENUM overrides."""
     return int(os.environ.get("SST_MAX_ENUM", "10000"))
-
-
-Vertex = np.ndarray  # binary vector of the spec's embedding dimension
 
 
 class StructureKind(str, Enum):
@@ -110,27 +108,22 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Connectivity ignoring edge direction."""
-        adj = [[] for _ in range(self.num_nodes)]
-        for t, h in self.edges:
-            adj[t].append(h)
-            adj[h].append(t)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_nodes
+        return len(self._reach(0, both_ways=True)) == self.num_nodes
 
     def reachable_from(self, root: int) -> set:
         """Nodes reachable from ``root`` along directed edges."""
+        return self._reach(root, both_ways=False)
+
+    def _reach(self, start: int, both_ways: bool) -> set:
+        """Nodes a depth-first search from ``start`` reaches, following each
+        edge from tail to head, and also back when ``both_ways``."""
         adj = [[] for _ in range(self.num_nodes)]
         for t, h in self.edges:
             adj[t].append(h)
-        seen = {root}
-        stack = [root]
+            if both_ways:
+                adj[h].append(t)
+        seen = {start}
+        stack = [start]
         while stack:
             v = stack.pop()
             for w in adj[v]:
@@ -204,12 +197,37 @@ def embedding_dim(spec: StructureSpec) -> int:
 
 
 def _check_dim(spec: StructureSpec, x: Sequence) -> np.ndarray:
-    x = np.asarray(x)
+    """``x`` as a float vector of the spec's embedding dimension."""
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != embedding_dim(spec):
         raise DimensionMismatchError(
-            f"expected a vector of length {embedding_dim(spec)}, got shape {np.shape(x)}"
+            f"expected a vector of length {embedding_dim(spec)}, got shape {x.shape}"
         )
     return x
+
+
+def _edge_vector(graph: Graph, x: Sequence, what: str, directed: bool,
+                 root: Optional[int] = None) -> np.ndarray:
+    """``x`` as a float vector of per-edge ``what`` on a graph that must be
+    directed (arborescences) or undirected (spanning trees), with ``root``,
+    when given, one of its nodes."""
+    if graph.directed != directed:
+        raise InvalidSpecError("arborescences need a directed graph" if directed
+                               else "spanning trees need an undirected graph")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (graph.num_edges,):
+        raise InputError(f"expected {graph.num_edges} {what}, got shape {x.shape}")
+    if root is not None and not 0 <= root < graph.num_nodes:
+        raise InputError(f"root {root} out of range")
+    return x
+
+
+def _square_matrix(u: Sequence) -> np.ndarray:
+    """``u`` as a square float matrix of utilities."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise InputError(f"utility matrix must be square, got shape {u.shape}")
+    return u
 
 
 class _UnionFind:

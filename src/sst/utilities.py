@@ -21,7 +21,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InputError, InvalidSpecError, OutOfSupportError, UnsupportedFamilyError
+from .errors import (InputError, InvalidSpecError, OutOfSupportError, UnsupportedFamilyError,
+                     _require_finite)
 
 __all__ = [
     "UtilityFamily",
@@ -60,8 +61,7 @@ class UtilitySpec:
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 1 or theta.size < 1:
             raise InvalidSpecError("theta must be a non-empty 1-d vector")
-        if not np.isfinite(theta).all():
-            raise InvalidSpecError("theta must be finite")
+        _require_finite(theta, "theta", InvalidSpecError)
         if family == UtilityFamily.NEG_EXPONENTIAL and not (theta > 0).all():
             raise InvalidSpecError("neg_exponential rates must be strictly positive")
         theta.setflags(write=False)
@@ -166,8 +166,7 @@ def log_density(spec: UtilitySpec, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (spec.dim,):
         raise InputError(f"u must have shape ({spec.dim},), got {u.shape}")
-    if not np.isfinite(u).all():
-        raise InputError("u must be finite")
+    _require_finite(u, "u")
     th = spec.theta
     if spec.family == UtilityFamily.GUMBEL:
         z = u - th

@@ -112,6 +112,16 @@ class TestMarginals:
         assert code == 0
         np.testing.assert_allclose(fast["marginals"], slow["marginals"], atol=1e-10)
 
+    @pytest.mark.parametrize("method", [[], ["--bruteforce"]])
+    def test_zero_temperature_is_input_error(self, files, capsys, method):
+        spec = files("spec.json", {"kind": "one_hot", "n": 3})
+        u = files("u.json", [0.3, -0.1, 0.9])
+        argv = ["marginals", "--spec", spec, "--utilities", u, "--temperature", "0"]
+        assert run(argv + method) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "invalid_input", "type": "InputError",
+                       "message": "temperature must be > 0"}
+
 
 class TestSample:
     def test_frequency_table_deterministic(self, files, capsys):

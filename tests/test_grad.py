@@ -171,5 +171,3 @@ def test_continuity_probe(kind, reg):
 def test_fd_config_validation():
     with pytest.raises(InvalidSpecError):
         FDConfig(epsilon=0.0)
-    with pytest.raises(InvalidSpecError):
-        FDConfig(scheme="forward")

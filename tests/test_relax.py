@@ -24,13 +24,19 @@ from sst import (
     expfam_marginals,
     gibbs_marginals_bruteforce,
     gradcheck,
+    cle_max_arborescence,
     hungarian_match,
+    kruskal_max_tree,
     matrix_tree_marginals,
     relax,
+    sample_arborescence_categorical,
+    sample_topk_without_replacement,
+    sample_tree_categorical,
     sinkhorn_relax,
     softmax_simplex,
     solve_map,
     supported_pairs,
+    topk_select,
 )
 from sst.errors import InvalidSpecError
 
@@ -605,3 +611,70 @@ def test_non_finite_utilities_are_input_errors(bad):
     for call in calls:
         with pytest.raises(InputError, match="utilities must be finite"):
             call()
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
+def test_non_positive_temperatures_are_input_errors(t):
+    """The callers above reject a temperature that is not positive instead
+    of returning the law of -u or overflowing; a ``RelaxationSpec`` refuses
+    to hold one."""
+    kspec = StructureSpec(StructureKind.K_SUBSETS, n=4, k=2)
+    vec = np.array([0.0, 0.5, 1.0, 2.0])
+    calls = [
+        lambda: matrix_tree_marginals(K4, np.arange(6.0), t),
+        lambda: directed_matrix_tree_marginals(D3, 0, np.arange(6.0), t),
+        lambda: expfam_marginals(kspec, vec, t),
+        lambda: expfam_marginals(StructureSpec(StructureKind.SUBSETS, n=4), vec, t),
+        lambda: euclidean_project(StructureSpec(StructureKind.ONE_HOT, n=4), vec, t),
+        lambda: softmax_simplex(vec, t),
+        lambda: analytic_jacobian(kspec, RelaxationSpec(Regularizer.EXPFAM_ENTROPY, t), vec),
+        lambda: gradcheck(kspec, RelaxationSpec(Regularizer.EXPFAM_ENTROPY, t), vec),
+        lambda: gibbs_marginals_bruteforce(kspec, vec, t),
+        lambda: sinkhorn_relax(np.eye(3), t),
+        lambda: binary_entropy_relax(kspec, vec, t),
+        lambda: categorical_entropy_relax(kspec, vec, t),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="temperature must be > 0"):
+            call()
+
+
+def test_edge_vector_gate_is_shared():
+    """The maximizers, the samplers and the marginal solvers of trees and
+    arborescences reject a graph of the wrong direction, a vector of the
+    wrong length and a root out of range with the same errors."""
+    rng = np.random.default_rng(0)
+    undirected = [
+        lambda g, x: kruskal_max_tree(g, x),
+        lambda g, x: sample_tree_categorical(g, x, rng),
+        lambda g, x: matrix_tree_marginals(g, x),
+    ]
+    directed = [
+        lambda g, x, r=0: cle_max_arborescence(g, r, x),
+        lambda g, x, r=0: sample_arborescence_categorical(g, r, np.exp(x), rng),
+        lambda g, x, r=0: directed_matrix_tree_marginals(g, r, x),
+    ]
+    for call in undirected:
+        with pytest.raises(InvalidSpecError, match="^spanning trees need an undirected graph$"):
+            call(D3, np.zeros(D3.num_edges))
+        with pytest.raises(InputError, match=r"^expected 6 edge \w+, got shape \(5,\)$"):
+            call(K4, np.zeros(5))
+    for call in directed:
+        with pytest.raises(InvalidSpecError, match="^arborescences need a directed graph$"):
+            call(K4, np.zeros(K4.num_edges))
+        with pytest.raises(InputError, match=r"^expected 6 (edge utilities|rates), got shape \(2, 3\)$"):
+            call(D3, np.zeros((2, 3)))
+        for root in (-1, 3):
+            with pytest.raises(InputError, match=f"^root {root} out of range$"):
+                call(D3, np.zeros(D3.num_edges), root)
+
+
+def test_square_and_k_of_n_gates_are_shared():
+    for call in (hungarian_match, lambda u: sinkhorn_relax(u, 1.0)):
+        with pytest.raises(InputError, match=r"^utility matrix must be square, got shape \(2, 3\)$"):
+            call(np.zeros((2, 3)))
+    rng = np.random.default_rng(0)
+    for call in (topk_select, lambda u, k: sample_topk_without_replacement(u, k, rng)):
+        for k in (0, 4):
+            with pytest.raises(InputError, match=f"^k must satisfy 1 <= k < 4, got {k}$"):
+                call(np.zeros(4), k)

@@ -16,7 +16,7 @@ from sst import (
     solve_map,
     two_sample_equivalence,
 )
-from sst.errors import EnumerationLimitError
+from sst.errors import DimensionMismatchError, EnumerationLimitError
 from sst.structures import enumerate_vertices
 from sst.verify import RETRY_OFFSET
 from sst.utilities import UtilityFamily, UtilitySpec, draw
@@ -168,6 +168,11 @@ class TestGibbsOracle:
         spec = StructureSpec(StructureKind.SUBSETS, n=30)
         with pytest.raises(EnumerationLimitError):
             gibbs_marginals_bruteforce(spec, np.zeros(30), 1.0)
+
+    def test_wrong_length_is_a_dimension_mismatch(self):
+        spec = StructureSpec(StructureKind.K_SUBSETS, n=4, k=2)
+        with pytest.raises(DimensionMismatchError, match=r"length 4, got shape \(3,\)"):
+            gibbs_marginals_bruteforce(spec, np.zeros(3), 1.0)
 
 
 class TestKsReport:
