@@ -22,7 +22,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .argmax import _map_chunks, solve_map
-from .errors import InputError, SolverError, SstError, _require_finite
+from .errors import InputError, SolverError, SstError, _require_draws, _require_finite
 from .grad import FDConfig, gradcheck
 from .relax import RelaxationSpec, Regularizer, expfam_marginals, relax
 from .structures import (
@@ -135,7 +135,6 @@ def _relaxation_from_args(args) -> RelaxationSpec:
         temperature=args.temperature,
         tol=args.tol,
         max_iter=args.max_iter,
-        clip_range=args.clip_range,
     )
 
 
@@ -161,8 +160,8 @@ def _cmd_sample(args) -> int:
         raise InputError(
             f"noise dimension {uspec.dim} != embedding dimension {embedding_dim(spec)}"
         )
-    if not args.raw and args.draws < 1:
-        raise InputError("draws must be >= 1")
+    if not args.raw:
+        _require_draws(args.draws)
     # Each chunk's noise block holds the bytes of the same number of
     # sequential draws, so the output of a seed does not depend on chunking.
     rng = np.random.default_rng(args.seed)
@@ -199,7 +198,7 @@ def _cmd_marginals(args) -> int:
         mu = gibbs_marginals_bruteforce(spec, u, args.temperature)
         _emit({"marginals": mu, "method": "enumeration"}, args)
     else:
-        point = expfam_marginals(spec, u, args.temperature, clip_range=args.clip_range)
+        point = expfam_marginals(spec, u, args.temperature)
         _emit({"marginals": point.x, "method": "structured"}, args)
     return EXIT_OK
 
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    p.add_argument("--clip-range", type=float, default=None, dest="clip_range")
     _add_io_flags(p)
     p.set_defaults(fn=_cmd_relax)
 
@@ -267,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--utilities", required=True)
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--clip-range", type=float, default=None, dest="clip_range")
     p.add_argument("--bruteforce", action="store_true",
                    help="use the enumeration oracle instead of the structured solver")
     _add_io_flags(p)
@@ -282,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=20_000, dest="max_iter")
-    p.add_argument("--clip-range", type=float, default=None, dest="clip_range")
     p.add_argument("--seed", type=_uint64, default=0)
     _add_io_flags(p)
     p.set_defaults(fn=_cmd_gradcheck)

@@ -11,6 +11,7 @@ finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -71,16 +72,13 @@ class RelaxationSpec:
     """Regularizer choice, temperature and solver tolerances.
 
     ``max_iter`` of ``None`` resolves to 200 for the shift searches and
-    1000 for Sinkhorn.  ``clip_range`` caps the spread of the log edge
-    weights before the matrix-tree elimination (a training-time cap that
-    changes the computed distribution); off by default.
+    1000 for Sinkhorn.
     """
 
     regularizer: Regularizer
     temperature: float = 1.0
     tol: float = 1e-10
     max_iter: Optional[int] = None
-    clip_range: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "regularizer", Regularizer(self.regularizer))
@@ -90,8 +88,6 @@ class RelaxationSpec:
             raise InvalidSpecError("tol must be > 0")
         if self.max_iter is not None and self.max_iter < 1:
             raise InvalidSpecError("max_iter must be positive")
-        if self.clip_range is not None and not self.clip_range > 0:
-            raise InvalidSpecError("clip_range must be positive")
 
     def bisect_iter(self) -> int:
         return self.max_iter if self.max_iter is not None else DEFAULT_BISECT_ITER
@@ -341,64 +337,29 @@ def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
     return np.clip(mu, 0.0, 1.0)
 
 
-def _center_and_clip(theta: np.ndarray, clip_range: Optional[float]) -> np.ndarray:
-    # Subtracting the max rescales every structure's weight equally and
-    # leaves marginals unchanged; clipping changes them and is opt-in.
-    mx = theta.max()
-    if clip_range is not None:
-        theta = np.maximum(theta, mx - clip_range)
-    return theta - mx
-
-
-def _log_pivots(lw: np.ndarray) -> np.ndarray:
-    """Elimination pivots of a stack of reduced Laplacians, in the log domain.
-
-    ``lw[b, a, c]`` is the log weight of arc a->c in graph b (-inf where
-    absent; an undirected edge is a pair of arcs).  The last node is the
-    boundary, whose row and column the reduced Laplacian drops; the
-    others are eliminated in index order.  Pivoted elimination of a
-    Laplacian is star-mesh graph contraction: node v's pivot is its
-    total in-weight from the nodes still present, and removing v gives
-    every arc a->c the extra weight w(a->v) w(v->c) / pivot.  Every pivot
-    is therefore a logsumexp and every fill-in a logaddexp, batched over
-    the stack, and nothing is ever subtracted, so the pass is exact at
-    any exponent range of the weights.  ``lw`` is overwritten.  Returns
-    the ``(batch, nodes - 1)`` log pivots; the log-determinant of row b
-    is the sum of its pivots, -inf once one of them is.
-    """
-    nb, nn, _ = lw.shape
-    pivots = np.empty((nb, nn - 1))
-    for v in range(nn - 1):
-        incoming = lw[:, v + 1:, v]
-        piv = _logsumexp_rows(incoming)
-        pivots[:, v] = piv
-        # a singular row stays -inf whatever it is divided by
-        piv[piv == -np.inf] = 0.0
-        block = lw[:, v + 1:, v + 1:nn - 1]
-        np.logaddexp(block, incoming[:, :, None]
-                     + (lw[:, v, v + 1:nn - 1] - piv[:, None])[:, None, :], out=block)
-    return pivots
-
-
-# Most doubles of log weights one batched elimination holds at once,
-# whatever the number of edges: 2 MiB, and with its temporaries a solve
-# peaks about 6 MB above the import.
-_ELIMINATION_CHUNK = 1 << 18
-
-
 def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
-    """Per-edge marginals from determinant ratios.
+    """Per-edge marginals as the gradient of the log-determinant.
 
-    Deleting edge e scales the structure partition function by
-    (1 - mu_e), so mu_e = 1 - exp(logdet without e - logdet).  Both
-    determinants are subtraction-free sums of log pivots; the direct
-    formula through the inverse Laplacian cancels catastrophically once
-    the distribution concentrates.  One batched elimination runs on a
-    stack whose row 0 is the full graph and whose row b is the graph
-    without the b-th edge, in chunks of at most ``_ELIMINATION_CHUNK``
-    doubles: O(m n^3) flops and no Python loop over edges.  A bridge's
-    deletion leaves a singular row and gets mu = 1.  Returns the
-    marginals and the spread of the full graph's finite log pivots.
+    ``mu_e`` is the derivative of log Z = log det(reduced Laplacian) in
+    the edge's log weight.  ``lw[a, c]`` is the log weight of arc a->c
+    (-inf where absent; an undirected edge is a pair of arcs).  The
+    boundary, whose row and column the reduced Laplacian drops, moves
+    last, and the forward pass eliminates the others in index order.
+    Pivoted elimination of a Laplacian is star-mesh graph contraction:
+    node v's pivot is its total in-weight from the nodes still present,
+    and removing v gives every arc a->c the extra weight
+    ``w(a->v) w(v->c) / pivot``.  So every pivot is a logsumexp and every
+    fill-in a logaddexp, nothing is subtracted, the pass is exact at any
+    exponent range of the weights, and log Z is the sum of the log
+    pivots.  Each fill-in keeps the shares of its two terms.  The reverse
+    pass sends the adjoints back from the last pivot to the first: a
+    fill-in splits its adjoint between the arc's old weight and the two
+    arcs through v, and v's pivot gets 1 minus what the fill-ins through
+    v took, spread over v's incoming arcs by their softmax weights.  An
+    edge's marginal is the adjoint of its arcs.  O(n^3) flops and about
+    2 n^3 / 3 doubles of shares; the inverse-Laplacian formula is avoided
+    because it cancels once the distribution concentrates.  Returns the
+    marginals and the spread of the log pivots.
     """
     neg = -np.inf
     # the boundary moves last, the other nodes keep their order
@@ -407,50 +368,57 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
     ends = np.array(edges, dtype=int).reshape(-1, 2)
     keep = np.flatnonzero(ends[:, 1] != boundary) if directed else np.arange(len(edges))
     src, dst = pos[ends[keep, 0]], pos[ends[keep, 1]]
-    log_w = np.full((nn, nn), neg)
-    log_w[src, dst] = theta[keep]
+    lw = np.full((nn, nn), neg)
+    lw[src, dst] = theta[keep]
     if not directed:
-        log_w[dst, src] = theta[keep]
-    # row 0 cuts the boundary's self-loop, which no pivot reads
-    src, dst = np.r_[nn - 1, src], np.r_[nn - 1, dst]
-    per_chunk = max(1, _ELIMINATION_CHUNK // (nn * nn))
-    logdets = np.empty(len(src))
-    for lo in range(0, len(src), per_chunk):
-        cut = slice(lo, lo + per_chunk)
-        stack = np.repeat(log_w[None], len(src[cut]), axis=0)
-        rows = np.arange(len(stack))
-        stack[rows, src[cut], dst[cut]] = neg
-        if not directed:
-            stack[rows, dst[cut], src[cut]] = neg
-        pivots = _log_pivots(stack)
-        if lo == 0:
-            full = pivots[0]
-            if (full == neg).any():
-                raise NumericalError("singular reduced Laplacian")
-        logdets[cut] = pivots.sum(axis=1)
+        lw[dst, src] = theta[keep]
+    pivots = np.empty(nn - 1)
+    steps = []
+    for v in range(nn - 1):
+        incoming = lw[v + 1:, v]
+        top = incoming.max()
+        if top == neg:
+            raise NumericalError("singular reduced Laplacian")
+        soft = np.exp(incoming - top)
+        total = soft.sum()
+        pivots[v] = top + math.log(total)
+        old = lw[v + 1:, v + 1:nn - 1]
+        x = incoming[:, None] + (lw[v, v + 1:nn - 1] - pivots[v])
+        new = np.logaddexp(old, x)
+        # both shares are 0 where both terms are -inf
+        live = np.where(new == neg, 0.0, new)
+        steps.append((soft / total, np.exp(x - live), np.exp(old - live)))
+        old[...] = new
+    adj = np.zeros((nn, nn))
+    for v in range(nn - 2, -1, -1):
+        soft, to_x, to_old = steps[v]
+        block = adj[v + 1:, v + 1:nn - 1]
+        through = block * to_x
+        block *= to_old
+        rows = through.sum(axis=1)
+        adj[v + 1:, v] += rows + (1.0 - rows.sum()) * soft
+        adj[v, v + 1:nn - 1] += through.sum(axis=0)
     mu = np.zeros(len(edges))
-    mu[keep] = -np.expm1(logdets[1:] - logdets[0])
-    finite = full[full != neg]
-    spread = float(finite.max() - finite.min()) if finite.size else 0.0
-    return mu, spread
+    mu[keep] = adj[src, dst] if directed else adj[src, dst] + adj[dst, src]
+    return mu, float(pivots.max() - pivots.min())
 
 
-def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0,
-                          clip_range: Optional[float] = None) -> RelaxedPoint:
+def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> RelaxedPoint:
     """Per-edge spanning-tree marginals of p(T) ~ exp(u . x_T / t).
 
     Works on the weighted Laplacian of exp(u/t) with the row and column
-    of a node incident to the largest weight deleted; each marginal is a
-    ratio of reduced-Laplacian determinants, taken in the log domain by
-    one batched elimination over the full graph and every single-edge
-    deletion.  ``condition_estimate`` is the spread of the elimination
-    pivots: the largest minus the smallest finite log pivot of the full
-    graph.
+    of a node incident to the largest weight deleted; the marginals are
+    the gradient of its log-determinant in the log weights, from one
+    log-domain elimination and its reverse pass.  ``condition_estimate``
+    is the spread of the elimination pivots: the largest minus the
+    smallest log pivot.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=False)
     if not graph.is_connected():
         raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
-    theta = _center_and_clip(_scaled(u, t), clip_range)
+    # subtracting the max scales every tree's weight alike
+    theta = _scaled(u, t)
+    theta = theta - theta.max()
     drop = graph.edges[int(np.argmax(theta))][0]
     mu, spread = _tree_marginals_by_logdet(
         graph.num_nodes, drop, graph.edges, theta, directed=False
@@ -459,20 +427,21 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0,
 
 
 def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
-                                   t: float = 1.0,
-                                   clip_range: Optional[float] = None) -> RelaxedPoint:
+                                   t: float = 1.0) -> RelaxedPoint:
     """Per-edge marginals of the root-directed tree family p(T) ~ exp(u . x_T / t).
 
     The Laplacian collects entering weights on the diagonal and the
-    root row/column is deleted; marginals are log-domain determinant
-    ratios from one batched elimination, as in the undirected case, and
-    ``condition_estimate`` is the same log-pivot spread.  Edges entering
-    the root have marginal zero by definition.
+    root row/column is deleted; the marginals are the gradient of its
+    log-determinant from one log-domain elimination and its reverse
+    pass, as in the undirected case, and ``condition_estimate`` is the
+    same log-pivot spread.  Edges entering the root have marginal zero
+    by definition.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
     if graph.reachable_from(root) != set(range(graph.num_nodes)):
         raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
-    theta = _center_and_clip(_scaled(u, t), clip_range)
+    theta = _scaled(u, t)
+    theta = theta - theta.max()
     mu, spread = _tree_marginals_by_logdet(
         graph.num_nodes, root, graph.edges, theta, directed=True
     )
@@ -535,13 +504,8 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     )
 
 
-def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float,
-                     clip_range: Optional[float] = None) -> RelaxedPoint:
-    """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices.
-
-    ``clip_range`` only affects the tree and arborescence weights; the
-    other kinds run entirely in the log domain and need no cap.
-    """
+def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoint:
+    """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices."""
     u = _check_dim(spec, u)
     kind = spec.kind
     if kind == StructureKind.ONE_HOT:
@@ -553,9 +517,9 @@ def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float,
     if kind == StructureKind.CORR_K_SUBSETS:
         return RelaxedPoint(x=_chain_dp_marginals(spec.n, spec.k, _scaled(u, t)))
     if kind == StructureKind.SPANNING_TREE:
-        return matrix_tree_marginals(spec.graph, u, t, clip_range=clip_range)
+        return matrix_tree_marginals(spec.graph, u, t)
     if kind == StructureKind.ARBORESCENCE:
-        return directed_matrix_tree_marginals(spec.graph, spec.root, u, t, clip_range=clip_range)
+        return directed_matrix_tree_marginals(spec.graph, spec.root, u, t)
     if kind == StructureKind.MATCHING:
         if spec.n > MATCHING_EXACT_LIMIT:
             raise EnumerationLimitError(
@@ -595,7 +559,7 @@ def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedP
             f"no solver for structure {kind.value!r} with regularizer {reg.value!r}"
         )
     if reg == Regularizer.EXPFAM_ENTROPY:
-        return expfam_marginals(spec, u, t, clip_range=rspec.clip_range)
+        return expfam_marginals(spec, u, t)
     if kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX:
         return softmax_simplex(u, t)
     if reg == Regularizer.SHANNON:

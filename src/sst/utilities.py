@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import (InputError, InvalidSpecError, OutOfSupportError, UnsupportedFamilyError,
-                     _require_finite)
+                     _require_draws, _require_finite)
 
 __all__ = [
     "UtilityFamily",
@@ -142,8 +142,7 @@ def draw_block(spec: UtilitySpec, rng: np.random.Generator, draws: int) -> Utili
     an exact zero is replayed from the saved generator state through
     ``draw``'s redraw rule, and the block resumes after it.
     """
-    if draws < 1:
-        raise InputError("draws must be >= 1")
+    _require_draws(draws)
     rows = []
     remaining = draws
     while remaining:

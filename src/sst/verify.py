@@ -27,7 +27,7 @@ from .argmax import (
     sample_topk_without_replacement,
     solve_map,
 )
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, _require_draws
 from .grad import gradcheck
 from .relax import (
     Regularizer,
@@ -183,8 +183,7 @@ def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
     and draws outside it are an error; otherwise the realized support is
     used, sorted lexicographically.
     """
-    if draws < 1:
-        raise InputError("draws must be >= 1")
+    _require_draws(draws)
     rng = np.random.default_rng(seed)
     blocks = (
         np.array([sampler(rng) for _ in range(min(_TALLY_ROWS, draws - start))], dtype=np.int8)
@@ -292,8 +291,7 @@ def _map_law(name: str, spec: StructureSpec, noise: Callable, seed: int, draws: 
     (a chi-square test) or a sampler of the categorical process, called
     ``draws`` times under seed ``s + 1`` (a two-sample test).
     """
-    if draws < 1:
-        raise InputError("draws must be >= 1")
+    _require_draws(draws)
 
     def run(noise_seed):
         rng = np.random.default_rng(noise_seed)

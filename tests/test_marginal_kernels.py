@@ -1,14 +1,17 @@
-"""The batched tree eliminations and the count-vectorized DPs against the
-straightforward per-edge and per-count loops they replace.
+"""The reverse-pass tree marginals and the count-vectorized DPs against
+straightforward per-edge and per-count loops.
 
 The oracles below are kept as plain loops on purpose: one full log-domain
-elimination per deleted edge, and the loop DPs.  They are slow
-(O(m n^3) Python-level steps for trees) but leave little room for an
-indexing slip, which is what the batched kernels risk.
+elimination per deleted edge (mu_e = 1 - det without e / det), and the
+loop DPs.  They are slow (O(m n^3) Python-level steps for trees) but
+leave little room for an indexing slip, which is what the vectorized
+kernels risk.  A 60-digit version of the deletion formula judges the
+rounding of the tree kernel on instances too large to enumerate.
 """
 
 import importlib
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +77,46 @@ def _tree_marginals_per_edge(graph, boundary, theta):
         without, _ = _logdet_reduced_laplacian(nn, boundary, cut, directed)
         mu[e] = -np.expm1(without - full)
     return mu, pivots
+
+
+def _tree_marginals_mp(graph, boundary, theta, digits=60):
+    """The deletion formula at ``digits`` digits: mu_e = 1 - det without e / det.
+
+    Each determinant is a product of star-mesh pivots, built from sums,
+    products and quotients of positive weights only; ``mp.det`` would
+    cancel once the weights span many orders of magnitude.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    nn, directed = graph.num_nodes, graph.directed
+    order = [v for v in range(nn) if v != boundary]
+    with mpmath.workdps(digits):
+        weights = [mpmath.exp(mpmath.mpf(float(x))) for x in theta]
+
+        def det(skip):
+            w = [[mpmath.mpf(0)] * nn for _ in range(nn)]
+            for e, (i, j) in enumerate(graph.edges):
+                if e != skip:
+                    w[i][j] = weights[e]
+                    if not directed:
+                        w[j][i] = weights[e]
+            total = mpmath.mpf(1)
+            for pos, v in enumerate(order):
+                rest = order[pos + 1:]
+                pivot = sum(w[a][v] for a in rest + [boundary])
+                if not pivot:
+                    return pivot
+                total *= pivot
+                for a in rest + [boundary]:
+                    for c in rest:
+                        if c != a and w[a][v] and w[v][c]:
+                            w[a][c] += w[a][v] * w[v][c] / pivot
+            return total
+
+        full = det(None)
+        return np.array([
+            0.0 if directed and j == boundary else float(1 - det(e) / full)
+            for e, (i, j) in enumerate(graph.edges)
+        ])
 
 
 def _theta(u, t):
@@ -180,12 +223,6 @@ def _random_connected_graph(n, m, seed):
     return Graph(n, sorted(edges))
 
 
-def _chunks(graph):
-    nn = graph.num_nodes
-    per_chunk = max(1, relax_mod._ELIMINATION_CHUNK // (nn * nn))
-    return -(-(graph.num_edges + 1) // per_chunk)
-
-
 # --- tree marginals -----------------------------------------------------------
 
 class TestBatchedTreeMarginals:
@@ -229,7 +266,8 @@ class TestBatchedTreeMarginals:
         g = Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6)])
         u = np.random.default_rng(3).normal(size=g.num_edges)
         got = matrix_tree_marginals(g, u, t).x
-        assert got[3] == 1.0 and got[7] == 1.0
+        # 1 up to rounding: the reverse pass sums a bridge's adjoints
+        assert 1.0 - got[3] <= 1e-12 and 1.0 - got[7] <= 1e-12
         want, _ = _undirected_oracle(g, u, t)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         assert abs(got.sum() - 6) < 1e-9
@@ -237,35 +275,61 @@ class TestBatchedTreeMarginals:
         d = Graph(5, [(0, 1), (1, 0), (0, 2), (2, 1), (2, 3), (3, 4), (4, 3)], directed=True)
         u = np.random.default_rng(4).normal(size=d.num_edges)
         got = directed_matrix_tree_marginals(d, 0, u, t).x
-        assert got[4] == 1.0
+        assert 1.0 - got[4] <= 1e-12
         want, _ = _directed_oracle(d, 0, u, t)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         assert abs(got.sum() - 4) < 1e-9
 
-    def test_deletions_spanning_several_chunks(self):
+    def test_forty_nodes_match_per_edge_path(self):
         g = _random_connected_graph(40, 200, seed=5)
-        assert _chunks(g) > 1
         u = np.random.default_rng(6).normal(size=g.num_edges)
         got = matrix_tree_marginals(g, u, 0.1).x
         want, _ = _undirected_oracle(g, u, 0.1)
         np.testing.assert_allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-10)
         assert abs(got.sum() - 39) < 1e-9
 
+    def test_large_instances_take_one_elimination(self):
+        # one elimination and one reverse sweep cost O(n^3) flops; an
+        # elimination per deleted edge, O(m n^3), takes seconds on K64
+        g = _complete(64)
+        d = Graph(32, [(i, j) for i in range(32) for j in range(32) if i != j], directed=True)
+        u = np.random.default_rng(13).normal(size=g.num_edges)
+        v = np.random.default_rng(14).normal(size=d.num_edges)
+        start = time.perf_counter()
+        tree = matrix_tree_marginals(g, u, 0.1).x
+        arb = directed_matrix_tree_marginals(d, 0, v, 0.1).x
+        assert time.perf_counter() - start < 0.5
+        assert abs(tree.sum() - 63) < 1e-9
+        assert abs(arb.sum() - 31) < 1e-9
+
     @pytest.mark.parametrize("t", TEMPERATURES)
-    def test_chunk_size_does_not_change_the_result(self, t, monkeypatch):
-        g = _complete(9)
-        d = Graph(7, [(i, j) for i in range(7) for j in range(7) if i != j], directed=True)
-        u = np.random.default_rng(8).normal(size=g.num_edges)
-        v = np.random.default_rng(9).normal(size=d.num_edges)
-        whole_u = matrix_tree_marginals(g, u, t).x
-        whole_d = directed_matrix_tree_marginals(d, 1, v, t).x
-        monkeypatch.setattr(relax_mod, "_ELIMINATION_CHUNK", 3 * 81)
-        assert _chunks(g) == 13
-        np.testing.assert_allclose(matrix_tree_marginals(g, u, t).x, whole_u, rtol=0, atol=1e-13)
-        monkeypatch.setattr(relax_mod, "_ELIMINATION_CHUNK", 1)  # one row per chunk
-        np.testing.assert_allclose(
-            directed_matrix_tree_marginals(d, 1, v, t).x, whole_d, rtol=0, atol=1e-13
-        )
+    def test_high_precision_oracle(self, t):
+        bound = 5e-12 if t < 1e-2 else 1e-13
+
+        def jittered_ties(size):
+            # integer utilities tie; a jitter of t leaves the tied edges
+            # O(1) apart in u / t, so the marginals stay fractional while
+            # the log weights span 1 / t
+            return np.round(rng.normal(size=size)) + t * rng.normal(size=size)
+
+        for seed in (0, 1, 2):
+            # two 5-node blobs joined by the bridge path 4-5-6-7
+            rng = np.random.default_rng(20 + seed)
+            blob = list(itertools.combinations(range(5), 2))
+            edges = blob + [(a + 7, b + 7) for a, b in blob] + [(4, 5), (5, 6), (6, 7)]
+            edges = [e for e in edges if e in {(4, 5), (5, 6), (6, 7)} or rng.random() < 0.8]
+            g = Graph(12, edges)
+            assert g.is_connected()
+            u = jittered_ties(g.num_edges)
+            theta = _theta(u, t)
+            want = _tree_marginals_mp(g, g.edges[int(np.argmax(theta))][0], theta)
+            got = matrix_tree_marginals(g, u, t).x
+            assert np.abs(got - want).max() <= bound
+            d = _random_connected_digraph(7, 0.5, 30 + seed)
+            u = jittered_ties(d.num_edges)
+            want = _tree_marginals_mp(d, 0, _theta(u, t))
+            got = directed_matrix_tree_marginals(d, 0, u, t).x
+            assert np.abs(got - want).max() <= bound
 
     def test_condition_estimate_is_the_log_pivot_spread(self):
         g = _complete(6)

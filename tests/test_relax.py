@@ -329,13 +329,6 @@ class TestMatrixTree:
                 np.testing.assert_allclose(mu[:g.num_edges] + mu[g.num_edges:], outs[0],
                                            atol=1e-12)
 
-    def test_clip_range_matches_manual_clipping(self):
-        u = np.array([0.0, -40.0, 1.0, -3.0, 2.0, -25.0])
-        clipped = np.maximum(u, u.max() - 15.0)
-        got = matrix_tree_marginals(K4, u, clip_range=15.0).x
-        want = matrix_tree_marginals(K4, clipped).x
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
     def test_deep_temperature_stays_exact(self):
         spec = StructureSpec(StructureKind.SPANNING_TREE, graph=K4)
         u = np.random.default_rng(14).normal(size=6)
@@ -563,8 +556,6 @@ class TestRelaxDispatch:
             RelaxationSpec(Regularizer.SHANNON, temperature=0.0)
         with pytest.raises(InvalidSpecError):
             RelaxationSpec(Regularizer.SHANNON, temperature=1.0, tol=-1.0)
-        with pytest.raises(InvalidSpecError):
-            RelaxationSpec(Regularizer.SHANNON, temperature=1.0, clip_range=0.0)
 
     def test_overflowing_temperature_reported(self):
         from sst.errors import NumericalError

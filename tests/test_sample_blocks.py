@@ -346,6 +346,15 @@ def test_mc_frequencies_support_alignment_and_errors():
         mc_frequencies(lambda rng: support[0], 0, seed=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sst.draw_block(UtilitySpec(UtilityFamily.GUMBEL, np.zeros(3)), np.random.default_rng(0), 0),
+    lambda: run_suite("topk", 1, draws=0),
+], ids=["draw_block", "topk_suite"])
+def test_zero_draws_rejected_at_every_entry(call):
+    with pytest.raises(InputError, match="^draws must be >= 1$"):
+        call()
+
+
 # --- suites --------------------------------------------------------------------------
 
 
