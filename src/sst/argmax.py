@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -124,87 +123,99 @@ def hungarian_match(u: np.ndarray) -> np.ndarray:
 # --- cycle-contraction engine ------------------------------------------------
 #
 # Maximum arborescence and its categorical sampling process share one
-# recursion: per non-root node pick an entering edge, contract any
-# directed cycle among the picks, recurse, then expand keeping all but
-# one cycle edge.  They differ only in the pick rule, supplied as a
-# callback that may mutate per-edge state (utilities or rates).
+# engine, Chu-Liu-Edmonds in Tarjan's form: every non-root node picks an
+# entering edge; while the picks hold a directed cycle, the cycle becomes
+# one new supernode that enters through its members' entering edges minus
+# those from inside the cycle, and only the supernode picks.  The cycles
+# are then expanded from the last to the first.  The two differ only in the
+# pick rule, supplied as a callback.
 
-def _contract_and_pick(num_nodes, root, edge_list, pick, enter=None):
-    """``edge_list``: (tail, head, eid) triples in ascending eid order;
-    ``enter``: per node the (tail, eid) pairs entering it, built from
-    ``edge_list`` when not given (``Graph.arcs`` holds both for a graph).
+def _contract(graph: Graph, root: int, pick) -> list:
+    """Edge ids of the arborescence rooted at ``root`` that ``pick`` builds.
 
-    ``pick(candidates)`` gets the (tail, eid) pairs entering one node and
-    returns the position of the chosen pair.  Returns the chosen eids.
+    ``pick(cands)`` gets the ids of the edges entering one (super)node in
+    ascending order and returns ``(position, again)``: the position of the
+    chosen id, and whether the node picks again after every later
+    contraction that leaves it in place.  Nodes are numbered as they are
+    made (the original ones, then each supernode), cycles are searched from
+    the live nodes in that order, and repeated picks run in that order
+    before the new supernode's.
     """
-    if enter is None:
-        enter = [[] for _ in range(num_nodes)]
-        for t, h, eid in edge_list:
-            enter[h].append((t, eid))
-    parent = [None] * num_nodes
-    for v in range(num_nodes):
-        if v == root:
-            continue
-        cands = enter[v]
-        if not cands:
-            raise InfeasibleStructureError(
-                "no arborescence: a (super)node has no entering edge"
-            )
-        parent[v] = cands[pick(cands)]
-
-    # Find a directed cycle among the picked edges, if any.
-    color = [0] * num_nodes  # 0 fresh, 1 on current path, 2 settled
-    color[root] = 2
-    cycle = None
-    for v0 in range(num_nodes):
-        if color[v0]:
-            continue
-        path = []
-        v = v0
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = parent[v][0]
-        if color[v] == 1:
-            cycle = path[path.index(v):]
+    tails, entering = graph.arcs
+    n = graph.num_nodes
+    parent = [None] * n  # per node: the id of its chosen entering edge
+    rep = list(range(n))  # per original node: the live node holding it
+    again = []
+    live = list(range(n))
+    del live[root]
+    cands, pending = entering, live  # pending: the nodes to pick next
+    made = []
+    while True:
+        for v in pending:
+            if not cands[v]:
+                raise InfeasibleStructureError("no arborescence: a (super)node has no entering edge")
+            pos, repeat = pick(cands[v])
+            parent[v] = cands[v][pos]
+            if repeat:
+                again.append(v)
+        # Follow the picks from each live node in turn; the first path that
+        # runs into itself holds the cycle, as in a scan of the whole graph.
+        color = [0] * len(parent)  # per node: 0 fresh, 1 on the current path, 2 settled
+        color[root] = 2
+        cycle = None
+        for v0 in live:
+            if color[v0]:
+                continue
+            path = []
+            v = v0
+            while not color[v]:
+                color[v] = 1
+                path.append(v)
+                v = rep[tails[parent[v]]]
+            if color[v] == 1:
+                cycle = path[path.index(v):]
+                break
+            for w in path:
+                color[w] = 2
+        if cycle is None:
             break
-        for w in path:
-            color[w] = 2
-    if cycle is None:
-        return [p[1] for p in parent if p is not None]
-
-    # Renumber: nodes off the cycle keep their order, the cycle becomes the
-    # last node; edges inside the cycle vanish.
-    super_id = num_nodes - len(cycle)
-    new_id = [super_id] * num_nodes
-    in_cycle = [False] * num_nodes
-    for v in cycle:
-        in_cycle[v] = True
-    count = 0
-    for v in range(num_nodes):
-        if not in_cycle[v]:
-            new_id[v] = count
-            count += 1
-    sub_edges = [(nt, nh, eid) for t, h, eid in edge_list
-                 if (nt := new_id[t]) != (nh := new_id[h])]
-    chosen = _contract_and_pick(super_id + 1, new_id[root], sub_edges, pick)
-
-    # The sub-solution enters the supernode through exactly one edge;
-    # keep every cycle edge except the one entering that edge's head.
-    into_cycle = {eid: h for t, h, eid in edge_list if in_cycle[h] and not in_cycle[t]}
-    h_star = next(into_cycle[eid] for eid in chosen if eid in into_cycle)
-    chosen.extend(parent[v][1] for v in cycle if v != h_star)
+        if not made:
+            # per node: its entering edge ids, and the supernode that took it in
+            cands, up = list(entering), list(range(n))
+        s = len(parent)
+        for v in cycle:
+            up[v] = s
+        for o in range(n):
+            if up[rep[o]] == s:
+                rep[o] = s
+        cands.append(sorted(e for v in cycle for e in cands[v] if rep[tails[e]] != s))
+        parent.append(None)
+        up.append(s)
+        made.append(s)
+        live = [v for v in live if up[v] == v] + [s]
+        pending, again = [v for v in again if up[v] == v] + [s], []
+    # Expand the supernodes, the last made first: the member its entering
+    # edge reaches takes that edge and the others keep their picks.
+    for s in reversed(made):
+        e = parent[s]
+        v = graph.edges[e][1]
+        while up[v] != s:
+            v = up[v]
+        parent[v] = e
+    chosen = parent[:n]
+    del chosen[root]
     return chosen
 
 
 def _cle(graph: Graph, root: int, work: list, tie) -> list:
     """Edges of the maximum arborescence for the utilities ``work`` (a list
     of floats, consumed).  Per node keep the best entering edge and subtract
-    its utility from all entering edges, contract any cycle, recurse on the
-    modified utilities, expand.  ``tie[0]`` is set when a tie decided a pick."""
+    its utility from all entering edges, so the kept edge weighs 0.0 and a
+    supernode's candidates weigh what they would gain over their member's
+    kept edge.  ``tie[0]`` is set when a tie decided a pick."""
 
     def pick(cands):
-        ws = [work[eid] for _, eid in cands]
+        ws = [work[e] for e in cands]
         best = max(ws)  # the first of equal maxima, as ws.index finds it
         if tie is not None:
             # a candidate equal to the best one scanned before it
@@ -213,12 +224,11 @@ def _cle(graph: Graph, root: int, work: list, tie) -> list:
                 if w == running:
                     tie[0] = True
                 running = max(running, w)
-        for _, eid in cands:
-            work[eid] -= best
-        return ws.index(best)
+        for e in cands:
+            work[e] -= best
+        return ws.index(best), False
 
-    edge_list, enter = graph.arcs
-    return _contract_and_pick(graph.num_nodes, root, edge_list, pick, enter)
+    return _contract(graph, root, pick)
 
 
 def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray) -> np.ndarray:
@@ -234,9 +244,11 @@ def sample_arborescence_categorical(
     """Random arborescence from per-edge rates.
 
     Per node an entering edge is sampled with probability proportional
-    to its rate, the chosen edge's rate becomes infinite, and cycles are
-    contracted exactly as in the maximizer.  Among infinite rates the
-    choice is uniform.
+    to its rate, and cycles are contracted exactly as in the maximizer;
+    only each new supernode samples, and the other nodes keep their picks.
+    Among infinite rates the choice is uniform: a node with a lone
+    infinite rate takes it, and one with several draws again after every
+    later contraction that leaves it in place.
     """
     lam = _edge_vector(graph, rates, "rates", directed=True, root=root)
     if not (lam > 0).all():
@@ -245,20 +257,18 @@ def sample_arborescence_categorical(
     inf = math.inf
 
     def pick(cands):
-        ws = [work[eid] for (_, eid) in cands]
+        ws = [work[e] for e in cands]
         if inf in ws:
             inf_pos = [p for p, w in enumerate(ws) if w == inf]
             # rng.integers(1) draws nothing from the generator, so a lone
-            # infinite rate is taken without the call
-            pos = inf_pos[0] if len(inf_pos) == 1 else inf_pos[int(rng.integers(len(inf_pos)))]
-        else:
-            pos = _categorical_pick(ws, range(len(ws)), rng)
-        work[cands[pos][1]] = inf
-        return pos
+            # infinite rate is taken without the call; among several the
+            # node draws again after every later contraction
+            if len(inf_pos) == 1:
+                return inf_pos[0], False
+            return inf_pos[int(rng.integers(len(inf_pos)))], True
+        return _categorical_pick(ws, range(len(ws)), rng), False
 
-    edge_list, enter = graph.arcs
-    chosen = _contract_and_pick(graph.num_nodes, root, edge_list, pick, enter)
-    return _indicator(graph.num_edges, chosen)
+    return _indicator(graph.num_edges, _contract(graph, root, pick))
 
 
 def _categorical_pick(weights, live, rng):
@@ -294,7 +304,8 @@ def sample_tree_categorical(
     """
     theta = _edge_vector(graph, theta, "edge scores", directed=False)
     _require_finite(theta, "edge scores")
-    w = np.exp(theta - theta.max()).tolist()
+    # -inf is the max of no scores: a one-node graph has no edges
+    w = np.exp(theta - theta.max(initial=-np.inf)).tolist()
     return _indicator(graph.num_edges, _kruskal(graph, _sampled_order(w, rng)))
 
 
@@ -303,8 +314,21 @@ def sample_topk_without_replacement(
 ) -> np.ndarray:
     """k-hot vector from k sequential draws without replacement, p ~ exp(theta)."""
     theta = _k_of_n(theta, k, "scores")
-    w = np.exp(theta - theta.max()).tolist()
-    return _indicator(theta.shape[0], list(islice(_sampled_order(w, rng), k)))
+    w = np.exp(theta - theta.max())
+    n = w.shape[0]
+    bits = np.zeros(n, dtype=np.int8)
+    # The doubles of k scalar rng.random() calls.  Taken items weigh 0.0, so
+    # every sequential prefix sum equals _categorical_pick's running sum over
+    # the live items, and the first sum above r * total is its pick.
+    for r in rng.random(k).tolist():
+        cum = w.cumsum()
+        i = int(cum.searchsorted(r * cum[-1], "right"))
+        if i == n:  # no sum exceeds r * total (rounded up, or all live weights
+            # underflowed to 0.0): the last live item
+            i = int(np.flatnonzero(bits == 0)[-1])
+        w[i] = 0.0
+        bits[i] = 1
+    return bits
 
 
 def _viterbi_block(n: int, k: int, U: np.ndarray):
@@ -391,7 +415,7 @@ _MAP_CHUNK = 1 << 13
 
 
 def _chunk_rows(spec: StructureSpec) -> int:
-    width = spec.dim
+    width = max(spec.dim, 1)  # a one-node tree's rows have width 0
     if spec.kind == StructureKind.CORR_K_SUBSETS:
         width = 2 * spec.n * (spec.k + 1)
     return max(1, _MAP_CHUNK // width)

@@ -88,6 +88,18 @@ def _dumps(value, **kwargs) -> str:
     return json.dumps(value, default=lambda v: v.tolist(), **kwargs)
 
 
+def _table_json(support: np.ndarray, counts: np.ndarray, total: int) -> str:
+    """``_dumps`` of a frequency table with sorted keys, the 0/1 ``support``
+    rows written as bytes: one ``[d, d, ...], `` template per row with the
+    digits added in place."""
+    rows, width = support.shape
+    template = np.frombuffer(f"[{', '.join('0' * width)}], ".encode(), dtype=np.uint8)
+    buf = np.tile(template, (rows, 1))
+    buf[:, 1:3 * width:3] += support.astype(np.uint8)
+    body = buf.tobytes()[:-2].decode("ascii")
+    return f'{{"counts": {_dumps(counts)}, "support": [{body}], "total": {total}}}'
+
+
 def _csv_lines(payload) -> list:
     if isinstance(payload, list):
         lines = []
@@ -106,9 +118,13 @@ def _csv_lines(payload) -> list:
 
 def _emit(payload, args) -> None:
     if args.format == "csv":
-        text = "\n".join(_csv_lines(payload)) + "\n"
+        _write("\n".join(_csv_lines(payload)), args)
     else:
-        text = _dumps(payload, sort_keys=True) + "\n"
+        _write(_dumps(payload, sort_keys=True), args)
+
+
+def _write(text: str, args) -> None:
+    text += "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -170,7 +186,10 @@ def _cmd_sample(args) -> int:
         _emit({"draws": np.concatenate([np.zeros((0, uspec.dim), np.int8), *blocks])}, args)
     else:
         support, counts = _tally_rows(blocks)
-        _emit({"support": support, "counts": counts, "total": args.draws}, args)
+        if args.format == "json":
+            _write(_table_json(support, counts, args.draws), args)
+        else:
+            _emit({"support": support, "counts": counts, "total": args.draws}, args)
     return EXIT_OK
 
 

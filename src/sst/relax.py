@@ -416,8 +416,10 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> Relaxe
     u = _edge_vector(graph, u, "edge utilities", directed=False)
     if not graph.is_connected():
         raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
-    # subtracting the max scales every tree's weight alike
     theta = _scaled(u, t)
+    if not theta.size:  # one node: its only tree has no edges
+        return RelaxedPoint(x=theta, condition_estimate=0.0)
+    # subtracting the max scales every tree's weight alike
     theta = theta - theta.max()
     drop = graph.edges[int(np.argmax(theta))][0]
     mu, spread = _tree_marginals_by_logdet(
@@ -441,6 +443,8 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
     if graph.reachable_from(root) != set(range(graph.num_nodes)):
         raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
     theta = _scaled(u, t)
+    if not theta.size:  # one node: its only arborescence has no edges
+        return RelaxedPoint(x=theta, condition_estimate=0.0)
     theta = theta - theta.max()
     mu, spread = _tree_marginals_by_logdet(
         graph.num_nodes, root, graph.edges, theta, directed=True

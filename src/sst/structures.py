@@ -94,17 +94,16 @@ class Graph:
 
     @cached_property
     def arcs(self) -> tuple:
-        """``(tail, head, index)`` per edge, and per node the ``(tail, index)``
-        pairs of the edges entering it, all in index order; built once."""
-        triples = tuple((t, h, i) for i, (t, h) in enumerate(self.edges))
-        enter = [[] for _ in range(self.num_nodes)]
-        for t, h, i in triples:
-            enter[h].append((t, i))
-        return triples, tuple(map(tuple, enter))
+        """The tail of every edge, and per node the ids of the edges entering
+        it in ascending order; built once."""
+        entering = [[] for _ in range(self.num_nodes)]
+        for i, (_, h) in enumerate(self.edges):
+            entering[h].append(i)
+        return tuple(t for t, _ in self.edges), tuple(map(tuple, entering))
 
     def in_edges(self, node: int) -> list:
         """Indices of edges entering ``node`` (directed graphs)."""
-        return [i for _, i in self.arcs[1][node]]
+        return list(self.arcs[1][node])
 
     def is_connected(self) -> bool:
         """Connectivity ignoring edge direction."""

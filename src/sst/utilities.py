@@ -59,8 +59,8 @@ class UtilitySpec:
     def __post_init__(self):
         family = UtilityFamily(self.family)
         theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 1 or theta.size < 1:
-            raise InvalidSpecError("theta must be a non-empty 1-d vector")
+        if theta.ndim != 1:
+            raise InvalidSpecError("theta must be a 1-d vector")
         _require_finite(theta, "theta", InvalidSpecError)
         if family == UtilityFamily.NEG_EXPONENTIAL and not (theta > 0).all():
             raise InvalidSpecError("neg_exponential rates must be strictly positive")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sst import (
     Graph,
@@ -17,7 +19,7 @@ from sst import (
     solve_map,
     topk_select,
 )
-from sst.argmax import _categorical_pick, _sampled_order
+from sst.argmax import _categorical_pick, _contract, _map_block, _sampled_order
 from sst.structures import _UnionFind
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -316,10 +318,10 @@ class TestSamplers:
 
 # --- the categorical processes against their former loops -----------------------------
 #
-# Both samplers now read one lazily sampled order (``argmax._sampled_order``):
-# the tree sampler through Kruskal's scan, top-k as its first k indices.
-# The loops below are the earlier implementations, kept as oracles: same
-# vertices, same generator consumption.
+# The tree sampler reads one lazily sampled order (``argmax._sampled_order``)
+# through Kruskal's scan; top-k draws its k doubles in one block and picks
+# from prefix sums.  The loops below are the earlier implementations, kept
+# as oracles: same vertices, same generator consumption.
 
 def _old_sample_without_replacement(weights, count, rng):
     live = list(range(len(weights)))
@@ -365,12 +367,29 @@ def test_tree_sampler_matches_its_former_loop(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_topk_sampler_matches_its_former_loop(seed):
+    """3000 draws of one instance, then three draws each of weights that
+    underflow to exactly 0.0 (a score spread above 745: all live weights
+    can be 0.0, and the pick falls back to the last live item), k = n - 1,
+    and the benchmark's size n = 100, k = 10."""
     theta = 2.0 * np.random.default_rng(200 + seed).normal(size=10)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = np.stack([sample_topk_without_replacement(theta, 4, a) for _ in range(3000)])
     want = np.stack([_old_topk_sampler(theta, 4, b) for _ in range(3000)])
     assert got.tobytes() == want.tobytes()
     assert a.bit_generator.state == b.bit_generator.state
+    g = np.random.default_rng(300 + seed)
+    cases = [(np.array([0.0, -800.0, -2000.0, -1.0, -900.0, 2.0]), 4),
+             (np.array([0.0] + [-2000.0] * 7), 5),
+             (g.normal(size=9), 8),
+             (g.uniform(-1.0, 1.0, 100), 10)]
+    for _ in range(100):
+        n = int(g.integers(2, 30))
+        cases.append((g.choice([-2000.0, -800.0, -1.0, 0.0, 2.0], size=n), int(g.integers(1, n))))
+    for theta, k in cases:
+        for _ in range(3):
+            got = sample_topk_without_replacement(theta, k, a)
+            assert got.tobytes() == _old_topk_sampler(theta, k, b).tobytes(), (theta, k)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_tree_sampler_on_a_disconnected_graph_fails_as_before():
@@ -390,3 +409,222 @@ def test_sampled_order_draws_only_what_is_read():
     first = [next(order), next(order)]
     assert first == _old_sample_without_replacement([1.0, 2.0, 3.0, 4.0], 2, b)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+# --- the contraction engine against its former recursion ------------------------------
+#
+# ``argmax._contract`` contracts each cycle once and lets only the new
+# supernode pick.  The recursion below is the earlier engine, kept as an
+# oracle: at every level it renumbers the nodes, rebuilds the edge and
+# entering lists, and lets every node pick again.
+
+def _old_contract_and_pick(num_nodes, root, edge_list, pick):
+    enter = [[] for _ in range(num_nodes)]
+    for t, h, eid in edge_list:
+        enter[h].append((t, eid))
+    parent = [None] * num_nodes
+    for v in range(num_nodes):
+        if v == root:
+            continue
+        cands = enter[v]
+        if not cands:
+            raise InfeasibleStructureError("no arborescence: a (super)node has no entering edge")
+        parent[v] = cands[pick(cands)]
+    color = [0] * num_nodes
+    color[root] = 2
+    cycle = None
+    for v0 in range(num_nodes):
+        if color[v0]:
+            continue
+        path = []
+        v = v0
+        while color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = parent[v][0]
+        if color[v] == 1:
+            cycle = path[path.index(v):]
+            break
+        for w in path:
+            color[w] = 2
+    if cycle is None:
+        return [p[1] for p in parent if p is not None]
+    super_id = num_nodes - len(cycle)
+    new_id = [super_id] * num_nodes
+    in_cycle = [False] * num_nodes
+    for v in cycle:
+        in_cycle[v] = True
+    count = 0
+    for v in range(num_nodes):
+        if not in_cycle[v]:
+            new_id[v] = count
+            count += 1
+    sub_edges = [(nt, nh, eid) for t, h, eid in edge_list
+                 if (nt := new_id[t]) != (nh := new_id[h])]
+    chosen = _old_contract_and_pick(super_id + 1, new_id[root], sub_edges, pick)
+    into_cycle = {eid: h for t, h, eid in edge_list if in_cycle[h] and not in_cycle[t]}
+    h_star = next(into_cycle[eid] for eid in chosen if eid in into_cycle)
+    chosen.extend(parent[v][1] for v in cycle if v != h_star)
+    return chosen
+
+
+def _edge_list(graph):
+    return [(t, h, i) for i, (t, h) in enumerate(graph.edges)]
+
+
+def _old_cle(graph, root, u):
+    """The former maximizer: its vertex, its tie flag, and the tie flag of
+    the first pick of every (super)node alone (a re-pick scans a candidate
+    list some pick scanned before)."""
+    work = list(u)
+    tie = {"any": False, "first": False}
+    seen = set()
+
+    def pick(cands):
+        ws = [work[eid] for _, eid in cands]
+        best = max(ws)
+        # a node's candidate ids stay the same while it lives; only their
+        # tails are renumbered
+        ids = tuple(eid for _, eid in cands)
+        first = ids not in seen
+        seen.add(ids)
+        running = ws[0]
+        for w in ws[1:]:
+            if w == running:
+                tie["any"] = True
+                tie["first"] |= first
+            running = max(running, w)
+        for _, eid in cands:
+            work[eid] -= best
+        return ws.index(best)
+
+    chosen = _old_contract_and_pick(graph.num_nodes, root, _edge_list(graph), pick)
+    bits = np.zeros(graph.num_edges, dtype=np.int8)
+    bits[chosen] = 1
+    return bits, tie["any"], tie["first"]
+
+
+def _old_arborescence_sampler(graph, root, lam, rng):
+    work = list(lam)
+
+    def pick(cands):
+        ws = [work[eid] for _, eid in cands]
+        if np.inf in ws:
+            inf_pos = [p for p, w in enumerate(ws) if w == np.inf]
+            pos = inf_pos[0] if len(inf_pos) == 1 else inf_pos[int(rng.integers(len(inf_pos)))]
+        else:
+            pos = _categorical_pick(ws, range(len(ws)), rng)
+        work[cands[pos][1]] = np.inf
+        return pos
+
+    chosen = _old_contract_and_pick(graph.num_nodes, root, _edge_list(graph), pick)
+    bits = np.zeros(graph.num_edges, dtype=np.int8)
+    bits[chosen] = 1
+    return bits
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InfeasibleStructureError as exc:
+        return str(exc)
+
+
+def _contractions(graph, root, u):
+    """How many cycles ``argmax._contract`` contracts on utilities ``u``."""
+    work, picks = list(u), [0]
+
+    def pick(cands):
+        picks[0] += 1
+        ws = [work[e] for e in cands]
+        best = max(ws)
+        for e in cands:
+            work[e] -= best
+        return ws.index(best), False
+
+    _contract(graph, root, pick)
+    return picks[0] - (graph.num_nodes - 1)
+
+
+def _random_digraph(rng, n, density):
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+    return Graph(n, edges, directed=True)
+
+
+def test_contraction_engine_matches_its_former_recursion():
+    rng = np.random.default_rng(12)
+    levels, ties_first, several_inf = [], 0, 0
+    for it in range(900):
+        n = int(rng.integers(2, 11))
+        g = _random_digraph(rng, n, [0.35, 0.7, 1.0][it % 3])
+        root = int(rng.integers(n))
+        u = rng.normal(size=g.num_edges)
+        if it % 3 == 0:
+            u = np.round(u, 1)  # ties, and equalities made by rounding
+        want = _outcome(_old_cle, g, root, u)
+        if isinstance(want, str):
+            assert _outcome(cle_max_arborescence, g, root, u) == want
+        else:
+            bits, tie_any, tie_first = want
+            assert cle_max_arborescence(g, root, u).tobytes() == bits.tobytes()
+            spec = StructureSpec(StructureKind.ARBORESCENCE, graph=g, root=root)
+            sol = solve_map(spec, u)
+            assert sol.vertex.tobytes() == bits.tobytes()
+            # the engine's picks are the former first picks; a re-pick only
+            # rescans weights that its first pick already compared
+            assert sol.tie_broken == tie_first
+            assert sol.tie_broken <= tie_any
+            ties_first += tie_first
+            block = np.stack([u, rng.normal(size=g.num_edges), np.round(u, 0)])
+            rows = np.stack([_old_cle(g, root, row)[0] for row in block])
+            assert _map_block(spec, block).tobytes() == rows.tobytes()
+            levels.append(_contractions(g, root, u))
+        lam = np.exp(rng.normal(size=g.num_edges))
+        if it % 2:
+            lam[rng.random(g.num_edges) < [0.1, 0.4][it % 4 // 2]] = np.inf
+        several_inf += any(sum(lam[i] == np.inf for i in g.in_edges(v)) > 1
+                           for v in range(n) if v != root)
+        a, b = np.random.default_rng(it), np.random.default_rng(it)
+        for _ in range(3):
+            got = _outcome(sample_arborescence_categorical, g, root, lam, a)
+            want = _outcome(_old_arborescence_sampler, g, root, lam, b)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+    # nested contractions, ties and several infinite rates into one node all occur
+    assert max(levels) >= 3 and sum(k >= 2 for k in levels) >= 100
+    assert ties_first >= 30 and several_inf >= 100
+
+    # A tie that only a re-pick scans: after {1, 2} is contracted, node 3
+    # compared 1e-17 - 1 and 2e-17 - 1, which both round to -1.0.
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (0, 3), (1, 3), (2, 3)], directed=True)
+    u = np.array([0.0, 1.0, 5.0, 5.0, 1e-17, 2e-17, 1.0])
+    bits, tie_any, tie_first = _old_cle(g, 0, u)
+    assert tie_any and not tie_first
+    sol = solve_map(StructureSpec(StructureKind.ARBORESCENCE, graph=g, root=0), u)
+    assert sol.vertex.tobytes() == bits.tobytes() and not sol.tie_broken
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_contraction_engine_property(data):
+    n = data.draw(st.integers(2, 6))
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs)))
+    g = Graph(n, [a for a, k in zip(arcs, keep) if k], directed=True)
+    root = data.draw(st.integers(0, n - 1))
+    halves = st.integers(-6, 6).map(lambda x: x / 2)  # ties are common
+    values = st.floats(-10, 10, allow_nan=False) | halves
+    u = np.array(data.draw(st.lists(values, min_size=g.num_edges, max_size=g.num_edges)))
+    want = _outcome(_old_cle, g, root, u)
+    if isinstance(want, str):
+        assert _outcome(cle_max_arborescence, g, root, u) == want
+        return
+    got = solve_map(StructureSpec(StructureKind.ARBORESCENCE, graph=g, root=root), u)
+    assert got.vertex.tobytes() == want[0].tobytes()
+    assert got.tie_broken == want[2]
+    spec = StructureSpec(StructureKind.ARBORESCENCE, graph=g, root=root)
+    best = max(float(u @ np.array(v)) for v in enumerate_vertices(spec))
+    assert got.objective == pytest.approx(best, abs=1e-9)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sst
-from sst.cli import run
+from sst.cli import _dumps, _table_json, run
 
 
 @pytest.fixture
@@ -96,6 +96,15 @@ class TestRelax:
 
 
 class TestMarginals:
+    @pytest.mark.parametrize("method", [[], ["--bruteforce"]])
+    def test_one_node_tree(self, files, capsys, method):
+        spec = files("spec.json", {"kind": "spanning_tree",
+                                   "graph": {"num_nodes": 1, "edges": []}})
+        u = files("u.json", [])
+        code, out = run_json(["marginals", "--spec", spec, "--utilities", u] + method, capsys)
+        assert code == 0
+        assert out["marginals"] == []
+
     def test_structured_matches_bruteforce(self, files, capsys):
         spec = files("spec.json", {"kind": "k_subsets", "n": 5, "k": 2})
         u = files("u.json", [0.3, -0.1, 0.9, 0.0, -1.2])
@@ -152,6 +161,52 @@ class TestSample:
         spec = files("spec.json", {"kind": "one_hot", "n": 3})
         noise = files("noise.json", {"family": "gumbel", "theta": [0.0]})
         assert run(["sample", "--spec", spec, "--noise", noise, "--seed", "0"]) == 1
+
+    def test_table_writer_matches_json_dumps(self):
+        g = np.random.default_rng(3)
+        shapes = [(1, 0), (1, 1), (1, 9), (4, 1)]
+        shapes += [(int(g.integers(1, 60)), int(g.integers(0, 70))) for _ in range(60)]
+        for rows, width in shapes:
+            support = g.integers(0, 2, size=(rows, width)).astype(np.int8)
+            counts = g.integers(1, 10 ** 6, size=rows)
+            total = int(g.integers(1, 10 ** 9))
+            want = _dumps({"support": support, "counts": counts, "total": total}, sort_keys=True)
+            assert _table_json(support, counts, total) == want
+
+    @pytest.mark.parametrize("kind", ["k_subsets", "arborescence"])
+    def test_csv_and_out_tables_are_unchanged(self, files, capsys, tmp_path, kind):
+        if kind == "k_subsets":
+            spec = {"kind": "k_subsets", "n": 6, "k": 2}
+        else:
+            arcs = [[i, j] for i in range(4) for j in range(4) if i != j]
+            spec = {"kind": "arborescence", "root": 0,
+                    "graph": {"num_nodes": 4, "edges": arcs, "directed": True}}
+        dim = 6 if kind == "k_subsets" else 12
+        argv = ["sample", "--spec", files("spec.json", spec), "--noise",
+                files("noise.json", {"family": "gumbel", "theta": [0.1 * i for i in range(dim)]}),
+                "--seed", "5", "--draws", "300"]
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        table = json.loads(text)
+        assert run(argv + ["--format", "csv"]) == 0
+        want = "".join(f"{key},{json.dumps(table[key])}\n" for key in ("support", "counts", "total"))
+        assert capsys.readouterr().out == want
+        target = tmp_path / "table.json"
+        assert run(argv + ["--out", str(target)]) == 0
+        assert target.read_text() == text
+
+    def test_one_node_tree(self, files, capsys):
+        """The empty edge set is the only tree of one node: every draw is the
+        zero-width vertex."""
+        for graph in ({"num_nodes": 1, "edges": []},
+                      {"num_nodes": 1, "edges": [], "directed": True}):
+            spec = {"kind": "arborescence", "root": 0, "graph": graph} if graph.get("directed") \
+                else {"kind": "spanning_tree", "graph": graph}
+            argv = ["sample", "--spec", files("spec.json", spec), "--noise",
+                    files("noise.json", {"family": "gumbel", "theta": []}),
+                    "--seed", "1", "--draws", "3"]
+            assert run_json(argv, capsys) == (0, {"counts": [3], "support": [[]], "total": 3})
+            assert run_json(argv + ["--raw"], capsys) == (0, {"draws": [[], [], []]})
 
 
 class TestGradcheckCommand:

@@ -669,3 +669,29 @@ def test_square_and_k_of_n_gates_are_shared():
         for k in (0, 4):
             with pytest.raises(InputError, match=f"^k must satisfy 1 <= k < 4, got {k}$"):
                 call(np.zeros(4), k)
+
+
+def test_one_node_graphs_have_empty_marginals_and_samples():
+    """A one-node graph has one tree (and one arborescence): the empty edge
+    set.  Every entry returns the empty vector, as ``solve_map`` and the
+    enumeration oracle do, and the samplers draw nothing."""
+    tree = StructureSpec(StructureKind.SPANNING_TREE, graph=Graph(1, ()))
+    arb = StructureSpec(StructureKind.ARBORESCENCE, graph=Graph(1, (), directed=True), root=0)
+    u = np.zeros(0)
+    points = [matrix_tree_marginals(tree.graph, u, 0.5),
+              directed_matrix_tree_marginals(arb.graph, 0, u, 0.5)]
+    points += [relax(s, RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=0.5), u)
+               for s in (tree, arb)]
+    for p in points:
+        assert p.x.shape == (0,) and p.condition_estimate == 0.0
+    for s in (tree, arb):
+        assert gibbs_marginals_bruteforce(s, u, 0.5).shape == (0,)
+        assert solve_map(s, u).vertex.shape == (0,)
+    with pytest.raises(InputError, match="temperature"):
+        matrix_tree_marginals(tree.graph, u, 0.0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert sample_tree_categorical(tree.graph, u, rng).shape == (0,)
+    assert sample_arborescence_categorical(arb.graph, 0, u, rng).shape == (0,)
+    assert cle_max_arborescence(arb.graph, 0, u).shape == (0,)
+    assert rng.bit_generator.state == state

@@ -509,9 +509,10 @@ def test_negative_infinite_rates_are_input_errors():
 def test_graph_arcs_are_built_once():
     g = Graph(4, tuple(map(tuple, _arcs(4))), directed=True)
     assert g.arcs is g.arcs
-    triples, enter = g.arcs
-    assert triples == tuple((t, h, i) for i, (t, h) in enumerate(g.edges))
+    tails, entering = g.arcs
+    assert tails == tuple(t for t, _ in g.edges)
     for v in range(4):
-        assert [i for _, i in enter[v]] == g.in_edges(v)
-        assert all(g.edges[i] == (t, v) for t, i in enter[v])
+        assert list(entering[v]) == g.in_edges(v) == sorted(entering[v])
+        assert all(g.edges[i][1] == v for i in entering[v])
+    assert sorted(i for ids in entering for i in ids) == list(range(g.num_edges))
     assert g == Graph(4, tuple(map(tuple, _arcs(4))), directed=True)
