@@ -11,7 +11,9 @@ they almost surely stay off.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -286,12 +288,24 @@ def _categorical_pick(weights, live, rng):
     return len(live) - 1
 
 
-def _sampled_order(weights, rng):
+def _sampled_order(weights, rng, ahead):
     """Indices in the order of sequential draws without replacement,
-    p ~ weights, drawn one at a time as the consumer asks for them."""
+    p ~ weights, drawn one at a time as the consumer asks for them.
+
+    The first ``ahead`` doubles come from one ``rng.random`` block (the
+    bytes of as many scalar draws), so the consumer must read at least
+    ``ahead`` picks.  Each pick is ``_categorical_pick``'s: the first
+    sequential sum of the live weights above ``r`` times their total.
+    """
     live = list(range(len(weights)))
+    ws = list(weights)
+    doubles = rng.random(ahead).tolist()[::-1]
     while live:
-        yield live.pop(_categorical_pick(weights, live, rng))
+        r = doubles.pop() if doubles else rng.random()
+        cum = list(accumulate(ws))
+        p = min(bisect_right(cum, r * cum[-1]), len(live) - 1)
+        del ws[p]
+        yield live.pop(p)
 
 
 def sample_tree_categorical(
@@ -306,7 +320,9 @@ def sample_tree_categorical(
     _require_finite(theta, "edge scores")
     # -inf is the max of no scores: a one-node graph has no edges
     w = np.exp(theta - theta.max(initial=-np.inf)).tolist()
-    return _indicator(graph.num_edges, _kruskal(graph, _sampled_order(w, rng)))
+    # Kruskal reads at least n - 1 picks, or all m before it fails
+    ahead = min(graph.num_nodes - 1, graph.num_edges)
+    return _indicator(graph.num_edges, _kruskal(graph, _sampled_order(w, rng, ahead)))
 
 
 def sample_topk_without_replacement(

@@ -71,13 +71,12 @@ def _load_spec(path: str) -> StructureSpec:
     return spec_from_dict(_load_json(path))
 
 
-def _load_vector(path: str, dim: int) -> np.ndarray:
+def _load_vector(path: str) -> np.ndarray:
+    """The utilities in ``path``; their length is checked by the entry they go to."""
     raw = _load_json(path)
     if isinstance(raw, dict) and "u" in raw:
         raw = raw["u"]
     vec = np.asarray(raw, dtype=float)
-    if vec.ndim != 1 or vec.shape[0] != dim:
-        raise InputError(f"{path}: expected a vector of length {dim}")
     _require_finite(vec, f"{path}: utilities")
     return vec
 
@@ -156,7 +155,7 @@ def _relaxation_from_args(args) -> RelaxationSpec:
 
 def _cmd_solve(args) -> int:
     spec = _load_spec(args.spec)
-    u = _load_vector(args.utilities, embedding_dim(spec))
+    u = _load_vector(args.utilities)
     sol = solve_map(spec, u)
     _emit(
         {
@@ -195,7 +194,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_relax(args) -> int:
     spec = _load_spec(args.spec)
-    u = _load_vector(args.utilities, embedding_dim(spec))
+    u = _load_vector(args.utilities)
     rspec = _relaxation_from_args(args)
     point = relax(spec, rspec, u)
     _emit(
@@ -212,7 +211,7 @@ def _cmd_relax(args) -> int:
 
 def _cmd_marginals(args) -> int:
     spec = _load_spec(args.spec)
-    u = _load_vector(args.utilities, embedding_dim(spec))
+    u = _load_vector(args.utilities)
     if args.bruteforce:
         mu = gibbs_marginals_bruteforce(spec, u, args.temperature)
         _emit({"marginals": mu, "method": "enumeration"}, args)
@@ -225,7 +224,7 @@ def _cmd_marginals(args) -> int:
 def _cmd_gradcheck(args) -> int:
     spec = _load_spec(args.spec)
     if args.utilities:
-        u = _load_vector(args.utilities, embedding_dim(spec))
+        u = _load_vector(args.utilities)
     else:
         u = np.random.default_rng(args.seed).normal(size=embedding_dim(spec))
     rspec = _relaxation_from_args(args)

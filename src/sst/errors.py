@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the finiteness and
-draw-count checks every public entry raises through.
+"""Exception hierarchy shared by all modules, and the finiteness,
+temperature and draw-count checks every public entry raises through.
 
 Two broad families matter for the CLI exit codes: problems with the
 caller's input (``InputError``, exit 1) and failures of a solver on a
@@ -65,6 +65,12 @@ def _require_finite(x, what: str, error=InputError) -> None:
     """Raise ``error("<what> must be finite")`` unless every entry of ``x`` is."""
     if not np.isfinite(x).all():
         raise error(f"{what} must be finite")
+
+
+def _require_temperature(t, error=InputError) -> None:
+    """Raise ``error("temperature must be > 0")`` unless ``t > 0`` (NaN fails)."""
+    if not t > 0:
+        raise error("temperature must be > 0")
 
 
 def _require_draws(draws: int) -> None:

@@ -2,11 +2,11 @@
 
 The Jacobian of every relaxation here is symmetric, so a single central
 finite difference along a direction ``d`` doubles as the vector-Jacobian
-product needed for backpropagation: two extra solver calls, no dense
-matrix.  Closed forms exist for the softmax, the coordinatewise maps,
-the shift solvers (by the implicit function theorem), and any
-exponential-family relaxation small enough to enumerate, where the
-Jacobian is the Gibbs covariance over temperature.
+product needed for backpropagation: the two points ``u +- eps d`` solved
+as one two-row block, no dense matrix.  Closed forms exist for the
+softmax, the coordinatewise maps, the shift solvers (by the implicit
+function theorem), and any exponential-family relaxation small enough to
+enumerate, where the Jacobian is the Gibbs covariance over temperature.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .relax import (
     _CLOSED_SIMPLEX,
     _COORDINATE_KINDS,
     _SEPARABLE,
+    _relax_rows,
     _scaled,
     Regularizer,
     RelaxationSpec,
@@ -56,7 +57,8 @@ def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     """Symmetric finite-difference estimate of J(u) . d.
 
     Because the Jacobian of the relaxed solution is symmetric, this is
-    also the pullback of ``d`` through the solver.
+    also the pullback of ``d`` through the solver.  Both points go to the
+    solver as one block; each gets the bytes of its own ``relax`` call.
     """
     u = _check_dim(spec, u)
     d = np.asarray(d, dtype=float)
@@ -64,8 +66,7 @@ def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
         raise InputError(f"direction must have shape {u.shape}, got {d.shape}")
     _require_finite(d, "direction")
     eps = fd.epsilon
-    xp = relax(spec, rspec, u + eps * d).x
-    xm = relax(spec, rspec, u - eps * d).x
+    xp, xm = _relax_rows(spec, rspec, np.stack([u + eps * d, u - eps * d]))
     return (xp - xm) / (2.0 * eps)
 
 
@@ -119,7 +120,14 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
     total = s.sum()
     if total == 0.0:
         return np.zeros((u.shape[0], u.shape[0]))
-    return (np.diag(s) - np.outer(s, s) / total) / t
+    # (diag(s) - s s^T / total) / t in one buffer, with the same roundings:
+    # 0 - a off the diagonal (+0.0 where a is 0), and -a + s == s - a on it
+    jac = np.multiply.outer(s, s)
+    jac /= total
+    np.subtract(0.0, jac, out=jac)
+    jac.flat[::len(s) + 1] += s
+    jac /= t
+    return jac
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ from .errors import (
     ConvergenceError,
     EnumerationLimitError,
     InfeasibleStructureError,
-    InputError,
     InvalidSpecError,
     NumericalError,
     UnsupportedPairError,
     _require_finite,
+    _require_temperature,
 )
 from .structures import (
     Graph,
@@ -82,8 +82,7 @@ class RelaxationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "regularizer", Regularizer(self.regularizer))
-        if not self.temperature > 0:
-            raise InvalidSpecError("temperature must be > 0")
+        _require_temperature(self.temperature, error=InvalidSpecError)
         if not self.tol > 0:
             raise InvalidSpecError("tol must be > 0")
         if self.max_iter is not None and self.max_iter < 1:
@@ -107,12 +106,12 @@ class RelaxedPoint:
 
 
 def _scaled(u: np.ndarray, t: float) -> np.ndarray:
-    """``u / t`` for finite ``u`` and ``t > 0``, failing loudly if the division
-    itself overflows.  Every solver that takes a temperature divides by it here."""
+    """``u / t`` for finite ``u`` (a vector or a block of rows) and ``t > 0``,
+    failing loudly if the division itself overflows.  Every solver that
+    takes a temperature divides by it here."""
     u = np.asarray(u, dtype=float)
     _require_finite(u, "utilities")
-    if not t > 0:
-        raise InputError("temperature must be > 0")
+    _require_temperature(t)
     with np.errstate(over="ignore"):
         z = u / t
     if not np.isfinite(z).all():
@@ -122,12 +121,16 @@ def _scaled(u: np.ndarray, t: float) -> np.ndarray:
     return z
 
 
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of ``z``, with max-subtraction."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_simplex(u: np.ndarray, t: float) -> RelaxedPoint:
     """Tempered softmax with max-subtraction."""
-    z = _scaled(u, t)
-    z = z - z.max()
-    e = np.exp(z)
-    return RelaxedPoint(x=e / e.sum())
+    return RelaxedPoint(x=_softmax_rows(_scaled(u, t)[None])[0])
 
 
 def _newton_shift(values_of, slope_of, target, z, tol, max_iter):
@@ -265,83 +268,103 @@ def categorical_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
 
 
 # --- exponential-family marginals -------------------------------------------
+#
+# Every kernel below takes a block with one row per utility vector and
+# gives each row the bytes of its own one-row solve: the Python loops run
+# once per block, and every reduction stays along a contiguous last axis,
+# where numpy sums a row of a block exactly as it sums the row alone.
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row of a 2-D array; a row of -inf gives -inf.
+    """Log-sum-exp along the last axis; an all -inf line gives -inf.
 
     ``scipy.special.logsumexp`` costs about 0.1 ms per call in overhead,
     more than the arithmetic of the small reductions here.
     """
-    top = a.max(axis=1)
+    top = a.max(axis=-1)
     top[top == -np.inf] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
+        return np.log(np.exp(a - top[..., None]).sum(axis=-1)) + top
 
 
 def _cardinality_dp_marginals(z: np.ndarray, k: int) -> np.ndarray:
-    """Inclusion marginals of the k-of-n distribution p(S) ~ exp(sum z_S).
+    """Inclusion marginals of the k-of-n distribution p(S) ~ exp(sum z_S),
+    one row of marginals per row of ``z``.
 
     Log-domain forward/backward over (position, count); O(n k).  The
     Python loop runs over the count: each count's recursion along the
     positions is one sequential ``logaddexp.accumulate``.
     """
-    n = z.shape[0]
-    # fwd[i, c]: c chosen among the first i; bwd[i, c]: c chosen from i on
-    fwd = np.full((n + 1, k + 1), -np.inf)
-    bwd = np.full((n + 1, k + 1), -np.inf)
+    rows, n = z.shape
+    # fwd[:, c, i]: c chosen among the first i; bwd[:, c, i]: c chosen from i on
+    fwd = np.full((rows, k + 1, n + 1), -np.inf)
+    bwd = np.full((rows, k + 1, n + 1), -np.inf)
     fwd[:, 0] = bwd[:, 0] = 0.0
     for c in range(1, k + 1):
-        fwd[1:, c] = np.logaddexp.accumulate(fwd[:-1, c - 1] + z)
-        bwd[:n, c] = np.logaddexp.accumulate((bwd[1:, c - 1] + z)[::-1])[::-1]
-    log_z = fwd[n, k]
-    # element i chosen: c of the others before it, k - 1 - c after it
-    terms = fwd[:n, :k] + bwd[1:, k - 1::-1]
+        fwd[:, c, 1:] = np.logaddexp.accumulate(fwd[:, c - 1, :-1] + z, axis=1)
+        bwd[:, c, :n] = np.logaddexp.accumulate(
+            (bwd[:, c - 1, 1:] + z)[:, ::-1], axis=1)[:, ::-1]
+    log_z = fwd[:, k, n, None]
+    # element i chosen: c of the others before it, k - 1 - c after it; the
+    # count is the last axis of the terms, summed along contiguous memory
+    terms = np.empty((rows, n, k))
+    np.add(fwd[:, :k, :n].transpose(0, 2, 1), bwd[:, k - 1::-1, 1:].transpose(0, 2, 1),
+           out=terms)
     mu = np.exp(z + _logsumexp_rows(terms) - log_z)
     return np.clip(mu, 0.0, 1.0)
 
 
 def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
-    """Unary and adjacent-pair marginals of the cardinality-k chain.
+    """Unary and adjacent-pair marginals of the cardinality-k chain, one row
+    of marginals per row of ``z``.
 
-    Scores: ``z[:n]`` per selected element, ``z[n + i]`` whenever
+    Scores: ``z[:, :n]`` per selected element, ``z[:, n + i]`` whenever
     elements i and i+1 are both selected.  Forward/backward over the
     (position, state, count) lattice in the log domain.  The Python loop
     runs over the count: state 1 at count c follows from count c - 1 in
     one vector step, and state 0's recursion along the positions is one
     sequential ``logaddexp.accumulate``.
     """
-    phi, psi = z[:n], z[n:]
+    rows = z.shape[0]
+    phi, psi = z[:, :n], z[:, n:]
     neg = -np.inf
-    fwd = np.full((n, 2, k + 1), neg)
-    fwd[:, 0, 0] = 0.0
-    fwd[0, 1, 1] = phi[0]
-    bwd = np.full((n, 2, k + 1), neg)
-    bwd[:, :, 0] = 0.0
+    fwd = np.full((rows, n, 2, k + 1), neg)
+    fwd[:, :, 0, 0] = 0.0
+    fwd[:, 0, 1, 1] = phi[:, 0]
+    bwd = np.full((rows, n, 2, k + 1), neg)
+    bwd[:, :, :, 0] = 0.0
+    head = np.full((rows, 1), neg)
     for c in range(1, k + 1):
-        prev = fwd[:-1, :, c - 1]
-        fwd[1:, 1, c] = np.logaddexp(prev[:, 0] + phi[1:], prev[:, 1] + phi[1:] + psi)
-        fwd[1:, 0, c] = np.logaddexp.accumulate(np.r_[fwd[0, 0, c], fwd[:-1, 1, c]])[1:]
-        take = bwd[1:, 1, c - 1] + phi[1:]
-        bwd[:, 0, c] = np.logaddexp.accumulate(np.r_[neg, take[::-1]])[::-1]
-        bwd[:-1, 1, c] = np.logaddexp(bwd[1:, 0, c], take + psi)
-    log_z = np.logaddexp(fwd[n - 1, 0, k], fwd[n - 1, 1, k])
-    mu = np.zeros(2 * n - 1)
+        prev = fwd[:, :-1, :, c - 1]
+        fwd[:, 1:, 1, c] = np.logaddexp(prev[:, :, 0] + phi[:, 1:],
+                                        prev[:, :, 1] + phi[:, 1:] + psi)
+        fwd[:, 1:, 0, c] = np.logaddexp.accumulate(
+            np.concatenate([fwd[:, :1, 0, c], fwd[:, :-1, 1, c]], axis=1), axis=1)[:, 1:]
+        take = bwd[:, 1:, 1, c - 1] + phi[:, 1:]
+        bwd[:, :, 0, c] = np.logaddexp.accumulate(
+            np.concatenate([head, take[:, ::-1]], axis=1), axis=1)[:, ::-1]
+        bwd[:, :-1, 1, c] = np.logaddexp(bwd[:, 1:, 0, c], take + psi)
+    log_z = np.logaddexp(fwd[:, n - 1, 0, k], fwd[:, n - 1, 1, k])[:, None]
+    mu = np.zeros((rows, 2 * n - 1))
     # element i selected with c ones up to and at it, k - c after it
-    terms = fwd[:, 1, 1:] + bwd[:, 1, k - 1::-1]
-    mu[:n] = np.exp(_logsumexp_rows(terms) - log_z)
+    terms = fwd[:, :, 1, 1:] + bwd[:, :, 1, k - 1::-1]
+    mu[:, :n] = np.exp(_logsumexp_rows(terms) - log_z)
     if k >= 2:
         # both endpoints selected leaves at most k - 2 ones for the rest
-        terms = (fwd[:-1, 1, 1:k] + psi[:, None] + phi[1:, None]
-                 + bwd[1:, 1, k - 2::-1])
-        mu[n:] = np.exp(_logsumexp_rows(terms) - log_z)
+        terms = (fwd[:, :-1, 1, 1:k] + psi[:, :, None] + phi[:, 1:, None]
+                 + bwd[:, 1:, 1, k - 2::-1])
+        mu[:, n:] = np.exp(_logsumexp_rows(terms) - log_z)
     return np.clip(mu, 0.0, 1.0)
 
 
+_LOWEST = -np.finfo(float).max
+
+
 def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
-    """Per-edge marginals as the gradient of the log-determinant.
+    """Per-edge marginals as the gradient of the log-determinant, one row
+    of marginals per row of log weights ``theta``.
 
     ``mu_e`` is the derivative of log Z = log det(reduced Laplacian) in
-    the edge's log weight.  ``lw[a, c]`` is the log weight of arc a->c
+    the edge's log weight.  ``lw[:, a, c]`` is the log weight of arc a->c
     (-inf where absent; an undirected edge is a pair of arcs).  The
     boundary, whose row and column the reduced Laplacian drops, moves
     last, and the forward pass eliminates the others in index order.
@@ -357,50 +380,91 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
     arcs through v, and v's pivot gets 1 minus what the fill-ins through
     v took, spread over v's incoming arcs by their softmax weights.  An
     edge's marginal is the adjoint of its arcs.  O(n^3) flops and about
-    2 n^3 / 3 doubles of shares; the inverse-Laplacian formula is avoided
-    because it cancels once the distribution concentrates.  Returns the
-    marginals and the spread of the log pivots.
+    2 n^3 / 3 doubles of shares per row; the inverse-Laplacian formula is
+    avoided because it cancels once the distribution concentrates.
+    Returns the marginals and each row's spread of the log pivots.
     """
     neg = -np.inf
+    rows = theta.shape[0]
     # the boundary moves last, the other nodes keep their order
     pos = np.arange(nn) - (np.arange(nn) > boundary)
     pos[boundary] = nn - 1
     ends = np.array(edges, dtype=int).reshape(-1, 2)
     keep = np.flatnonzero(ends[:, 1] != boundary) if directed else np.arange(len(edges))
     src, dst = pos[ends[keep, 0]], pos[ends[keep, 1]]
-    lw = np.full((nn, nn), neg)
-    lw[src, dst] = theta[keep]
+    lw = np.full((rows, nn, nn), neg)
+    lw[:, src, dst] = theta[:, keep]
     if not directed:
-        lw[dst, src] = theta[keep]
-    pivots = np.empty(nn - 1)
-    steps = []
+        lw[:, dst, src] = theta[:, keep]
+    pivots, steps = [], []
     for v in range(nn - 1):
-        incoming = lw[v + 1:, v]
-        top = incoming.max()
-        if top == neg:
-            raise NumericalError("singular reduced Laplacian")
+        # shapes (rows, nodes after v, 1), (rows, 1, 1) and (rows, 1, nodes
+        # after v but the boundary): no view is made twice
+        incoming = lw[:, v + 1:, v:v + 1]
+        top = incoming.max(axis=1, keepdims=True)
         soft = np.exp(incoming - top)
-        total = soft.sum()
-        pivots[v] = top + math.log(total)
-        old = lw[v + 1:, v + 1:nn - 1]
-        x = incoming[:, None] + (lw[v, v + 1:nn - 1] - pivots[v])
+        total = soft.sum(axis=1, keepdims=True)
+        # math.log, not np.log: numpy's vectorized log rounds differently
+        pivot = top + np.fromiter(map(math.log, total.flat), float, rows).reshape(rows, 1, 1)
+        pivots.append(pivot)
+        old = lw[:, v + 1:, v + 1:nn - 1]
+        x = incoming + (lw[:, v:v + 1, v + 1:nn - 1] - pivot)
         new = np.logaddexp(old, x)
-        # both shares are 0 where both terms are -inf
-        live = np.where(new == neg, 0.0, new)
+        # both shares are 0 where both terms are -inf: -inf minus the
+        # lowest double, not minus -inf
+        live = np.maximum(new, _LOWEST)
         steps.append((soft / total, np.exp(x - live), np.exp(old - live)))
         old[...] = new
-    adj = np.zeros((nn, nn))
+    pivots = np.concatenate(pivots, axis=1)
+    # a node with no incoming arc left gets a NaN pivot (-inf minus -inf)
+    if np.isnan(pivots).any():
+        raise NumericalError("singular reduced Laplacian")
+    adj = np.zeros((rows, nn, nn))
     for v in range(nn - 2, -1, -1):
         soft, to_x, to_old = steps[v]
-        block = adj[v + 1:, v + 1:nn - 1]
+        block = adj[:, v + 1:, v + 1:nn - 1]
         through = block * to_x
         block *= to_old
-        rows = through.sum(axis=1)
-        adj[v + 1:, v] += rows + (1.0 - rows.sum()) * soft
-        adj[v, v + 1:nn - 1] += through.sum(axis=0)
-    mu = np.zeros(len(edges))
-    mu[keep] = adj[src, dst] if directed else adj[src, dst] + adj[dst, src]
-    return mu, float(pivots.max() - pivots.min())
+        sums = through.sum(axis=2, keepdims=True)
+        adj[:, v + 1:, v:v + 1] += sums + (1.0 - sums.sum(axis=1, keepdims=True)) * soft
+        adj[:, v:v + 1, v + 1:nn - 1] += through.sum(axis=1, keepdims=True)
+    mu = np.zeros((rows, len(edges)))
+    mu[:, keep] = adj[:, src, dst] if directed else adj[:, src, dst] + adj[:, dst, src]
+    return mu, (pivots.max(axis=1) - pivots.min(axis=1))[:, 0]
+
+
+def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> tuple:
+    """Marginals and log-pivot spreads of the spanning trees (``root`` None)
+    or of the arborescences rooted at ``root``, one row per row of edge
+    utilities ``u``.
+
+    Every row is solved as it would be alone.  An undirected row drops
+    the tail of its own largest edge; the rows that drop the same node
+    are eliminated together.
+    """
+    if root is None:
+        if not graph.is_connected():
+            raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
+    elif graph.reachable_from(root) != set(range(graph.num_nodes)):
+        raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
+    theta = _scaled(u, t)
+    if not theta.shape[1]:  # one node: its only tree has no edges
+        return theta, np.zeros(len(theta))
+    # subtracting a row's max scales every tree's weight alike
+    theta = theta - theta.max(axis=1, keepdims=True)
+    directed = root is not None
+    drops = ([root] * len(theta) if directed
+             else [graph.arcs[0][i] for i in theta.argmax(axis=1).tolist()])
+    if len(set(drops)) == 1:
+        mu, spread = _tree_marginals_by_logdet(
+            graph.num_nodes, drops[0], graph.edges, theta, directed)
+    else:
+        mu, spread = np.empty_like(theta), np.empty(len(theta))
+        for drop in set(drops):
+            group = np.equal(drops, drop)
+            mu[group], spread[group] = _tree_marginals_by_logdet(
+                graph.num_nodes, drop, graph.edges, theta[group], directed)
+    return np.clip(mu, 0.0, 1.0), spread
 
 
 def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> RelaxedPoint:
@@ -414,18 +478,8 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> Relaxe
     smallest log pivot.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=False)
-    if not graph.is_connected():
-        raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
-    theta = _scaled(u, t)
-    if not theta.size:  # one node: its only tree has no edges
-        return RelaxedPoint(x=theta, condition_estimate=0.0)
-    # subtracting the max scales every tree's weight alike
-    theta = theta - theta.max()
-    drop = graph.edges[int(np.argmax(theta))][0]
-    mu, spread = _tree_marginals_by_logdet(
-        graph.num_nodes, drop, graph.edges, theta, directed=False
-    )
-    return RelaxedPoint(x=np.clip(mu, 0.0, 1.0), condition_estimate=spread)
+    mu, spread = _tree_rows(graph, u[None], t)
+    return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
 
 
 def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
@@ -440,16 +494,8 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
     by definition.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
-    if graph.reachable_from(root) != set(range(graph.num_nodes)):
-        raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
-    theta = _scaled(u, t)
-    if not theta.size:  # one node: its only arborescence has no edges
-        return RelaxedPoint(x=theta, condition_estimate=0.0)
-    theta = theta - theta.max()
-    mu, spread = _tree_marginals_by_logdet(
-        graph.num_nodes, root, graph.edges, theta, directed=True
-    )
-    return RelaxedPoint(x=np.clip(mu, 0.0, 1.0), condition_estimate=spread)
+    mu, spread = _tree_rows(graph, u[None], t, root)
+    return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
 
 
 def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
@@ -508,18 +554,28 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     )
 
 
+def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
+    """The marginals of p(x) ~ exp(u . x / t) for every row of ``u``, each
+    kernel run once on the whole block; every kind but matchings."""
+    kind = spec.kind
+    if kind == StructureKind.SPANNING_TREE:
+        return _tree_rows(spec.graph, u, t)[0]
+    if kind == StructureKind.ARBORESCENCE:
+        return _tree_rows(spec.graph, u, t, spec.root)[0]
+    z = _scaled(u, t)
+    if kind == StructureKind.ONE_HOT:
+        return _softmax_rows(z)
+    if kind == StructureKind.SUBSETS:
+        return expit(z)
+    if kind == StructureKind.K_SUBSETS:
+        return _cardinality_dp_marginals(z, spec.k)
+    return _chain_dp_marginals(spec.n, spec.k, z)
+
+
 def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoint:
     """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices."""
     u = _check_dim(spec, u)
     kind = spec.kind
-    if kind == StructureKind.ONE_HOT:
-        return softmax_simplex(u, t)
-    if kind == StructureKind.SUBSETS:
-        return RelaxedPoint(x=expit(_scaled(u, t)))
-    if kind == StructureKind.K_SUBSETS:
-        return RelaxedPoint(x=_cardinality_dp_marginals(_scaled(u, t), spec.k))
-    if kind == StructureKind.CORR_K_SUBSETS:
-        return RelaxedPoint(x=_chain_dp_marginals(spec.n, spec.k, _scaled(u, t)))
     if kind == StructureKind.SPANNING_TREE:
         return matrix_tree_marginals(spec.graph, u, t)
     if kind == StructureKind.ARBORESCENCE:
@@ -530,7 +586,7 @@ def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoi
                 f"exact matching marginals are limited to n <= {MATCHING_EXACT_LIMIT}"
             )
         return RelaxedPoint(x=np.clip(gibbs_moments(spec, _scaled(u, t), 10_000), 0.0, 1.0))
-    raise InvalidSpecError(f"unknown kind {kind!r}")  # pragma: no cover
+    return RelaxedPoint(x=_expfam_rows(spec, u[None], t)[0])
 
 
 _CLOSED_SIMPLEX = (Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY, Regularizer.EXPFAM_ENTROPY)
@@ -550,6 +606,18 @@ _SUPPORTED_KINDS = {
 def supported_pairs() -> list:
     """All (kind, regularizer) pairs ``relax`` accepts."""
     return [(kind, reg) for reg, kinds in _SUPPORTED_KINDS.items() for kind in kinds]
+
+
+def _relax_rows(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> np.ndarray:
+    """``relax(spec, rspec, row).x`` for every row of the block ``u``, whose
+    rows the caller has checked.  The softmax and exponential-family
+    kernels solve the whole block at once; matchings under the
+    exponential family and every other pair go one row at a time."""
+    reg, kind = rspec.regularizer, spec.kind
+    if (kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX
+            or reg == Regularizer.EXPFAM_ENTROPY and kind != StructureKind.MATCHING):
+        return _expfam_rows(spec, u, rspec.temperature)
+    return np.stack([relax(spec, rspec, row).x for row in u])
 
 
 def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedPoint:

@@ -215,21 +215,40 @@ def chi_square_gof(table: FrequencyTable, expected: np.ndarray,
 
 def two_sample_equivalence(table_a: FrequencyTable, table_b: FrequencyTable,
                            level: float = 0.01) -> TestReport:
-    """Chi-square homogeneity test that two samplers share one law."""
+    """Chi-square homogeneity test that two samplers share one law.
+
+    When some cell's pooled expected count falls below 5 in either sample,
+    the sparse cells are merged into one cell, together with the next
+    sparsest cells while the merged cell still expects fewer than 5, and
+    the degrees of freedom drop to match.  The test refuses to run when
+    only the whole table reaches 5.
+    """
     keys = sorted(set(table_a.support) | set(table_b.support))
     idx_a = dict(zip(table_a.support, table_a.counts))
     idx_b = dict(zip(table_b.support, table_b.counts))
     ca = np.array([idx_a.get(k, 0) for k in keys], dtype=float)
     cb = np.array([idx_b.get(k, 0) for k in keys], dtype=float)
     na, nb = table_a.total, table_b.total
-    pooled = (ca + cb) / (na + nb)
-    ea, eb = na * pooled, nb * pooled
-    if min(ea.min(), eb.min()) < 5.0:
-        raise InputError(
-            f"minimum pooled expected count {min(ea.min(), eb.min()):.2f} < 5; increase draws"
-        )
+
+    def expected(ca, cb):
+        pooled = (ca + cb) / (na + nb)
+        return na * pooled, nb * pooled
+
+    ea, eb = expected(ca, cb)
+    low = np.minimum(ea, eb)
+    if low.min() < 5.0:
+        order = np.argsort(low, kind="stable")
+        take = int((low < 5.0).sum())
+        while take < len(order) and min(ea[order[:take]].sum(), eb[order[:take]].sum()) < 5.0:
+            take += 1
+        if take == len(order):  # only the whole table reaches 5
+            raise InputError(f"minimum pooled expected count {low.min():.2f} < 5; increase draws")
+        merged, rest = order[:take], np.sort(order[take:])
+        ca = np.r_[ca[rest], ca[merged].sum()]
+        cb = np.r_[cb[rest], cb[merged].sum()]
+        ea, eb = expected(ca, cb)
     stat = float((((ca - ea) ** 2) / ea).sum() + (((cb - eb) ** 2) / eb).sum())
-    dof = len(keys) - 1
+    dof = len(ca) - 1
     p = float(gammaincc(dof / 2.0, stat / 2.0))
     return TestReport(statistic=stat, dof=dof, p_value=p, passed=bool(p >= level))
 

@@ -404,11 +404,13 @@ def test_tree_sampler_on_a_disconnected_graph_fails_as_before():
 
 
 def test_sampled_order_draws_only_what_is_read():
-    a, b = np.random.default_rng(4), np.random.default_rng(4)
-    order = _sampled_order([1.0, 2.0, 3.0, 4.0], a)
-    first = [next(order), next(order)]
-    assert first == _old_sample_without_replacement([1.0, 2.0, 3.0, 4.0], 2, b)
-    assert a.bit_generator.state == b.bit_generator.state
+    # ``ahead`` doubles come in one block; every later pick draws its own
+    for ahead, read in ((2, 2), (1, 3), (0, 2)):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        order = _sampled_order([1.0, 2.0, 3.0, 4.0], a, ahead)
+        first = [next(order) for _ in range(read)]
+        assert first == _old_sample_without_replacement([1.0, 2.0, 3.0, 4.0], read, b)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 # --- the contraction engine against its former recursion ------------------------------

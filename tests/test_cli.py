@@ -43,6 +43,20 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "invalid_input"
 
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["relax", "--regularizer", "shannon"], ["marginals"],
+        ["marginals", "--bruteforce"], ["gradcheck", "--regularizer", "shannon"],
+    ])
+    def test_length_is_checked_by_the_entry(self, files, capsys, argv):
+        # the loader checks finiteness only; the public entry checks the length
+        spec = files("spec.json", {"kind": "one_hot", "n": 3})
+        for vec, shape in (([0.1, 2.0], "(2,)"), ([[0.1, 2.0, 1.0]], "(1, 3)")):
+            u = files("u.json", vec)
+            assert run([argv[0], "--spec", spec, "--utilities", u] + argv[1:]) == 1
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err == {"code": "invalid_input", "type": "DimensionMismatchError",
+                           "message": f"expected a vector of length 3, got shape {shape}"}
+
     def test_missing_file(self, files, capsys):
         spec = files("spec.json", {"kind": "one_hot", "n": 3})
         assert run(["solve", "--spec", spec, "--utilities", "/nonexistent.json"]) == 1

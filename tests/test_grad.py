@@ -1,7 +1,11 @@
+import importlib
+import itertools
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sst import (
     FDConfig,
@@ -19,6 +23,10 @@ from sst import (
     supported_pairs,
 )
 from sst.errors import InvalidSpecError
+from sst.structures import gibbs_moments
+
+_relax_module = importlib.import_module("sst.relax")
+_relax_rows, _SEPARABLE = _relax_module._relax_rows, _relax_module._SEPARABLE
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 D3 = Graph(3, [(i, j) for i in range(3) for j in range(3) if i != j], directed=True)
@@ -171,3 +179,136 @@ def test_continuity_probe(kind, reg):
 def test_fd_config_validation():
     with pytest.raises(InvalidSpecError):
         FDConfig(epsilon=0.0)
+
+
+# --- fd_vjp solves its two points as one block -------------------------------------
+
+def _two_call_fd_vjp(spec, rspec, u, d, fd=FDConfig()):
+    """The former ``fd_vjp``: one ``relax`` call per finite-difference point."""
+    eps = fd.epsilon
+    xp = relax(spec, rspec, u + eps * d).x
+    xm = relax(spec, rspec, u - eps * d).x
+    return (xp - xm) / (2.0 * eps)
+
+
+def _complete(n):
+    return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def _complete_digraph(n):
+    return Graph(n, [(i, j) for i in range(n) for j in range(n) if i != j], directed=True)
+
+
+_EXPFAM_SPECS = (
+    [StructureSpec(StructureKind.K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 4), (100, 10))]
+    + [StructureSpec(StructureKind.CORR_K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 5), (50, 10))]
+    + [StructureSpec(StructureKind.SPANNING_TREE, graph=_complete(n)) for n in range(3, 13)]
+    + [StructureSpec(StructureKind.ARBORESCENCE, graph=_complete_digraph(n), root=0)
+       for n in range(3, 11)]
+    + [StructureSpec(StructureKind.ONE_HOT, n=6), StructureSpec(StructureKind.SUBSETS, n=6)]
+)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("spec", _EXPFAM_SPECS,
+                         ids=lambda s: f"{s.kind.value}-{s.dim}")
+def test_fd_vjp_keeps_the_two_call_bytes(spec, t):
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+    rng = np.random.default_rng(zlib.crc32(f"{spec.kind.value}/{spec.dim}/{t}".encode()))
+    for u in (rng.normal(size=spec.dim), np.round(rng.normal(size=spec.dim))):
+        d = rng.normal(size=spec.dim)
+        for fd in (FDConfig(), FDConfig(epsilon=1e-2)):
+            got = fd_vjp(spec, rspec, u, d, fd)
+            assert got.tobytes() == _two_call_fd_vjp(spec, rspec, u, d, fd).tobytes()
+
+
+@pytest.mark.parametrize("kind, reg", supported_pairs())
+def test_fd_vjp_keeps_the_two_call_bytes_on_every_pair(kind, reg):
+    spec = {
+        StructureKind.ONE_HOT: StructureSpec(StructureKind.ONE_HOT, n=4),
+        StructureKind.SUBSETS: StructureSpec(StructureKind.SUBSETS, n=4),
+        StructureKind.K_SUBSETS: StructureSpec(StructureKind.K_SUBSETS, n=5, k=2),
+        StructureKind.CORR_K_SUBSETS: StructureSpec(StructureKind.CORR_K_SUBSETS, n=4, k=2),
+        StructureKind.MATCHING: StructureSpec(StructureKind.MATCHING, n=3),
+        StructureKind.SPANNING_TREE: StructureSpec(StructureKind.SPANNING_TREE, graph=K3),
+        StructureKind.ARBORESCENCE: StructureSpec(StructureKind.ARBORESCENCE, graph=D3, root=0),
+    }[kind]
+    rspec = RelaxationSpec(reg, temperature=0.5, tol=1e-12, max_iter=20_000)
+    rng = np.random.default_rng(zlib.crc32(f"{kind.value}/{reg.value}/pair".encode()))
+    u, d = rng.normal(size=spec.dim), rng.normal(size=spec.dim)
+    assert fd_vjp(spec, rspec, u, d).tobytes() == _two_call_fd_vjp(spec, rspec, u, d).tobytes()
+
+
+def test_tree_fd_pair_with_different_boundaries():
+    # tied largest edges with tails 0 and 2: u + eps d and u - eps d drop
+    # different nodes, so the pair is solved as two groups
+    graph = _complete(6)
+    spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
+    u = np.random.default_rng(8).normal(size=graph.num_edges)
+    i, j = graph.edges.index((0, 3)), graph.edges.index((2, 4))
+    u[[i, j]] = u.max() + 0.5
+    d = np.random.default_rng(9).normal(size=graph.num_edges)
+    d[i], d[j] = -1.0, 1.0
+    for t in (1.0, 1e-2):
+        rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+        assert fd_vjp(spec, rspec, u, d).tobytes() == _two_call_fd_vjp(spec, rspec, u, d).tobytes()
+
+
+def _former_separable_jacobian(s, t):
+    total = s.sum()
+    if total == 0.0:
+        return np.zeros((len(s), len(s)))
+    return (np.diag(s) - np.outer(s, s) / total) / t
+
+
+@pytest.mark.parametrize("reg", [Regularizer.EUCLIDEAN, Regularizer.BINARY_ENTROPY,
+                                 Regularizer.CATEGORICAL_ENTROPY])
+def test_separable_jacobian_keeps_the_former_bytes(reg):
+    """One buffer, the same roundings, +0.0 where the slope product is 0."""
+    spec = StructureSpec(StructureKind.K_SUBSETS, n=60, k=6)
+    for t in (1.0, 0.1, 1e-3):
+        rspec = RelaxationSpec(reg, temperature=t)
+        u = 3.0 * np.random.default_rng(6).normal(size=60)
+        s = _SEPARABLE[reg][1](relax(spec, rspec, u).x)
+        assert analytic_jacobian(spec, rspec, u).tobytes() == _former_separable_jacobian(s, t).tobytes()
+
+
+# --- random small instances against the enumerated moments --------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_block_marginals_and_vjps_match_enumeration(data):
+    kind = data.draw(st.sampled_from(["one_hot", "subsets", "k_subsets", "corr_k_subsets",
+                                      "spanning_tree", "arborescence"]))
+    n = data.draw(st.integers(2, 5))
+    if kind in ("one_hot", "subsets"):
+        spec = StructureSpec(kind, n=n)
+    elif kind in ("k_subsets", "corr_k_subsets"):
+        spec = StructureSpec(kind, n=n, k=data.draw(st.integers(1, n - 1)))
+    elif kind == "spanning_tree":
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        graph = Graph(n, [p for p, k in zip(pairs, keep) if k])
+        assume(graph.is_connected())
+        spec = StructureSpec(kind, graph=graph)
+    else:
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs)))
+        graph = Graph(n, [a for a, k in zip(arcs, keep) if k], directed=True)
+        assume(graph.reachable_from(0) == set(range(n)))
+        spec = StructureSpec(kind, graph=graph, root=0)
+    t = data.draw(st.sampled_from([1.0, 0.3, 0.1]))
+    floats = st.floats(-2.0, 2.0, allow_nan=False)
+    rows = np.array(data.draw(st.lists(st.lists(floats, min_size=spec.dim, max_size=spec.dim),
+                                       min_size=1, max_size=3)))
+    if data.draw(st.booleans()):
+        rows = np.round(rows)  # ties
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+    block = _relax_rows(spec, rspec, rows)
+    for u, x in zip(rows, block):
+        mean, cov = gibbs_moments(spec, u / t, 10_000, covariance=True)
+        assert np.abs(x - mean).max() <= 1e-8
+        d = np.cos(np.arange(spec.dim) + u.sum())
+        # the same step in u / t at every temperature
+        vjp = fd_vjp(spec, rspec, u, d, FDConfig(epsilon=1e-4 * t))
+        assert np.abs(vjp - cov @ d / t).max() <= 1e-6

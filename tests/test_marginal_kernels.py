@@ -11,13 +11,14 @@ rounding of the tree kernel on instances too large to enumerate.
 
 import importlib
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from sst import Graph, directed_matrix_tree_marginals, matrix_tree_marginals
+from sst import Graph, NumericalError, directed_matrix_tree_marginals, matrix_tree_marginals
 
 # the package exports the function ``relax`` under the module's name
 relax_mod = importlib.import_module("sst.relax")
@@ -356,15 +357,201 @@ class TestVectorizedDPs:
     @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 4), (9, 8), (40, 39), (100, 10)])
     def test_cardinality_dp_matches_loops(self, n, k):
         z = 4.0 * np.random.default_rng(n * 100 + k).normal(size=n)
-        got = relax_mod._cardinality_dp_marginals(z, k)
+        got = relax_mod._cardinality_dp_marginals(z[None], k)[0]
         np.testing.assert_allclose(got, _cardinality_dp_loop(z, k), rtol=0, atol=1e-10)
         assert abs(got.sum() - k) < 1e-9
 
     @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 2), (9, 5), (9, 8), (30, 29), (50, 10)])
     def test_chain_dp_matches_loops(self, n, k):
         z = 4.0 * np.random.default_rng(n * 100 + k).normal(size=2 * n - 1)
-        got = relax_mod._chain_dp_marginals(n, k, z)
+        got = relax_mod._chain_dp_marginals(n, k, z[None])[0]
         np.testing.assert_allclose(got, _chain_dp_loop(n, k, z), rtol=0, atol=1e-10)
         assert abs(got[:n].sum() - k) < 1e-9
         if k == 1:
             assert not got[n:].any()
+
+
+# --- the one-vector kernels the block kernels replaced -------------------------
+#
+# Copied unchanged from the version before the kernels took a leading row
+# axis; every row of a block must carry exactly their bytes.
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of a 2-D array; a row of -inf gives -inf.
+
+    ``scipy.special.logsumexp`` costs about 0.1 ms per call in overhead,
+    more than the arithmetic of the small reductions here.
+    """
+    top = a.max(axis=1)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
+
+
+def _cardinality_dp_marginals(z: np.ndarray, k: int) -> np.ndarray:
+    """Inclusion marginals of the k-of-n distribution p(S) ~ exp(sum z_S).
+
+    Log-domain forward/backward over (position, count); O(n k).  The
+    Python loop runs over the count: each count's recursion along the
+    positions is one sequential ``logaddexp.accumulate``.
+    """
+    n = z.shape[0]
+    # fwd[i, c]: c chosen among the first i; bwd[i, c]: c chosen from i on
+    fwd = np.full((n + 1, k + 1), -np.inf)
+    bwd = np.full((n + 1, k + 1), -np.inf)
+    fwd[:, 0] = bwd[:, 0] = 0.0
+    for c in range(1, k + 1):
+        fwd[1:, c] = np.logaddexp.accumulate(fwd[:-1, c - 1] + z)
+        bwd[:n, c] = np.logaddexp.accumulate((bwd[1:, c - 1] + z)[::-1])[::-1]
+    log_z = fwd[n, k]
+    # element i chosen: c of the others before it, k - 1 - c after it
+    terms = fwd[:n, :k] + bwd[1:, k - 1::-1]
+    mu = np.exp(z + _logsumexp_rows(terms) - log_z)
+    return np.clip(mu, 0.0, 1.0)
+
+
+def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
+    """Unary and adjacent-pair marginals of the cardinality-k chain.
+
+    Scores: ``z[:n]`` per selected element, ``z[n + i]`` whenever
+    elements i and i+1 are both selected.  Forward/backward over the
+    (position, state, count) lattice in the log domain.  The Python loop
+    runs over the count: state 1 at count c follows from count c - 1 in
+    one vector step, and state 0's recursion along the positions is one
+    sequential ``logaddexp.accumulate``.
+    """
+    phi, psi = z[:n], z[n:]
+    neg = -np.inf
+    fwd = np.full((n, 2, k + 1), neg)
+    fwd[:, 0, 0] = 0.0
+    fwd[0, 1, 1] = phi[0]
+    bwd = np.full((n, 2, k + 1), neg)
+    bwd[:, :, 0] = 0.0
+    for c in range(1, k + 1):
+        prev = fwd[:-1, :, c - 1]
+        fwd[1:, 1, c] = np.logaddexp(prev[:, 0] + phi[1:], prev[:, 1] + phi[1:] + psi)
+        fwd[1:, 0, c] = np.logaddexp.accumulate(np.r_[fwd[0, 0, c], fwd[:-1, 1, c]])[1:]
+        take = bwd[1:, 1, c - 1] + phi[1:]
+        bwd[:, 0, c] = np.logaddexp.accumulate(np.r_[neg, take[::-1]])[::-1]
+        bwd[:-1, 1, c] = np.logaddexp(bwd[1:, 0, c], take + psi)
+    log_z = np.logaddexp(fwd[n - 1, 0, k], fwd[n - 1, 1, k])
+    mu = np.zeros(2 * n - 1)
+    # element i selected with c ones up to and at it, k - c after it
+    terms = fwd[:, 1, 1:] + bwd[:, 1, k - 1::-1]
+    mu[:n] = np.exp(_logsumexp_rows(terms) - log_z)
+    if k >= 2:
+        # both endpoints selected leaves at most k - 2 ones for the rest
+        terms = (fwd[:-1, 1, 1:k] + psi[:, None] + phi[1:, None]
+                 + bwd[1:, 1, k - 2::-1])
+        mu[n:] = np.exp(_logsumexp_rows(terms) - log_z)
+    return np.clip(mu, 0.0, 1.0)
+
+
+def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
+    """Per-edge marginals as the gradient of the log-determinant.
+
+    ``mu_e`` is the derivative of log Z = log det(reduced Laplacian) in
+    the edge's log weight.  ``lw[a, c]`` is the log weight of arc a->c
+    (-inf where absent; an undirected edge is a pair of arcs).  The
+    boundary, whose row and column the reduced Laplacian drops, moves
+    last, and the forward pass eliminates the others in index order.
+    Pivoted elimination of a Laplacian is star-mesh graph contraction:
+    node v's pivot is its total in-weight from the nodes still present,
+    and removing v gives every arc a->c the extra weight
+    ``w(a->v) w(v->c) / pivot``.  So every pivot is a logsumexp and every
+    fill-in a logaddexp, nothing is subtracted, the pass is exact at any
+    exponent range of the weights, and log Z is the sum of the log
+    pivots.  Each fill-in keeps the shares of its two terms.  The reverse
+    pass sends the adjoints back from the last pivot to the first: a
+    fill-in splits its adjoint between the arc's old weight and the two
+    arcs through v, and v's pivot gets 1 minus what the fill-ins through
+    v took, spread over v's incoming arcs by their softmax weights.  An
+    edge's marginal is the adjoint of its arcs.  O(n^3) flops and about
+    2 n^3 / 3 doubles of shares; the inverse-Laplacian formula is avoided
+    because it cancels once the distribution concentrates.  Returns the
+    marginals and the spread of the log pivots.
+    """
+    neg = -np.inf
+    # the boundary moves last, the other nodes keep their order
+    pos = np.arange(nn) - (np.arange(nn) > boundary)
+    pos[boundary] = nn - 1
+    ends = np.array(edges, dtype=int).reshape(-1, 2)
+    keep = np.flatnonzero(ends[:, 1] != boundary) if directed else np.arange(len(edges))
+    src, dst = pos[ends[keep, 0]], pos[ends[keep, 1]]
+    lw = np.full((nn, nn), neg)
+    lw[src, dst] = theta[keep]
+    if not directed:
+        lw[dst, src] = theta[keep]
+    pivots = np.empty(nn - 1)
+    steps = []
+    for v in range(nn - 1):
+        incoming = lw[v + 1:, v]
+        top = incoming.max()
+        if top == neg:
+            raise NumericalError("singular reduced Laplacian")
+        soft = np.exp(incoming - top)
+        total = soft.sum()
+        pivots[v] = top + math.log(total)
+        old = lw[v + 1:, v + 1:nn - 1]
+        x = incoming[:, None] + (lw[v, v + 1:nn - 1] - pivots[v])
+        new = np.logaddexp(old, x)
+        # both shares are 0 where both terms are -inf
+        live = np.where(new == neg, 0.0, new)
+        steps.append((soft / total, np.exp(x - live), np.exp(old - live)))
+        old[...] = new
+    adj = np.zeros((nn, nn))
+    for v in range(nn - 2, -1, -1):
+        soft, to_x, to_old = steps[v]
+        block = adj[v + 1:, v + 1:nn - 1]
+        through = block * to_x
+        block *= to_old
+        rows = through.sum(axis=1)
+        adj[v + 1:, v] += rows + (1.0 - rows.sum()) * soft
+        adj[v, v + 1:nn - 1] += through.sum(axis=0)
+    mu = np.zeros(len(edges))
+    mu[keep] = adj[src, dst] if directed else adj[src, dst] + adj[dst, src]
+    return mu, float(pivots.max() - pivots.min())
+
+
+def _byte_rows(block, rows):
+    return [r.tobytes() for r in block] == [r.tobytes() for r in rows]
+
+
+class TestBlockKernelsKeepTheOneVectorBytes:
+    @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 4), (12, 11), (40, 10), (100, 10)])
+    def test_cardinality_dp(self, n, k):
+        rng = np.random.default_rng(n * 7 + k)
+        for scale in (1.0, 1e2, 1e4):
+            z = scale * rng.normal(size=(3, n))
+            z[1] = np.round(z[1] / scale)  # ties
+            want = [_cardinality_dp_marginals(row, k) for row in z]
+            assert _byte_rows(relax_mod._cardinality_dp_marginals(z, k), want)
+            assert _byte_rows(relax_mod._cardinality_dp_marginals(z[2:], k), want[2:])
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 2), (9, 5), (20, 19), (50, 10)])
+    def test_chain_dp(self, n, k):
+        rng = np.random.default_rng(n * 11 + k)
+        for scale in (1.0, 1e2, 1e4):
+            z = scale * rng.normal(size=(3, 2 * n - 1))
+            z[1] = np.round(z[1] / scale)
+            want = [_chain_dp_marginals(n, k, row) for row in z]
+            assert _byte_rows(relax_mod._chain_dp_marginals(n, k, z), want)
+            assert _byte_rows(relax_mod._chain_dp_marginals(n, k, z[2:]), want[2:])
+
+    @pytest.mark.parametrize("t", TEMPERATURES)
+    def test_tree_kernel(self, t):
+        rng = np.random.default_rng(int(-np.log10(t)))
+        cases = [(_complete(n), None) for n in (2, 3, 6, 10, 12)]
+        cases += [(_random_connected_graph(9, 14, s), None) for s in range(3)]
+        cases += [(_random_connected_digraph(n, 0.5, s), 0) for n, s in ((3, 0), (6, 1), (10, 2))]
+        for graph, root in cases:
+            u = np.stack([rng.normal(size=graph.num_edges), np.round(rng.normal(size=graph.num_edges))])
+            theta = _theta(u, t)
+            theta = theta - theta.max(axis=1, keepdims=True)
+            boundary = root if root is not None else graph.edges[int(np.argmax(theta[0]))][0]
+            want = [_tree_marginals_by_logdet(graph.num_nodes, boundary, graph.edges, row,
+                                              directed=root is not None) for row in theta]
+            mu, spread = relax_mod._tree_marginals_by_logdet(
+                graph.num_nodes, boundary, graph.edges, theta, directed=root is not None)
+            assert _byte_rows(mu, [w[0] for w in want])
+            assert [float(s) for s in spread] == [w[1] for w in want]

@@ -11,6 +11,7 @@ from sst import (
     ConvergenceError,
     Graph,
     InputError,
+    NumericalError,
     RelaxationSpec,
     Regularizer,
     StructureKind,
@@ -319,13 +320,13 @@ class TestMatrixTree:
             if g.is_connected():
                 cases.append((g, rng.normal(size=g.num_edges)))
         for g, theta in cases:
-            outs = [kernel(g.num_nodes, b, g.edges, theta, directed=False)[0]
+            outs = [kernel(g.num_nodes, b, g.edges, theta[None], directed=False)[0][0]
                     for b in range(g.num_nodes)]
             for x in outs[1:]:
                 np.testing.assert_allclose(x, outs[0], atol=1e-12)
             arcs = list(g.edges) + [(h, t) for t, h in g.edges]
             for root in range(g.num_nodes):
-                mu, _ = kernel(g.num_nodes, root, arcs, np.r_[theta, theta], directed=True)
+                mu = kernel(g.num_nodes, root, arcs, np.r_[theta, theta][None], directed=True)[0][0]
                 np.testing.assert_allclose(mu[:g.num_edges] + mu[g.num_edges:], outs[0],
                                            atol=1e-12)
 
@@ -695,3 +696,118 @@ def test_one_node_graphs_have_empty_marginals_and_samples():
     assert sample_arborescence_categorical(arb.graph, 0, u, rng).shape == (0,)
     assert cle_max_arborescence(arb.graph, 0, u).shape == (0,)
     assert rng.bit_generator.state == state
+
+
+# --- blocks of rows -------------------------------------------------------------
+#
+# ``relax._relax_rows`` solves a (rows, dim) block at once for the softmax and
+# exponential-family kinds; each row must carry the bytes of its own one-row
+# ``relax``, whatever rows share its block.
+
+_relax_rows = importlib.import_module("sst.relax")._relax_rows
+
+
+def _complete_graph(n):
+    return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def _complete_digraph(n):
+    return Graph(n, [(i, j) for i in range(n) for j in range(n) if i != j], directed=True)
+
+
+def _bridged_graph():
+    # two K4 blobs joined by the bridge path 3-4-5-6
+    blob = list(itertools.combinations(range(4), 2))
+    return Graph(10, blob + [(a + 6, b + 6) for a, b in blob] + [(3, 4), (4, 5), (5, 6)])
+
+
+_BLOCK_SPECS = (
+    [StructureSpec(StructureKind.ONE_HOT, n=6), StructureSpec(StructureKind.SUBSETS, n=6)]
+    + [StructureSpec(StructureKind.K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 4), (40, 10))]
+    + [StructureSpec(StructureKind.CORR_K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 5), (30, 10))]
+    + [StructureSpec(StructureKind.SPANNING_TREE, graph=_complete_graph(n)) for n in range(3, 13)]
+    + [StructureSpec(StructureKind.SPANNING_TREE, graph=_bridged_graph())]
+    + [StructureSpec(StructureKind.ARBORESCENCE, graph=_complete_digraph(n), root=n // 2)
+       for n in range(3, 11)]
+)
+
+
+def _spec_id(spec):
+    if spec.graph is not None:
+        return f"{spec.kind.value}-{spec.graph.num_nodes}-{spec.graph.num_edges}"
+    return f"{spec.kind.value}-{spec.n}-{spec.k}"
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_spec_id)
+def test_block_rows_equal_one_row_relax(spec, t):
+    rng = np.random.default_rng(zlib.crc32(f"{_spec_id(spec)}/{t}".encode()))
+    dim = spec.dim
+    u = np.stack([
+        rng.normal(size=dim),
+        np.round(rng.normal(size=dim)),  # ties
+        np.round(2.0 * rng.normal(size=dim)) / 2.0 + t * rng.normal(size=dim),  # near-ties
+        3.0 * rng.normal(size=dim),
+    ])
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+    block = _relax_rows(spec, rspec, u)
+    assert block.shape == u.shape
+    for b in range(len(u)):
+        one = relax(spec, rspec, u[b]).x
+        assert block[b].tobytes() == one.tobytes()
+        # and alone in a block of its own
+        assert _relax_rows(spec, rspec, u[b:b + 1])[0].tobytes() == one.tobytes()
+
+
+def test_tree_block_rows_with_different_boundaries():
+    """An undirected row drops the tail of its largest edge.  Two rows whose
+    largest edges have different tails are eliminated apart, and each still
+    equals its one-row solve."""
+    graph = _complete_graph(7)
+    spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
+    first, second = graph.edges.index((0, 1)), graph.edges.index((2, 5))
+    for t in (1.0, 1e-2, 1e-4):
+        rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+        u = np.random.default_rng(3).normal(size=graph.num_edges)
+        u[[first, second]] = u.max() + 1.0  # tied largest edges, tails 0 and 2
+        d = np.zeros_like(u)
+        d[second] = 1.0
+        block = np.stack([u + 1e-4 * d, u - 1e-4 * d, u])
+        assert [graph.edges[i][0] for i in block.argmax(axis=1)] == [2, 0, 0]
+        got = _relax_rows(spec, rspec, block)
+        for row, x in zip(block, got):
+            assert x.tobytes() == relax(spec, rspec, row).x.tobytes()
+
+
+@pytest.mark.parametrize("kind, reg", supported_pairs())
+def test_block_rows_of_every_pair(kind, reg):
+    spec = _instance_for(kind)
+    rspec = RelaxationSpec(reg, temperature=0.7, tol=1e-12, max_iter=20_000)
+    u = np.random.default_rng(zlib.crc32(f"{kind.value}/{reg.value}".encode())).normal(
+        size=(3, spec.dim))
+    got = _relax_rows(spec, rspec, u)
+    for row, x in zip(u, got):
+        assert x.tobytes() == relax(spec, rspec, row).x.tobytes()
+
+
+def test_block_gates_run_on_the_whole_block():
+    spec = StructureSpec(StructureKind.SPANNING_TREE, graph=K4)
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=1e-300)
+    u = np.zeros((2, 6))
+    u[1, 2] = 1e10
+    with pytest.raises(NumericalError, match="overflows"):
+        _relax_rows(spec, rspec, u)
+    u[1, 2] = np.inf
+    with pytest.raises(InputError, match="utilities must be finite"):
+        _relax_rows(spec, RelaxationSpec(Regularizer.EXPFAM_ENTROPY), u)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
+def test_temperature_gate_is_one_helper(t):
+    """A spec raises ``InvalidSpecError`` and a solver ``InputError``, with
+    the same message."""
+    with pytest.raises(InvalidSpecError, match="^temperature must be > 0$"):
+        RelaxationSpec(Regularizer.SHANNON, temperature=t)
+    with pytest.raises(InputError, match="^temperature must be > 0$") as exc:
+        softmax_simplex(np.zeros(2), t)
+    assert type(exc.value) is InputError

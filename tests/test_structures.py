@@ -220,3 +220,15 @@ class TestJsonRoundTrip:
     def test_bad_kind(self):
         with pytest.raises(InvalidSpecError):
             spec_from_dict({"kind": "mystery"})
+
+
+def test_reachability_is_searched_once_and_returned_fresh():
+    d = Graph(4, [(0, 1), (1, 2), (3, 2)], directed=True)
+    first = d.reachable_from(0)
+    assert first == {0, 1, 2}
+    first.add(3)  # the caller's copy; the graph's answer does not change
+    assert d.reachable_from(0) == {0, 1, 2}
+    assert d.reachable_from(0) is not d.reachable_from(0)
+    assert d.reachable_from(3) == {2, 3}
+    assert d.is_connected()  # direction ignored
+    assert not Graph(3, [(0, 1)]).is_connected()

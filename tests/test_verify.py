@@ -90,6 +90,26 @@ class TestTwoSample:
         assert rep.dof == 1
         assert not rep.passed
 
+    def test_sparse_cells_are_merged(self):
+        cells = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+        a = table(cells, [950, 40, 4, 3, 3])
+        b = table(cells, [945, 45, 2, 4, 4])
+        rep = two_sample_equivalence(a, b)
+        merged = two_sample_equivalence(table(cells[:3], [950, 40, 10]),
+                                        table(cells[:3], [945, 45, 10]))
+        assert rep.dof == merged.dof == 2
+        assert rep.statistic == pytest.approx(merged.statistic, rel=1e-12)
+        # a lone sparse cell joins the next sparsest one
+        lone = two_sample_equivalence(table(cells[:3], [950, 46, 4]), table(cells[:3], [946, 50, 4]))
+        alike = two_sample_equivalence(table(cells[:2], [950, 50]), table(cells[:2], [946, 54]))
+        assert lone.dof == alike.dof == 1
+        assert lone.statistic == pytest.approx(alike.statistic, rel=1e-12)
+
+    def test_tree_suite_reports_at_a_reduced_draw_count(self):
+        # K4's 16 trees leave one pooled cell at 3.5 expected counts here
+        (rep,) = run_suite("tree", 96, draws=2000)
+        assert rep["dof"] == 14 and rep["passed"]
+
     def test_sparse_cells_rejected(self):
         a = table([(1, 0), (0, 1)], [999, 1])
         b = table([(1, 0), (0, 1)], [998, 2])
