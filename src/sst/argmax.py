@@ -268,24 +268,18 @@ def sample_arborescence_categorical(
             if len(inf_pos) == 1:
                 return inf_pos[0], False
             return inf_pos[int(rng.integers(len(inf_pos)))], True
-        return _categorical_pick(ws, range(len(ws)), rng), False
+        return _pick(ws, rng.random()), False
 
     return _indicator(graph.num_edges, _contract(graph, root, pick))
 
 
-def _categorical_pick(weights, live, rng):
-    """Position in ``live`` of one draw of an index ``i`` with probability
-    proportional to ``weights[i]``: an inverse-CDF scan over ``live``."""
-    total = 0.0
-    for i in live:
-        total += weights[i]
-    r = rng.random() * total
-    acc = 0.0
-    for p, i in enumerate(live):
-        acc += weights[i]
-        if r < acc:
-            return p
-    return len(live) - 1
+def _pick(weights, r: float) -> int:
+    """One inverse-CDF draw for the uniform double ``r``: the position of
+    the first sequential prefix sum of ``weights`` above ``r`` times their
+    total, or the last position when none is (a sum rounded up, or weights
+    that all underflowed to 0.0)."""
+    cum = list(accumulate(weights))
+    return min(bisect_right(cum, r * cum[-1]), len(cum) - 1)
 
 
 def _sampled_order(weights, rng, ahead):
@@ -294,16 +288,13 @@ def _sampled_order(weights, rng, ahead):
 
     The first ``ahead`` doubles come from one ``rng.random`` block (the
     bytes of as many scalar draws), so the consumer must read at least
-    ``ahead`` picks.  Each pick is ``_categorical_pick``'s: the first
-    sequential sum of the live weights above ``r`` times their total.
+    ``ahead`` picks.  Each pick is ``_pick``'s over the live weights.
     """
     live = list(range(len(weights)))
     ws = list(weights)
     doubles = rng.random(ahead).tolist()[::-1]
     while live:
-        r = doubles.pop() if doubles else rng.random()
-        cum = list(accumulate(ws))
-        p = min(bisect_right(cum, r * cum[-1]), len(live) - 1)
+        p = _pick(ws, doubles.pop() if doubles else rng.random())
         del ws[p]
         yield live.pop(p)
 
@@ -334,8 +325,8 @@ def sample_topk_without_replacement(
     n = w.shape[0]
     bits = np.zeros(n, dtype=np.int8)
     # The doubles of k scalar rng.random() calls.  Taken items weigh 0.0, so
-    # every sequential prefix sum equals _categorical_pick's running sum over
-    # the live items, and the first sum above r * total is its pick.
+    # every sequential prefix sum equals _pick's over the live items alone,
+    # and the first sum above r * total is its pick.
     for r in rng.random(k).tolist():
         cum = w.cumsum()
         i = int(cum.searchsorted(r * cum[-1], "right"))

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all modules, and the finiteness,
-temperature and draw-count checks every public entry raises through.
+temperature, solver-control and draw-count checks every public entry
+raises through.
 
 Two broad families matter for the CLI exit codes: problems with the
 caller's input (``InputError``, exit 1) and failures of a solver on a
@@ -71,6 +72,19 @@ def _require_temperature(t, error=InputError) -> None:
     """Raise ``error("temperature must be > 0")`` unless ``t > 0`` (NaN fails)."""
     if not t > 0:
         raise error("temperature must be > 0")
+
+
+def _require_solver_controls(tol, max_iter, error=InputError) -> None:
+    """Raise ``error`` unless ``tol > 0`` (NaN fails) and ``max_iter`` is a
+    positive integer; a ``max_iter`` of None is the caller's default."""
+    if not tol > 0:
+        raise error("tol must be > 0")
+    if max_iter is None:
+        return
+    if not isinstance(max_iter, (int, np.integer)):
+        raise error(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise error("max_iter must be positive")
 
 
 def _require_draws(draws: int) -> None:

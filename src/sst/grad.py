@@ -11,7 +11,7 @@ enumerate, where the Jacobian is the Gibbs covariance over temperature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from .relax import (
     relax,
     softmax_simplex,
 )
-from .structures import StructureKind, StructureSpec, _check_dim, gibbs_moments
+from .structures import DEFAULT_ENUM_LIMIT, StructureKind, StructureSpec, _check_dim, gibbs_moments
 
 __all__ = [
     "FDConfig",
@@ -102,7 +102,7 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
         return (np.diag(p) - np.outer(p, p)) / t
     if reg == Regularizer.EXPFAM_ENTROPY and kind != StructureKind.SUBSETS:
         try:
-            _, cov = gibbs_moments(spec, _scaled(u, t), 10_000, covariance=True)
+            _, cov = gibbs_moments(spec, _scaled(u, t), DEFAULT_ENUM_LIMIT, covariance=True)
         except EnumerationLimitError as exc:
             raise UnsupportedPairError(
                 f"{kind.value!r} instance too large to enumerate a covariance Jacobian; use fd_vjp"
@@ -139,13 +139,7 @@ class GradcheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "symmetry_defect": self.symmetry_defect,
-            "max_discrepancy": self.max_discrepancy,
-            "covariance_discrepancy": self.covariance_discrepancy,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def gradcheck(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
@@ -164,7 +158,7 @@ def gradcheck(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     if rspec.regularizer == Regularizer.EXPFAM_ENTROPY:
         t = rspec.temperature
         try:
-            _, cov = gibbs_moments(spec, _scaled(u, t), 10_000, covariance=True)
+            _, cov = gibbs_moments(spec, _scaled(u, t), DEFAULT_ENUM_LIMIT, covariance=True)
             cov_disc = float(np.abs(jac - cov / t).max())
         except EnumerationLimitError:
             pass

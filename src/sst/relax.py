@@ -23,13 +23,16 @@ from .errors import (
     ConvergenceError,
     EnumerationLimitError,
     InfeasibleStructureError,
+    InputError,
     InvalidSpecError,
     NumericalError,
     UnsupportedPairError,
     _require_finite,
+    _require_solver_controls,
     _require_temperature,
 )
 from .structures import (
+    DEFAULT_ENUM_LIMIT,
     Graph,
     StructureKind,
     StructureSpec,
@@ -83,10 +86,7 @@ class RelaxationSpec:
     def __post_init__(self):
         object.__setattr__(self, "regularizer", Regularizer(self.regularizer))
         _require_temperature(self.temperature, error=InvalidSpecError)
-        if not self.tol > 0:
-            raise InvalidSpecError("tol must be > 0")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise InvalidSpecError("max_iter must be positive")
+        _require_solver_controls(self.tol, self.max_iter, error=InvalidSpecError)
 
     def bisect_iter(self) -> int:
         return self.max_iter if self.max_iter is not None else DEFAULT_BISECT_ITER
@@ -129,7 +129,10 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_simplex(u: np.ndarray, t: float) -> RelaxedPoint:
-    """Tempered softmax with max-subtraction."""
+    """Tempered softmax of a non-empty vector, with max-subtraction."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or not u.size:
+        raise InputError(f"expected a non-empty vector, got shape {u.shape}")
     return RelaxedPoint(x=_softmax_rows(_scaled(u, t)[None])[0])
 
 
@@ -246,6 +249,7 @@ def euclidean_project(spec: StructureSpec, u: np.ndarray, t: float,
     box, and k-subsets search the shift of a clamped affine map on the
     capped simplex.
     """
+    _require_solver_controls(tol, max_iter)
     if spec.kind == StructureKind.ONE_HOT:
         x, tau = _project_simplex(_scaled(_check_dim(spec, u), t))
         return RelaxedPoint(x=x, dual=np.asarray(tau))
@@ -255,12 +259,14 @@ def euclidean_project(spec: StructureSpec, u: np.ndarray, t: float,
 def binary_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
                          tol: float = 1e-10, max_iter: int = DEFAULT_BISECT_ITER) -> RelaxedPoint:
     """Coordinatewise sigmoid, with a searched shift under a cardinality sum."""
+    _require_solver_controls(tol, max_iter)
     return _separable_point(Regularizer.BINARY_ENTROPY, spec, u, t, tol, max_iter)
 
 
 def categorical_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
                               tol: float = 1e-10, max_iter: int = DEFAULT_BISECT_ITER) -> RelaxedPoint:
     """Capped exponential, with a searched shift under a cardinality sum."""
+    _require_solver_controls(tol, max_iter)
     if spec.kind == StructureKind.ONE_HOT:
         # the cap is inactive on the simplex; coincides with the softmax
         return softmax_simplex(_check_dim(spec, u), t)
@@ -516,7 +522,15 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     replaces ``f``).
     """
     base = _scaled(_square_matrix(u), t)
-    g = np.array(warm_start[1], dtype=float) if warm_start is not None else np.zeros(len(base))
+    _require_solver_controls(tol, max_iter)
+    if warm_start is None:
+        g = np.zeros(len(base))
+    else:
+        warm_start = np.asarray(warm_start, dtype=float)
+        if warm_start.shape != (2, len(base)):
+            raise InputError(f"warm_start must have shape (2, {len(base)}), got {warm_start.shape}")
+        _require_finite(warm_start, "warm_start")
+        g = warm_start[1].copy()
     m = np.empty_like(base)
 
     def lse(axis, shift):
@@ -554,39 +568,37 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     )
 
 
-def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
+def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> tuple:
     """The marginals of p(x) ~ exp(u . x / t) for every row of ``u``, each
-    kernel run once on the whole block; every kind but matchings."""
+    kernel run once on the whole block (matchings enumerate row by row),
+    and each row's log-pivot spread on trees and arborescences (None on
+    the other kinds)."""
     kind = spec.kind
-    if kind == StructureKind.SPANNING_TREE:
-        return _tree_rows(spec.graph, u, t)[0]
-    if kind == StructureKind.ARBORESCENCE:
-        return _tree_rows(spec.graph, u, t, spec.root)[0]
+    if kind in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
+        return _tree_rows(spec.graph, u, t, spec.root)
+    if kind == StructureKind.MATCHING and spec.n > MATCHING_EXACT_LIMIT:
+        raise EnumerationLimitError(
+            f"exact matching marginals are limited to n <= {MATCHING_EXACT_LIMIT}"
+        )
     z = _scaled(u, t)
     if kind == StructureKind.ONE_HOT:
-        return _softmax_rows(z)
+        return _softmax_rows(z), None
     if kind == StructureKind.SUBSETS:
-        return expit(z)
+        return expit(z), None
     if kind == StructureKind.K_SUBSETS:
-        return _cardinality_dp_marginals(z, spec.k)
-    return _chain_dp_marginals(spec.n, spec.k, z)
+        return _cardinality_dp_marginals(z, spec.k), None
+    if kind == StructureKind.MATCHING:
+        mu = np.stack([gibbs_moments(spec, row, DEFAULT_ENUM_LIMIT) for row in z])
+        return np.clip(mu, 0.0, 1.0), None
+    return _chain_dp_marginals(spec.n, spec.k, z), None
 
 
 def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoint:
-    """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices."""
-    u = _check_dim(spec, u)
-    kind = spec.kind
-    if kind == StructureKind.SPANNING_TREE:
-        return matrix_tree_marginals(spec.graph, u, t)
-    if kind == StructureKind.ARBORESCENCE:
-        return directed_matrix_tree_marginals(spec.graph, spec.root, u, t)
-    if kind == StructureKind.MATCHING:
-        if spec.n > MATCHING_EXACT_LIMIT:
-            raise EnumerationLimitError(
-                f"exact matching marginals are limited to n <= {MATCHING_EXACT_LIMIT}"
-            )
-        return RelaxedPoint(x=np.clip(gibbs_moments(spec, _scaled(u, t), 10_000), 0.0, 1.0))
-    return RelaxedPoint(x=_expfam_rows(spec, u[None], t)[0])
+    """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices;
+    on trees and arborescences ``condition_estimate`` is the log-pivot
+    spread of ``matrix_tree_marginals``."""
+    mu, spread = _expfam_rows(spec, _check_dim(spec, u)[None], t)
+    return RelaxedPoint(x=mu[0], condition_estimate=None if spread is None else float(spread[0]))
 
 
 _CLOSED_SIMPLEX = (Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY, Regularizer.EXPFAM_ENTROPY)
@@ -608,15 +620,20 @@ def supported_pairs() -> list:
     return [(kind, reg) for reg, kinds in _SUPPORTED_KINDS.items() for kind in kinds]
 
 
+def _solves_as_expfam(kind: StructureKind, reg: Regularizer) -> bool:
+    """The pairs whose relaxation is the exponential-family marginal vector:
+    every kind under its entropy, and one-hot under a regularizer whose
+    solution on the closed simplex is the tempered softmax."""
+    return (reg == Regularizer.EXPFAM_ENTROPY
+            or kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX)
+
+
 def _relax_rows(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> np.ndarray:
     """``relax(spec, rspec, row).x`` for every row of the block ``u``, whose
-    rows the caller has checked.  The softmax and exponential-family
-    kernels solve the whole block at once; matchings under the
-    exponential family and every other pair go one row at a time."""
-    reg, kind = rspec.regularizer, spec.kind
-    if (kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX
-            or reg == Regularizer.EXPFAM_ENTROPY and kind != StructureKind.MATCHING):
-        return _expfam_rows(spec, u, rspec.temperature)
+    rows the caller has checked.  The exponential-family pairs solve the
+    whole block at once; every other pair goes one row at a time."""
+    if _solves_as_expfam(spec.kind, rspec.regularizer):
+        return _expfam_rows(spec, u, rspec.temperature)[0]
     return np.stack([relax(spec, rspec, row).x for row in u])
 
 
@@ -630,10 +647,8 @@ def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedP
         raise UnsupportedPairError(
             f"no solver for structure {kind.value!r} with regularizer {reg.value!r}"
         )
-    if reg == Regularizer.EXPFAM_ENTROPY:
+    if _solves_as_expfam(kind, reg):
         return expfam_marginals(spec, u, t)
-    if kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX:
-        return softmax_simplex(u, t)
     if reg == Regularizer.SHANNON:
         return sinkhorn_relax(u.reshape(spec.n, spec.n), t, rspec.tol, rspec.sinkhorn_iter())
     if reg == Regularizer.EUCLIDEAN:
@@ -641,4 +656,3 @@ def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedP
     if reg == Regularizer.BINARY_ENTROPY:
         return binary_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
     return categorical_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
-

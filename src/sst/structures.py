@@ -44,9 +44,13 @@ __all__ = [
 ]
 
 
+# Vertex-count guard of every enumeration the package runs on its own.
+DEFAULT_ENUM_LIMIT = 10_000
+
+
 def default_enum_limit() -> int:
     """Vertex-count guard for brute-force oracles; SST_MAX_ENUM overrides."""
-    return int(os.environ.get("SST_MAX_ENUM", "10000"))
+    return int(os.environ.get("SST_MAX_ENUM", DEFAULT_ENUM_LIMIT))
 
 
 class StructureKind(str, Enum):
@@ -323,58 +327,46 @@ def is_vertex(spec: StructureSpec, x: Sequence) -> bool:
     raise InvalidSpecError(f"unknown kind {kind!r}")
 
 
+def _bits(dim: int, chosen) -> tuple:
+    """The 0/1 tuple of length ``dim`` with ones at the ``chosen`` indices."""
+    bits = [0] * dim
+    for i in chosen:
+        bits[i] = 1
+    return tuple(bits)
+
+
 def _iter_vertices(spec: StructureSpec) -> Iterator[tuple]:
     kind = spec.kind
-    if kind == StructureKind.ONE_HOT:
-        for i in range(spec.n):
-            bits = [0] * spec.n
-            bits[i] = 1
-            yield tuple(bits)
+    if kind in (StructureKind.ONE_HOT, StructureKind.K_SUBSETS):
+        k = 1 if kind == StructureKind.ONE_HOT else spec.k
+        for sel in itertools.combinations(range(spec.n), k):
+            yield _bits(spec.n, sel)
     elif kind == StructureKind.SUBSETS:
         yield from itertools.product((0, 1), repeat=spec.n)
-    elif kind == StructureKind.K_SUBSETS:
-        for sel in itertools.combinations(range(spec.n), spec.k):
-            bits = [0] * spec.n
-            for i in sel:
-                bits[i] = 1
-            yield tuple(bits)
     elif kind == StructureKind.CORR_K_SUBSETS:
-        n = spec.n
-        for sel in itertools.combinations(range(n), spec.k):
-            bits = [0] * n
-            for i in sel:
-                bits[i] = 1
-            pair = [bits[i] * bits[i + 1] for i in range(n - 1)]
-            yield tuple(bits + pair)
+        for sel in itertools.combinations(range(spec.n), spec.k):
+            bits = _bits(spec.n, sel)
+            yield bits + tuple(a * b for a, b in zip(bits, bits[1:]))
     elif kind == StructureKind.MATCHING:
         n = spec.n
         for perm in itertools.permutations(range(n)):
-            bits = [0] * (n * n)
-            for r, c in enumerate(perm):
-                bits[r * n + c] = 1
-            yield tuple(bits)
+            yield _bits(n * n, (r * n + c for r, c in enumerate(perm)))
     elif kind == StructureKind.SPANNING_TREE:
         g = spec.graph
         for sel in itertools.combinations(range(g.num_edges), g.num_nodes - 1):
             if _edges_form_spanning_tree(g, sel):
-                bits = [0] * g.num_edges
-                for i in sel:
-                    bits[i] = 1
-                yield tuple(bits)
+                yield _bits(g.num_edges, sel)
     elif kind == StructureKind.ARBORESCENCE:
         g = spec.graph
         in_lists = [g.in_edges(v) for v in range(g.num_nodes) if v != spec.root]
         for combo in itertools.product(*in_lists):
             if _edges_form_arborescence(g, spec.root, combo):
-                bits = [0] * g.num_edges
-                for i in combo:
-                    bits[i] = 1
-                yield tuple(bits)
+                yield _bits(g.num_edges, combo)
     else:
         raise InvalidSpecError(f"unknown kind {kind!r}")
 
 
-def enumerate_vertices(spec: StructureSpec, limit: int = 10_000) -> list:
+def enumerate_vertices(spec: StructureSpec, limit: int = DEFAULT_ENUM_LIMIT) -> list:
     """All vertices of the spec, in lexicographic bit order.
 
     Raises ``EnumerationLimitError`` as soon as more than ``limit``

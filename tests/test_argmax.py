@@ -19,7 +19,7 @@ from sst import (
     solve_map,
     topk_select,
 )
-from sst.argmax import _categorical_pick, _contract, _map_block, _sampled_order
+from sst.argmax import _contract, _map_block, _pick, _sampled_order
 from sst.structures import _UnionFind
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -319,9 +319,47 @@ class TestSamplers:
 # --- the categorical processes against their former loops -----------------------------
 #
 # The tree sampler reads one lazily sampled order (``argmax._sampled_order``)
-# through Kruskal's scan; top-k draws its k doubles in one block and picks
-# from prefix sums.  The loops below are the earlier implementations, kept
-# as oracles: same vertices, same generator consumption.
+# through Kruskal's scan, the arborescence sampler picks with ``argmax._pick``,
+# and top-k draws its k doubles in one block and picks from prefix sums.  The
+# loops below are the earlier implementations, kept as oracles: same
+# vertices, same generator consumption.
+
+def _categorical_pick(weights, live, rng):
+    """Position in ``live`` of one draw of an index ``i`` with probability
+    proportional to ``weights[i]``: an inverse-CDF scan over ``live``."""
+    total = 0.0
+    for i in live:
+        total += weights[i]
+    r = rng.random() * total
+    acc = 0.0
+    for p, i in enumerate(live):
+        acc += weights[i]
+        if r < acc:
+            return p
+    return len(live) - 1
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0], [1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+    [1e-320, 1.0, 1e-320], [1e308, 1e308, 1e308],  # the total overflows to inf
+])
+def test_pick_is_the_former_scan(weights):
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(200):
+        assert _pick(weights, a.random()) == _categorical_pick(weights, range(len(weights)), b)
+    for r in (0.0, 0.5, 1.0 - 2.0 ** -53):
+        want = _categorical_pick(weights, range(len(weights)), _Fixed(r))
+        assert _pick(weights, r) == want
+
+
+class _Fixed:
+    """A generator stand-in whose every double is ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
 
 def _old_sample_without_replacement(weights, count, rng):
     live = list(range(len(weights)))

@@ -700,11 +700,15 @@ def test_one_node_graphs_have_empty_marginals_and_samples():
 
 # --- blocks of rows -------------------------------------------------------------
 #
-# ``relax._relax_rows`` solves a (rows, dim) block at once for the softmax and
-# exponential-family kinds; each row must carry the bytes of its own one-row
+# Every exponential-family pair (one-hot under a closed-simplex regularizer
+# included) has one solve path, ``relax._expfam_rows``, which solves a
+# (rows, dim) block at once: ``relax`` reaches it through
+# ``expfam_marginals`` as a block of one row, and ``relax._relax_rows`` with
+# the whole block.  Each row must carry the bytes of its own one-row
 # ``relax``, whatever rows share its block.
 
-_relax_rows = importlib.import_module("sst.relax")._relax_rows
+_relax_module = importlib.import_module("sst.relax")
+_relax_rows, _expfam_rows = _relax_module._relax_rows, _relax_module._expfam_rows
 
 
 def _complete_graph(n):
@@ -752,17 +756,26 @@ def test_block_rows_equal_one_row_relax(spec, t):
     rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
     block = _relax_rows(spec, rspec, u)
     assert block.shape == u.shape
+    mu, spread = _expfam_rows(spec, u, t)
+    assert mu.tobytes() == block.tobytes()
     for b in range(len(u)):
-        one = relax(spec, rspec, u[b]).x
-        assert block[b].tobytes() == one.tobytes()
+        one = relax(spec, rspec, u[b])
+        assert block[b].tobytes() == one.x.tobytes()
         # and alone in a block of its own
-        assert _relax_rows(spec, rspec, u[b:b + 1])[0].tobytes() == one.tobytes()
+        assert _relax_rows(spec, rspec, u[b:b + 1])[0].tobytes() == one.x.tobytes()
+        if spread is not None:  # and as the public tree solvers give it
+            public = (matrix_tree_marginals(spec.graph, u[b], t) if spec.root is None
+                      else directed_matrix_tree_marginals(spec.graph, spec.root, u[b], t))
+            assert public.x.tobytes() == one.x.tobytes()
+            assert float(spread[b]) == one.condition_estimate == public.condition_estimate
 
 
 def test_tree_block_rows_with_different_boundaries():
     """An undirected row drops the tail of its largest edge.  Two rows whose
-    largest edges have different tails are eliminated apart, and each still
-    equals its one-row solve."""
+    largest edges have different tails are eliminated apart in one
+    ``_expfam_rows`` call, and each row's marginals and log-pivot spread
+    still equal its one-row solve, by ``relax`` and by the public
+    ``matrix_tree_marginals``."""
     graph = _complete_graph(7)
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     first, second = graph.edges.index((0, 1)), graph.edges.index((2, 5))
@@ -775,8 +788,13 @@ def test_tree_block_rows_with_different_boundaries():
         block = np.stack([u + 1e-4 * d, u - 1e-4 * d, u])
         assert [graph.edges[i][0] for i in block.argmax(axis=1)] == [2, 0, 0]
         got = _relax_rows(spec, rspec, block)
-        for row, x in zip(block, got):
-            assert x.tobytes() == relax(spec, rspec, row).x.tobytes()
+        mu, spread = _expfam_rows(spec, block, t)
+        assert mu.tobytes() == got.tobytes()
+        for row, x, c in zip(block, got, spread):
+            one = relax(spec, rspec, row)
+            public = matrix_tree_marginals(graph, row, t)
+            assert x.tobytes() == one.x.tobytes() == public.x.tobytes()
+            assert float(c) == one.condition_estimate == public.condition_estimate
 
 
 @pytest.mark.parametrize("kind, reg", supported_pairs())
@@ -811,3 +829,38 @@ def test_temperature_gate_is_one_helper(t):
     with pytest.raises(InputError, match="^temperature must be > 0$") as exc:
         softmax_simplex(np.zeros(2), t)
     assert type(exc.value) is InputError
+
+
+@pytest.mark.parametrize("u", [np.zeros((2, 3)), [], 0.5])
+def test_softmax_takes_only_a_non_empty_vector(u):
+    with pytest.raises(InputError, match="expected a non-empty vector"):
+        softmax_simplex(u, 1.0)
+
+
+@pytest.mark.parametrize("warm", [np.zeros((2, 1)), np.zeros(3), np.full((2, 3), np.nan)])
+def test_sinkhorn_warm_start_gate(warm):
+    with pytest.raises(InputError, match="warm_start"):
+        sinkhorn_relax(np.zeros((3, 3)), 1.0, warm_start=warm)
+
+
+@pytest.mark.parametrize("tol, max_iter, message", [
+    (0.0, None, "^tol must be > 0$"),
+    (-1.0, 50, "^tol must be > 0$"),
+    (float("nan"), 50, "^tol must be > 0$"),
+    (1e-10, 0, "^max_iter must be positive$"),
+    (1e-10, 2.5, "^max_iter must be an integer, got 2.5$"),
+])
+def test_solver_controls_gate_is_one_helper(tol, max_iter, message):
+    """A spec raises ``InvalidSpecError`` and Sinkhorn and the three shift
+    solvers ``InputError``, with the same message."""
+    with pytest.raises(InvalidSpecError, match=message):
+        RelaxationSpec(Regularizer.SHANNON, tol=tol, max_iter=max_iter)
+    max_iter = 50 if max_iter is None else max_iter
+    spec = StructureSpec(StructureKind.K_SUBSETS, n=4, k=2)
+    solves = [lambda: sinkhorn_relax(np.zeros((3, 3)), 1.0, tol, max_iter)] + [
+        lambda solve=solve: solve(spec, np.zeros(4), 1.0, tol, max_iter)
+        for solve in (euclidean_project, binary_entropy_relax, categorical_entropy_relax)]
+    for solve in solves:
+        with pytest.raises(InputError, match=message) as exc:
+            solve()
+        assert type(exc.value) is InputError

@@ -15,6 +15,7 @@ from sst import (
     spec_to_dict,
 )
 from sst.errors import DimensionMismatchError
+from sst.structures import DEFAULT_ENUM_LIMIT, default_enum_limit
 
 
 def k_n(n):
@@ -154,6 +155,18 @@ class TestEnumeration:
     def test_limit_exceeded(self):
         with pytest.raises(EnumerationLimitError):
             enumerate_vertices(StructureSpec(StructureKind.SUBSETS, n=20), limit=1000)
+
+    def test_one_default_limit(self, monkeypatch):
+        """``enumerate_vertices`` and the oracles' ``default_enum_limit``
+        read one constant; ``SST_MAX_ENUM`` overrides only the latter."""
+        monkeypatch.delenv("SST_MAX_ENUM", raising=False)
+        assert default_enum_limit() == DEFAULT_ENUM_LIMIT == 10_000
+        monkeypatch.setenv("SST_MAX_ENUM", "7")
+        assert default_enum_limit() == 7
+        # 2^14 subsets exceed the default; C(14, 4) = 1001 do not
+        with pytest.raises(EnumerationLimitError, match="limit=10000"):
+            enumerate_vertices(StructureSpec(StructureKind.SUBSETS, n=14))
+        assert len(enumerate_vertices(StructureSpec(StructureKind.K_SUBSETS, n=14, k=4))) == 1001
 
     def test_deterministic(self):
         spec = StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4))

@@ -189,6 +189,11 @@ class TestGibbsOracle:
         with pytest.raises(EnumerationLimitError):
             gibbs_marginals_bruteforce(spec, np.zeros(30), 1.0)
 
+    def test_limit_zero_is_a_limit(self):
+        spec = StructureSpec(StructureKind.ONE_HOT, n=3)
+        with pytest.raises(EnumerationLimitError, match="limit=0"):
+            gibbs_marginals_bruteforce(spec, np.zeros(3), 1.0, limit=0)
+
     def test_wrong_length_is_a_dimension_mismatch(self):
         spec = StructureSpec(StructureKind.K_SUBSETS, n=4, k=2)
         with pytest.raises(DimensionMismatchError, match=r"length 4, got shape \(3,\)"):
