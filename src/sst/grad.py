@@ -50,6 +50,7 @@ class FDConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise InvalidSpecError("epsilon must be > 0")
+        _require_finite(self.epsilon, "epsilon", InvalidSpecError)
 
 
 def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
@@ -145,7 +146,10 @@ class GradcheckReport:
 def gradcheck(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
               tolerance: float = 1e-6, fd: FDConfig = FDConfig()) -> GradcheckReport:
     """Compare the dense finite-difference Jacobian against every exact
-    form available for the pair, and measure its symmetry defect."""
+    form available for the pair, and measure its symmetry defect; passes
+    when none exceeds ``tolerance``, a finite number >= 0."""
+    if not 0 <= tolerance < np.inf:
+        raise InputError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     jac = fd_jacobian(spec, rspec, u, fd)
     symmetry = float(np.abs(jac - jac.T).max())
     discrepancy = None

@@ -446,13 +446,10 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
 
     Every row is solved as it would be alone.  An undirected row drops
     the tail of its own largest edge; the rows that drop the same node
-    are eliminated together.
+    are eliminated together.  The graph must have such a tree: a
+    ``StructureSpec`` proves it on construction, and the two raw-graph
+    solvers check it before they get here.
     """
-    if root is None:
-        if not graph.is_connected():
-            raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
-    elif graph.reachable_from(root) != set(range(graph.num_nodes)):
-        raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
     theta = _scaled(u, t)
     if not theta.shape[1]:  # one node: its only tree has no edges
         return theta, np.zeros(len(theta))
@@ -484,6 +481,8 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> Relaxe
     smallest log pivot.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=False)
+    if not graph.is_connected():
+        raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
     mu, spread = _tree_rows(graph, u[None], t)
     return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
 
@@ -500,6 +499,8 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
     by definition.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
+    if graph.reachable_from(root) != set(range(graph.num_nodes)):
+        raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
     mu, spread = _tree_rows(graph, u[None], t, root)
     return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
 

@@ -49,8 +49,12 @@ DEFAULT_ENUM_LIMIT = 10_000
 
 
 def default_enum_limit() -> int:
-    """Vertex-count guard for brute-force oracles; SST_MAX_ENUM overrides."""
-    return int(os.environ.get("SST_MAX_ENUM", DEFAULT_ENUM_LIMIT))
+    """Vertex-count guard for brute-force oracles; SST_MAX_ENUM, a
+    non-negative integer, overrides."""
+    text = os.environ.get("SST_MAX_ENUM", str(DEFAULT_ENUM_LIMIT))
+    if not text.isdecimal():
+        raise InputError(f"SST_MAX_ENUM must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 class StructureKind(str, Enum):
@@ -105,26 +109,9 @@ class Graph:
             entering[h].append(i)
         return tuple(t for t, _ in self.edges), tuple(map(tuple, entering))
 
-    @cached_property
-    def _adjacency(self) -> tuple:
-        """Per node the heads of the edges leaving it, and the same with
-        every edge also followed back; built once."""
-        ahead = [[] for _ in range(self.num_nodes)]
-        both = [[] for _ in range(self.num_nodes)]
-        for t, h in self.edges:
-            ahead[t].append(h)
-            both[t].append(h)
-            both[h].append(t)
-        return ahead, both
-
     def in_edges(self, node: int) -> list:
         """Indices of edges entering ``node`` (directed graphs)."""
         return list(self.arcs[1][node])
-
-    @cached_property
-    def _reached(self) -> dict:
-        """``_reach``'s answers by ``(start, both_ways)``, each searched once."""
-        return {}
 
     def is_connected(self) -> bool:
         """Connectivity ignoring edge direction."""
@@ -132,24 +119,24 @@ class Graph:
 
     def reachable_from(self, root: int) -> set:
         """Nodes reachable from ``root`` along directed edges."""
-        return set(self._reach(root, both_ways=False))
+        return self._reach(root, both_ways=False)
 
-    def _reach(self, start: int, both_ways: bool) -> frozenset:
+    def _reach(self, start: int, both_ways: bool) -> set:
         """Nodes a depth-first search from ``start`` reaches, following each
         edge from tail to head, and also back when ``both_ways``."""
-        key = (start, both_ways)
-        if key not in self._reached:
-            adj = self._adjacency[both_ways]
-            seen = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            self._reached[key] = frozenset(seen)
-        return self._reached[key]
+        adjacent = [[] for _ in range(self.num_nodes)]
+        for t, h in self.edges:
+            adjacent[t].append(h)
+            if both_ways:
+                adjacent[h].append(t)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adjacent[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ __all__ = [
 RETRY_OFFSET = 1_000_003
 
 
-def as_bits(vertex) -> tuple:
-    return tuple(int(b) for b in vertex)
-
-
 @dataclass(frozen=True)
 class FrequencyTable:
     """Counts of realized vertices; support entries are unique bit tuples."""
@@ -158,7 +154,7 @@ def _table(support, counts, draws: int, given: Optional[Sequence] = None) -> Fre
     realized = tuple(map(tuple, support.tolist()))
     if given is None:
         return FrequencyTable(support=realized, counts=counts, total=draws)
-    keys = [as_bits(v) for v in given]
+    keys = [tuple(int(b) for b in v) for v in given]
     unknown = set(realized) - set(keys)
     if unknown:
         raise InputError(
@@ -204,10 +200,7 @@ def chi_square_gof(table: FrequencyTable, expected: np.ndarray,
         raise InputError(
             f"minimum expected count {exp_counts.min():.2f} < 5; increase draws"
         )
-    stat = float((((table.counts - exp_counts) ** 2) / exp_counts).sum())
-    dof = len(table.support) - 1
-    p = float(gammaincc(dof / 2.0, stat / 2.0))
-    return TestReport(statistic=stat, dof=dof, p_value=p, passed=bool(p >= level))
+    return _pearson([(table.counts, exp_counts)], level)
 
 
 def two_sample_equivalence(table_a: FrequencyTable, table_b: FrequencyTable,
@@ -244,8 +237,15 @@ def two_sample_equivalence(table_a: FrequencyTable, table_b: FrequencyTable,
         ca = np.r_[ca[rest], ca[merged].sum()]
         cb = np.r_[cb[rest], cb[merged].sum()]
         ea, eb = expected(ca, cb)
-    stat = float((((ca - ea) ** 2) / ea).sum() + (((cb - eb) ** 2) / eb).sum())
-    dof = len(ca) - 1
+    return _pearson([(ca, ea), (cb, eb)], level)
+
+
+def _pearson(samples: list, level: float) -> TestReport:
+    """Pearson's chi-square test over ``(observed, expected)`` count vectors
+    of one set of cells: the statistic summed per sample, one degree of
+    freedom fewer than cells."""
+    stat = float(sum((((obs - exp) ** 2) / exp).sum() for obs, exp in samples))
+    dof = len(samples[0][0]) - 1
     p = float(gammaincc(dof / 2.0, stat / 2.0))
     return TestReport(statistic=stat, dof=dof, p_value=p, passed=bool(p >= level))
 
@@ -399,16 +399,18 @@ def suite_arborescence(seed: int, draws: int = 100_000) -> list:
     ) for root in range(3)]
 
 
-def _random_connected_graph(rng: np.random.Generator) -> Graph:
+def _random_connected_graph(rng: np.random.Generator) -> tuple:
+    """A random connected graph on 2 to 5 nodes, and no root."""
     while True:
         n = int(rng.integers(2, 6))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
         g = Graph(n, tuple(edges))
         if g.is_connected():
-            return g
+            return g, None
 
 
-def _random_rooted_digraph(rng: np.random.Generator):
+def _random_rooted_digraph(rng: np.random.Generator) -> tuple:
+    """A random digraph on 2 to 5 nodes, and a root that reaches every node."""
     while True:
         n = int(rng.integers(2, 6))
         edges = [(i, j) for i in range(n) for j in range(n)
@@ -433,26 +435,21 @@ def suite_matrix_tree(seed: int) -> list:
         bool(np.abs(x - 2.0 / 3.0).max() <= 1e-12),
         max_error=float(np.abs(x - 2.0 / 3.0).max()),
     ))
-    worst = 0.0
-    for _ in range(25):
-        g = _random_connected_graph(rng)
-        u = rng.normal(size=g.num_edges)
-        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=g)
-        got = matrix_tree_marginals(g, u, 1.0).x
-        want = gibbs_marginals_bruteforce(spec, u, 1.0)
-        worst = max(worst, float(np.abs(got - want).max()))
-    out.append(_report("undirected marginals match enumeration", worst <= 1e-8,
-                       max_error=worst, instances=25))
-    worst = 0.0
-    for _ in range(25):
-        g, root = _random_rooted_digraph(rng)
-        u = rng.normal(size=g.num_edges)
-        spec = StructureSpec(StructureKind.ARBORESCENCE, graph=g, root=root)
-        got = directed_matrix_tree_marginals(g, root, u, 1.0).x
-        want = gibbs_marginals_bruteforce(spec, u, 1.0)
-        worst = max(worst, float(np.abs(got - want).max()))
-    out.append(_report("directed marginals match enumeration", worst <= 1e-8,
-                       max_error=worst, instances=25))
+    cases = (
+        ("undirected", StructureKind.SPANNING_TREE, _random_connected_graph,
+         lambda g, root, u: matrix_tree_marginals(g, u, 1.0)),
+        ("directed", StructureKind.ARBORESCENCE, _random_rooted_digraph,
+         lambda g, root, u: directed_matrix_tree_marginals(g, root, u, 1.0)),
+    )
+    for label, kind, draw_graph, solve in cases:
+        worst = 0.0
+        for _ in range(25):
+            g, root = draw_graph(rng)
+            u = rng.normal(size=g.num_edges)
+            want = gibbs_marginals_bruteforce(StructureSpec(kind, graph=g, root=root), u, 1.0)
+            worst = max(worst, float(np.abs(solve(g, root, u).x - want).max()))
+        out.append(_report(f"{label} marginals match enumeration", worst <= 1e-8,
+                           max_error=worst, instances=25))
     return out
 
 

@@ -3,9 +3,12 @@
 Each test enforces one numbered criterion at its stated tolerance and
 runtime budget and prints a single pass/fail line (run with ``pytest -s``
 to see them).  Statistical criteria run the same named suites the CLI
-exposes, under fixed seeds.
+exposes, under fixed seeds; criteria 1-4 also compare their reports with
+the ones recorded in ``tests/golden/suites_full.json``.
 """
 
+import json
+import pathlib
 import time
 
 import numpy as np
@@ -28,6 +31,7 @@ from sst import (
 )
 
 GLOBAL_SEED = 20240
+FULL_DRAW_GOLDEN = pathlib.Path(__file__).parent / "golden" / "suites_full.json"
 
 def _finish(num, name, passed, elapsed, budget, detail=""):
     status = "PASS" if passed else "FAIL"
@@ -37,37 +41,41 @@ def _finish(num, name, passed, elapsed, budget, detail=""):
     assert elapsed < budget, f"criterion {num} took {elapsed:.1f}s, budget {budget}s"
 
 
-def _suite_criterion(num, name, suite, budget, **kwargs):
+def _suite_criterion(num, name, suite, budget, pinned=False):
     start = time.perf_counter()
-    reports = run_suite(suite, GLOBAL_SEED, **kwargs)
+    reports = run_suite(suite, GLOBAL_SEED)
     elapsed = time.perf_counter() - start
     bad = [r["check"] for r in reports if not r["passed"]]
     _finish(num, name, not bad, elapsed, budget,
             detail=f"failed checks: {bad}" if bad else f"{len(reports)} checks")
+    if pinned:
+        want = json.loads(FULL_DRAW_GOLDEN.read_text())[suite]
+        assert json.loads(json.dumps(reports)) == want, \
+            f"criterion {num}: {suite} reports differ from {FULL_DRAW_GOLDEN.name}"
 
 
 def test_criterion_01_gumbel_max_law():
     """Argmax over Gumbel(theta) perturbations reproduces softmax(theta)."""
     _suite_criterion(1, "one-hot argmax law (n=5, 1e5 draws, chi-square 0.01)",
-                     "gumbel-max", 5.0)
+                     "gumbel-max", 5.0, pinned=True)
 
 
 def test_criterion_02_arborescence_process_equivalence():
     """Contraction maximizer on -Exp(rates) utilities vs direct rate sampling."""
     _suite_criterion(2, "arborescence samplers agree (3 roots x 1e5 draws, 0.01)",
-                     "arborescence", 30.0)
+                     "arborescence", 30.0, pinned=True)
 
 
 def test_criterion_03_tree_process_equivalence():
     """Kruskal on Gumbel scores vs categorical without-replacement edges."""
     _suite_criterion(3, "spanning-tree samplers agree (K4, 1e5 draws/side, 0.01)",
-                     "tree", 30.0)
+                     "tree", 30.0, pinned=True)
 
 
 def test_criterion_04_topk_process_equivalence():
     """Top-k of Gumbel scores vs k draws without replacement."""
     _suite_criterion(4, "top-k samplers agree (n=4, k=2, 1e5 draws/side, 0.01)",
-                     "topk", 10.0)
+                     "topk", 10.0, pinned=True)
 
 
 def test_criterion_05_matrix_tree_marginals():

@@ -244,6 +244,19 @@ class TestGradcheckCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--epsilon", "inf"], "epsilon must be finite"),
+        (["--tolerance", "nan"], "tolerance must be a finite number >= 0, got nan"),
+        (["--tolerance", "inf"], "tolerance must be a finite number >= 0, got inf"),
+    ])
+    def test_non_finite_step_and_tolerance_are_input_errors(self, files, capsys, argv, message):
+        spec = files("spec.json", {"kind": "one_hot", "n": 4})
+        code = run(["gradcheck", "--spec", spec, "--regularizer", "shannon"] + argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert json.loads(captured.err)["error"]["message"] == message
+
+
 class TestVerifyCommand:
     def test_suite_runs_and_is_byte_stable(self, files, capsys):
         argv = ["verify", "--suite", "matrix-tree", "--seed", "5"]
@@ -274,6 +287,19 @@ class TestEnumerate:
     def test_limit_flag(self, files, capsys):
         spec = files("spec.json", {"kind": "subsets", "n": 12})
         assert run(["enumerate", "--spec", spec, "--limit", "100"]) == 1
+
+
+    @pytest.mark.parametrize("text", ["abc", "-1"])
+    @pytest.mark.parametrize("argv", [["enumerate"], ["marginals", "--bruteforce"]])
+    def test_bad_limit_variable_is_input_error(self, files, capsys, monkeypatch, argv, text):
+        monkeypatch.setenv("SST_MAX_ENUM", text)
+        spec = files("spec.json", {"kind": "subsets", "n": 2})
+        u = files("u.json", [0.5, -0.5])
+        extra = ["--utilities", u] if argv[0] == "marginals" else []
+        assert run([argv[0], "--spec", spec] + extra + argv[1:]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "invalid_input", "type": "InputError",
+                       "message": f"SST_MAX_ENUM must be a non-negative integer, got '{text}'"}
 
 
 class TestFormats:

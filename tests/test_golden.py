@@ -4,7 +4,9 @@
 tables (seed 7, 200 draws) and ``sst marginals --bruteforce`` output for
 one instance of every structure kind, the five statistical suites
 (``gumbel-max``, ``subsets``, ``topk``, ``tree`` and ``arborescence``) at
-seed 20240 with 2000 draws, and the exception
+seed 20240 with 2000 draws and at their default draw counts
+(``suites_full.json``: the acceptance criteria 1-4 check the other four
+suites against it, this module checks ``subsets``), and the exception
 type and message (or ``null`` for a result) of ``relax`` and
 ``analytic_jacobian`` on a small and a large instance of every (kind,
 regularizer) pair.  A seed maps to the same output across versions, so
@@ -68,6 +70,11 @@ def test_seeded_outputs_reproduce_exactly(tmp_path):
         assert got == reports, name
     elapsed = time.perf_counter() - start
     assert elapsed < 3.0, f"golden fixtures took {elapsed:.1f}s, budget 3s"
+
+
+def test_subsets_suite_at_full_draws_reproduces_exactly():
+    want = _load("suites_full.json")["subsets"]
+    assert json.loads(json.dumps(sst.run_suite("subsets", 20240))) == want
 
 
 _K4 = {"num_nodes": 4, "edges": _complete(4), "directed": False}

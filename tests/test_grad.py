@@ -22,7 +22,7 @@ from sst import (
     relax,
     supported_pairs,
 )
-from sst.errors import InvalidSpecError
+from sst.errors import InputError, InvalidSpecError
 from sst.structures import gibbs_moments
 
 _relax_module = importlib.import_module("sst.relax")
@@ -177,8 +177,19 @@ def test_continuity_probe(kind, reg):
 
 
 def test_fd_config_validation():
-    with pytest.raises(InvalidSpecError):
-        FDConfig(epsilon=0.0)
+    for eps in (0.0, -1e-4, np.nan):
+        with pytest.raises(InvalidSpecError, match="^epsilon must be > 0$"):
+            FDConfig(epsilon=eps)
+    with pytest.raises(InvalidSpecError, match="^epsilon must be finite$"):
+        FDConfig(epsilon=np.inf)
+
+
+def test_gradcheck_takes_only_a_finite_non_negative_tolerance():
+    spec = StructureSpec(StructureKind.ONE_HOT, n=3)
+    for tol in (np.nan, np.inf, -1e-6):
+        with pytest.raises(InputError, match=f"^tolerance must be a finite number >= 0, got {tol!r}$"):
+            gradcheck(spec, SHANNON, np.zeros(3), tolerance=tol)
+    assert not gradcheck(spec, SHANNON, np.zeros(3), tolerance=0.0).passed
 
 
 # --- fd_vjp solves its two points as one block -------------------------------------

@@ -10,6 +10,7 @@ from scipy.special import expit, logit
 from sst import (
     ConvergenceError,
     Graph,
+    InfeasibleStructureError,
     InputError,
     NumericalError,
     RelaxationSpec,
@@ -23,6 +24,7 @@ from sst import (
     directed_matrix_tree_marginals,
     euclidean_project,
     expfam_marginals,
+    fd_vjp,
     gibbs_marginals_bruteforce,
     gradcheck,
     cle_max_arborescence,
@@ -659,6 +661,56 @@ def test_edge_vector_gate_is_shared():
         for root in (-1, 3):
             with pytest.raises(InputError, match=f"^root {root} out of range$"):
                 call(D3, np.zeros(D3.num_edges), root)
+
+
+def test_tree_solves_trust_the_spec(monkeypatch):
+    """A ``StructureSpec`` proves on construction that its graph has a tree,
+    so no solve searches the graph again."""
+    k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    d4 = Graph(4, [(i, j) for i in range(4) for j in range(4) if i != j], directed=True)
+    specs = [StructureSpec(StructureKind.SPANNING_TREE, graph=k5),
+             StructureSpec(StructureKind.ARBORESCENCE, graph=d4, root=1)]
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=0.5)
+
+    def solves(spec):
+        u = np.random.default_rng(4).normal(size=spec.dim)
+        return [relax(spec, rspec, u).x, expfam_marginals(spec, u, 0.5).x,
+                fd_vjp(spec, rspec, u, np.ones(spec.dim))]
+
+    before = [solves(spec) for spec in specs]
+
+    def no_search(self, start, both_ways):
+        raise AssertionError("graph searched during a solve")
+
+    monkeypatch.setattr(Graph, "_reach", no_search)
+    for spec, want in zip(specs, before):
+        for got, ref in zip(solves(spec), want):
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_raw_graph_solvers_check_feasibility_after_the_edge_gate():
+    """The two marginal solvers that take a bare graph check that it has a
+    tree after its direction, length and root, and before the finiteness
+    and temperature of the utilities."""
+    disconnected = Graph(4, [(0, 1), (2, 3)])
+    unreachable = Graph(3, [(0, 1), (2, 1)], directed=True)  # no root reaches all
+    no_tree = "^graph is disconnected; no spanning tree exists$"
+    no_arborescence = "^no arborescence: some node unreachable from the root$"
+    with pytest.raises(InvalidSpecError, match="^spanning trees need an undirected graph$"):
+        matrix_tree_marginals(unreachable, np.zeros(2))
+    with pytest.raises(InputError, match=r"^expected 2 edge utilities, got shape \(3,\)$"):
+        matrix_tree_marginals(disconnected, np.zeros(3))
+    with pytest.raises(InvalidSpecError, match="^arborescences need a directed graph$"):
+        directed_matrix_tree_marginals(disconnected, 0, np.zeros(2))
+    with pytest.raises(InputError, match=r"^expected 2 edge utilities, got shape \(3,\)$"):
+        directed_matrix_tree_marginals(unreachable, 0, np.zeros(3))
+    with pytest.raises(InputError, match="^root 3 out of range$"):
+        directed_matrix_tree_marginals(unreachable, 3, np.zeros(2))
+    for u, t in ((np.zeros(2), 1.0), (np.full(2, np.nan), 1.0), (np.zeros(2), 0.0)):
+        with pytest.raises(InfeasibleStructureError, match=no_tree):
+            matrix_tree_marginals(disconnected, u, t)
+        with pytest.raises(InfeasibleStructureError, match=no_arborescence):
+            directed_matrix_tree_marginals(unreachable, 0, u, t)
 
 
 def test_square_and_k_of_n_gates_are_shared():

@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 from sst import (
     EnumerationLimitError,
     Graph,
+    InputError,
     InvalidSpecError,
     StructureKind,
     StructureSpec,
@@ -168,6 +169,15 @@ class TestEnumeration:
             enumerate_vertices(StructureSpec(StructureKind.SUBSETS, n=14))
         assert len(enumerate_vertices(StructureSpec(StructureKind.K_SUBSETS, n=14, k=4))) == 1001
 
+    @pytest.mark.parametrize("text", ["abc", "-1", "", "2.5"])
+    def test_limit_variable_must_be_a_non_negative_integer(self, monkeypatch, text):
+        monkeypatch.setenv("SST_MAX_ENUM", text)
+        with pytest.raises(InputError,
+                           match=f"^SST_MAX_ENUM must be a non-negative integer, got '{text}'$"):
+            default_enum_limit()
+        monkeypatch.setenv("SST_MAX_ENUM", "0")
+        assert default_enum_limit() == 0
+
     def test_deterministic(self):
         spec = StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4))
         a = [tuple(v) for v in enumerate_vertices(spec)]
@@ -235,7 +245,7 @@ class TestJsonRoundTrip:
             spec_from_dict({"kind": "mystery"})
 
 
-def test_reachability_is_searched_once_and_returned_fresh():
+def test_reachability_is_returned_fresh():
     d = Graph(4, [(0, 1), (1, 2), (3, 2)], directed=True)
     first = d.reachable_from(0)
     assert first == {0, 1, 2}
