@@ -17,7 +17,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InfeasibleStructureError, InputError, InvalidSpecError, _require_finite
+from .errors import (InfeasibleStructureError, InputError, InvalidSpecError, _require_finite,
+                     _require_int)
 from .structures import (
     Graph,
     StructureKind,
@@ -66,7 +67,7 @@ def _stable_order(U: np.ndarray) -> np.ndarray:
 def _k_of_n(x, k: int, what: str) -> np.ndarray:
     """``x`` as a finite float vector of ``what`` whose length n has 1 <= k < n."""
     x = np.asarray(x, dtype=float)
-    if not 1 <= k < x.shape[0]:
+    if not 1 <= _require_int(k, "k") < x.shape[0]:
         raise InputError(f"k must satisfy 1 <= k < {x.shape[0]}, got {k}")
     _require_finite(x, what)
     return x

@@ -61,8 +61,8 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -76,7 +76,10 @@ def _load_vector(path: str) -> np.ndarray:
     raw = _load_json(path)
     if isinstance(raw, dict) and "u" in raw:
         raw = raw["u"]
-    vec = np.asarray(raw, dtype=float)
+    try:
+        vec = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: utilities must be an array of numbers") from exc
     _require_finite(vec, f"{path}: utilities")
     return vec
 
@@ -125,8 +128,11 @@ def _emit(payload, args) -> None:
 def _write(text: str, args) -> None:
     text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all modules, and the finiteness,
-temperature, solver-control and draw-count checks every public entry
-raises through.
+integer, temperature, solver-control and draw-count checks every public
+entry raises through.
 
 Two broad families matter for the CLI exit codes: problems with the
 caller's input (``InputError``, exit 1) and failures of a solver on a
@@ -74,20 +74,25 @@ def _require_temperature(t, error=InputError) -> None:
         raise error("temperature must be > 0")
 
 
+def _require_int(value, what: str, error=InputError) -> int:
+    """``value`` as a Python int; raises ``error("<what> must be an integer,
+    got <value!r>")`` unless it is a Python or numpy integer (a bool is not
+    a count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_solver_controls(tol, max_iter, error=InputError) -> None:
     """Raise ``error`` unless ``tol > 0`` (NaN fails) and ``max_iter`` is a
     positive integer; a ``max_iter`` of None is the caller's default."""
     if not tol > 0:
         raise error("tol must be > 0")
-    if max_iter is None:
-        return
-    if not isinstance(max_iter, (int, np.integer)):
-        raise error(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
+    if max_iter is not None and _require_int(max_iter, "max_iter", error) < 1:
         raise error("max_iter must be positive")
 
 
 def _require_draws(draws: int) -> None:
-    """Raise ``InputError("draws must be >= 1")`` unless ``draws`` is."""
-    if draws < 1:
+    """Raise ``InputError`` unless ``draws`` is an integer >= 1."""
+    if _require_int(draws, "draws") < 1:
         raise InputError("draws must be >= 1")

@@ -385,9 +385,11 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
     fill-in splits its adjoint between the arc's old weight and the two
     arcs through v, and v's pivot gets 1 minus what the fill-ins through
     v took, spread over v's incoming arcs by their softmax weights.  An
-    edge's marginal is the adjoint of its arcs.  O(n^3) flops and about
-    2 n^3 / 3 doubles of shares per row; the inverse-Laplacian formula is
-    avoided because it cancels once the distribution concentrates.
+    edge's marginal is the adjoint of its arcs; an arc into the boundary
+    lands in its column, which neither pass reads, and keeps adjoint 0.
+    O(n^3) flops and about 2 n^3 / 3 doubles of shares per row; the
+    inverse-Laplacian formula is avoided because it cancels once the
+    distribution concentrates.
     Returns the marginals and each row's spread of the log pivots.
     """
     neg = -np.inf
@@ -395,13 +397,11 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
     # the boundary moves last, the other nodes keep their order
     pos = np.arange(nn) - (np.arange(nn) > boundary)
     pos[boundary] = nn - 1
-    ends = np.array(edges, dtype=int).reshape(-1, 2)
-    keep = np.flatnonzero(ends[:, 1] != boundary) if directed else np.arange(len(edges))
-    src, dst = pos[ends[keep, 0]], pos[ends[keep, 1]]
+    src, dst = pos[np.array(edges, dtype=int).reshape(-1, 2)].T
     lw = np.full((rows, nn, nn), neg)
-    lw[:, src, dst] = theta[:, keep]
+    lw[:, src, dst] = theta
     if not directed:
-        lw[:, dst, src] = theta[:, keep]
+        lw[:, dst, src] = theta
     pivots, steps = [], []
     for v in range(nn - 1):
         # shapes (rows, nodes after v, 1), (rows, 1, 1) and (rows, 1, nodes
@@ -434,8 +434,7 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
         sums = through.sum(axis=2, keepdims=True)
         adj[:, v + 1:, v:v + 1] += sums + (1.0 - sums.sum(axis=1, keepdims=True)) * soft
         adj[:, v:v + 1, v + 1:nn - 1] += through.sum(axis=1, keepdims=True)
-    mu = np.zeros((rows, len(edges)))
-    mu[:, keep] = adj[:, src, dst] if directed else adj[:, src, dst] + adj[:, dst, src]
+    mu = adj[:, src, dst] if directed else adj[:, src, dst] + adj[:, dst, src]
     return mu, (pivots.max(axis=1) - pivots.min(axis=1))[:, 0]
 
 
@@ -444,11 +443,12 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
     or of the arborescences rooted at ``root``, one row per row of edge
     utilities ``u``.
 
-    Every row is solved as it would be alone.  An undirected row drops
-    the tail of its own largest edge; the rows that drop the same node
-    are eliminated together.  The graph must have such a tree: a
-    ``StructureSpec`` proves it on construction, and the two raw-graph
-    solvers check it before they get here.
+    Every row eliminates toward one boundary: the root, or the last node
+    of a spanning-tree graph (the marginals hold whichever row and column
+    of the Laplacian are deleted).  So the block takes one kernel call,
+    and every row keeps the bytes of its one-row solve.  The graph must
+    have such a tree: a ``StructureSpec`` proves it on construction, and
+    the two raw-graph solvers check it before they get here.
     """
     theta = _scaled(u, t)
     if not theta.shape[1]:  # one node: its only tree has no edges
@@ -456,17 +456,8 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
     # subtracting a row's max scales every tree's weight alike
     theta = theta - theta.max(axis=1, keepdims=True)
     directed = root is not None
-    drops = ([root] * len(theta) if directed
-             else [graph.arcs[0][i] for i in theta.argmax(axis=1).tolist()])
-    if len(set(drops)) == 1:
-        mu, spread = _tree_marginals_by_logdet(
-            graph.num_nodes, drops[0], graph.edges, theta, directed)
-    else:
-        mu, spread = np.empty_like(theta), np.empty(len(theta))
-        for drop in set(drops):
-            group = np.equal(drops, drop)
-            mu[group], spread[group] = _tree_marginals_by_logdet(
-                graph.num_nodes, drop, graph.edges, theta[group], directed)
+    mu, spread = _tree_marginals_by_logdet(
+        graph.num_nodes, root if directed else graph.num_nodes - 1, graph.edges, theta, directed)
     return np.clip(mu, 0.0, 1.0), spread
 
 
@@ -474,11 +465,10 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> Relaxe
     """Per-edge spanning-tree marginals of p(T) ~ exp(u . x_T / t).
 
     Works on the weighted Laplacian of exp(u/t) with the row and column
-    of a node incident to the largest weight deleted; the marginals are
-    the gradient of its log-determinant in the log weights, from one
-    log-domain elimination and its reverse pass.  ``condition_estimate``
-    is the spread of the elimination pivots: the largest minus the
-    smallest log pivot.
+    of the last node deleted; the marginals are the gradient of its
+    log-determinant in the log weights, from one log-domain elimination
+    and its reverse pass.  ``condition_estimate`` is the spread of the
+    elimination pivots: the largest minus the smallest log pivot.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=False)
     if not graph.is_connected():

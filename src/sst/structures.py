@@ -28,6 +28,7 @@ from .errors import (
     EnumerationLimitError,
     InputError,
     InvalidSpecError,
+    _require_int,
 )
 
 __all__ = [
@@ -80,11 +81,11 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self):
-        if self.num_nodes < 1:
+        if _require_int(self.num_nodes, "num_nodes", InvalidSpecError) < 1:
             raise InvalidSpecError("graph needs at least one node")
         norm = []
         for e in self.edges:
-            t, h = int(e[0]), int(e[1])
+            t, h = (_require_int(end, "edge endpoint", InvalidSpecError) for end in (e[0], e[1]))
             if t == h:
                 raise InvalidSpecError(f"self-loop on node {t}")
             if not (0 <= t < self.num_nodes and 0 <= h < self.num_nodes):
@@ -152,13 +153,10 @@ class StructureSpec:
     def __post_init__(self):
         kind = StructureKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind in (
-            StructureKind.ONE_HOT,
-            StructureKind.SUBSETS,
-            StructureKind.K_SUBSETS,
-            StructureKind.CORR_K_SUBSETS,
-            StructureKind.MATCHING,
-        ):
+        for name in ("n", "k", "root"):
+            if getattr(self, name) is not None:
+                _require_int(getattr(self, name), name, InvalidSpecError)
+        if kind not in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
             if self.n is None or self.n < 1:
                 raise InvalidSpecError(f"{kind.value} requires a positive n")
             if self.graph is not None or self.root is not None:
@@ -215,15 +213,15 @@ def _check_dim(spec: StructureSpec, x: Sequence) -> np.ndarray:
 def _edge_vector(graph: Graph, x: Sequence, what: str, directed: bool,
                  root: Optional[int] = None) -> np.ndarray:
     """``x`` as a float vector of per-edge ``what`` on a graph that must be
-    directed (arborescences) or undirected (spanning trees), with ``root``,
-    when given, one of its nodes."""
+    directed (arborescences, whose ``root`` must be one of its nodes) or
+    undirected (spanning trees)."""
     if graph.directed != directed:
         raise InvalidSpecError("arborescences need a directed graph" if directed
                                else "spanning trees need an undirected graph")
     x = np.asarray(x, dtype=float)
     if x.shape != (graph.num_edges,):
         raise InputError(f"expected {graph.num_edges} {what}, got shape {x.shape}")
-    if root is not None and not 0 <= root < graph.num_nodes:
+    if directed and not 0 <= _require_int(root, "root") < graph.num_nodes:
         raise InputError(f"root {root} out of range")
     return x
 
@@ -360,6 +358,8 @@ def enumerate_vertices(spec: StructureSpec, limit: int = DEFAULT_ENUM_LIMIT) -> 
     vertices are found; the instance is then too large for brute-force
     oracles.
     """
+    if _require_int(limit, "limit") < 0:
+        raise InputError(f"limit must be >= 0, got {limit}")
     out = []
     for bits in _iter_vertices(spec):
         out.append(bits)
@@ -408,6 +408,8 @@ def spec_to_dict(spec: StructureSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> StructureSpec:
+    if not isinstance(d, dict):
+        raise InvalidSpecError(f"a structure spec must be an object, got {type(d).__name__}")
     try:
         kind = StructureKind(d["kind"])
     except (KeyError, ValueError) as exc:
@@ -416,17 +418,7 @@ def spec_from_dict(d: dict) -> StructureSpec:
     if "graph" in d:
         g = d["graph"]
         try:
-            graph = Graph(
-                num_nodes=int(g["num_nodes"]),
-                edges=tuple((int(e[0]), int(e[1])) for e in g["edges"]),
-                directed=bool(g.get("directed", False)),
-            )
+            graph = Graph(g["num_nodes"], g["edges"], bool(g.get("directed", False)))
         except (KeyError, TypeError, IndexError) as exc:
             raise InvalidSpecError(f"malformed graph: {g!r}") from exc
-    return StructureSpec(
-        kind=kind,
-        n=d.get("n"),
-        k=d.get("k"),
-        graph=graph,
-        root=d.get("root"),
-    )
+    return StructureSpec(kind, n=d.get("n"), k=d.get("k"), graph=graph, root=d.get("root"))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,7 @@ from sst import (
 )
 from sst.argmax import _contract, _map_block, _pick, _sampled_order
 from sst.structures import _UnionFind
-
-K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-D3 = Graph(3, [(i, j) for i in range(3) for j in range(3) if i != j], directed=True)
-
+from graphs import D3, K3, K4, K5
 
 def oracle_max(spec, u):
     return max(float(np.asarray(u) @ v) for v in enumerate_vertices(spec))
@@ -390,9 +388,6 @@ def _old_topk_sampler(theta, k, rng):
     return bits
 
 
-K5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_tree_sampler_matches_its_former_loop(seed):
     theta = 2.0 * np.random.default_rng(100 + seed).normal(size=K5.num_edges)
@@ -668,3 +663,47 @@ def test_contraction_engine_property(data):
     spec = StructureSpec(StructureKind.ARBORESCENCE, graph=g, root=root)
     best = max(float(u @ np.array(v)) for v in enumerate_vertices(spec))
     assert got.objective == pytest.approx(best, abs=1e-9)
+
+
+def _map_spec(data, kind):
+    """A small instance of ``kind``, its vertex set cheap to enumerate."""
+    if kind == StructureKind.ONE_HOT:
+        return StructureSpec(kind, n=data.draw(st.integers(1, 6)))
+    if kind == StructureKind.MATCHING:
+        return StructureSpec(kind, n=data.draw(st.integers(1, 4)))
+    if kind in (StructureKind.K_SUBSETS, StructureKind.CORR_K_SUBSETS):
+        n = data.draw(st.integers(2, 7))
+        return StructureSpec(kind, n=n, k=data.draw(st.integers(1, n - 1)))
+    n = data.draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    # the path 0-1-...-(n-1) keeps the graph connected
+    return StructureSpec(kind, graph=Graph(n, [p for p, k in zip(pairs, keep)
+                                              if k or p[1] == p[0] + 1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_map_is_the_enumerated_maximum(data):
+    """``solve_map`` against enumeration on small integer utilities, where
+    ties are common: the objective is the enumerated maximum, the vertex
+    attains it, an unflagged vertex is the only one that does, and
+    ``_map_block`` gives every row of a block its ``solve_map`` vertex."""
+    kind = data.draw(st.sampled_from([
+        StructureKind.ONE_HOT, StructureKind.K_SUBSETS, StructureKind.CORR_K_SUBSETS,
+        StructureKind.MATCHING, StructureKind.SPANNING_TREE]))
+    spec = _map_spec(data, kind)
+    ints = st.lists(st.integers(-3, 3), min_size=spec.dim, max_size=spec.dim)
+    U = np.array([data.draw(ints) for _ in range(3)], dtype=float).reshape(3, spec.dim)
+    verts = enumerate_vertices(spec)
+    for u, row in zip(U, _map_block(spec, U)):
+        sol = solve_map(spec, u)
+        assert sol.vertex.tobytes() == row.tobytes()
+        values = [float(u @ v) for v in verts]
+        best = max(values)
+        assert sol.objective == best == float(u @ sol.vertex)
+        # a matching's flag reads equal utilities, not equal sums of
+        # distinct ones: [[0, 1], [2, 3]] has two optimal matchings unflagged
+        if not sol.tie_broken and kind != StructureKind.MATCHING:
+            assert values.count(best) == 1
+            assert verts[values.index(best)].tobytes() == sol.vertex.tobytes()

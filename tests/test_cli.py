@@ -9,6 +9,8 @@ import pytest
 import sst
 from sst.cli import _dumps, _table_json, run
 
+from graphs import complete_arcs
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -192,9 +194,8 @@ class TestSample:
         if kind == "k_subsets":
             spec = {"kind": "k_subsets", "n": 6, "k": 2}
         else:
-            arcs = [[i, j] for i in range(4) for j in range(4) if i != j]
             spec = {"kind": "arborescence", "root": 0,
-                    "graph": {"num_nodes": 4, "edges": arcs, "directed": True}}
+                    "graph": {"num_nodes": 4, "edges": complete_arcs(4), "directed": True}}
         dim = 6 if kind == "k_subsets" else 12
         argv = ["sample", "--spec", files("spec.json", spec), "--noise",
                 files("noise.json", {"family": "gumbel", "theta": [0.1 * i for i in range(dim)]}),
@@ -288,6 +289,31 @@ class TestEnumerate:
         spec = files("spec.json", {"kind": "subsets", "n": 12})
         assert run(["enumerate", "--spec", spec, "--limit", "100"]) == 1
 
+    def test_negative_limit_is_input_error(self, files, capsys):
+        spec = files("spec.json", {"kind": "subsets", "n": 2})
+        assert run(["enumerate", "--spec", spec, "--limit", "-1"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "invalid_input", "type": "InputError",
+                       "message": "limit must be >= 0, got -1"}
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "one_hot", "n": "5"}, "n must be an integer, got '5'"),
+        ({"kind": "one_hot", "n": 2.5}, "n must be an integer, got 2.5"),
+        ({"kind": "one_hot", "n": True}, "n must be an integer, got True"),
+        ({"kind": "k_subsets", "n": 5, "k": 2.5}, "k must be an integer, got 2.5"),
+        ({"kind": "arborescence", "root": "0",
+          "graph": {"num_nodes": 2, "edges": [[0, 1]], "directed": True}},
+         "root must be an integer, got '0'"),
+        ({"kind": "spanning_tree", "graph": {"num_nodes": "x", "edges": [[0, 1]]}},
+         "num_nodes must be an integer, got 'x'"),
+        ({"kind": "spanning_tree", "graph": {"num_nodes": 2, "edges": [[0, 1.5]]}},
+         "edge endpoint must be an integer, got 1.5"),
+    ])
+    def test_non_integer_spec_fields_are_input_errors(self, files, capsys, spec, message):
+        assert run(["enumerate", "--spec", files("spec.json", spec)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "invalid_input", "type": "InvalidSpecError", "message": message}
+
 
     @pytest.mark.parametrize("text", ["abc", "-1"])
     @pytest.mark.parametrize("argv", [["enumerate"], ["marginals", "--bruteforce"]])
@@ -300,6 +326,37 @@ class TestEnumerate:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"code": "invalid_input", "type": "InputError",
                        "message": f"SST_MAX_ENUM must be a non-negative integer, got '{text}'"}
+
+
+class TestUnreadableFiles:
+    def _error(self, argv, capsys):
+        assert run(argv) == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    def test_directory_as_spec(self, files, capsys, tmp_path):
+        err = self._error(["enumerate", "--spec", str(tmp_path)], capsys)
+        assert err["type"] == "InputError"
+        assert err["message"].startswith(f"cannot read {tmp_path}: ")
+
+    def test_directory_as_out(self, files, capsys, tmp_path):
+        spec = files("spec.json", {"kind": "subsets", "n": 2})
+        err = self._error(["enumerate", "--spec", spec, "--out", str(tmp_path)], capsys)
+        assert err["type"] == "InputError"
+        assert err["message"].startswith(f"cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize("payload", ["abc", [[1, 2], [3]], {"v": 1}])
+    def test_utilities_that_are_not_numbers(self, files, capsys, payload):
+        spec = files("spec.json", {"kind": "one_hot", "n": 2})
+        u = files("u.json", payload)
+        err = self._error(["solve", "--spec", spec, "--utilities", u], capsys)
+        assert err == {"code": "invalid_input", "type": "InputError",
+                       "message": f"{u}: utilities must be an array of numbers"}
+
+    def test_spec_that_is_not_an_object(self, files, capsys):
+        spec = files("spec.json", [{"kind": "one_hot", "n": 2}])
+        err = self._error(["enumerate", "--spec", spec], capsys)
+        assert err == {"code": "invalid_input", "type": "InvalidSpecError",
+                       "message": "a structure spec must be an object, got list"}
 
 
 class TestFormats:

@@ -26,20 +26,14 @@ import pytest
 import sst
 from sst.cli import run
 
+from graphs import complete_arcs, complete_edges
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def _load(name):
     return json.loads((GOLDEN / name).read_text())
-
-
-def _complete(n):
-    return [[i, j] for i in range(n) for j in range(i + 1, n)]
-
-
-def _complete_arcs(n):
-    return [[i, j] for i in range(n) for j in range(n) if i != j]
 
 
 def _cli_stdout(argv):
@@ -77,8 +71,8 @@ def test_subsets_suite_at_full_draws_reproduces_exactly():
     assert json.loads(json.dumps(sst.run_suite("subsets", 20240))) == want
 
 
-_K4 = {"num_nodes": 4, "edges": _complete(4), "directed": False}
-_D3 = {"num_nodes": 3, "edges": _complete_arcs(3), "directed": True}
+_K4 = {"num_nodes": 4, "edges": complete_edges(4), "directed": False}
+_D3 = {"num_nodes": 3, "edges": complete_arcs(3), "directed": True}
 # a small and a large instance per kind; the large ones pass the
 # enumeration limits of the covariance Jacobian and the matching marginals
 _INSTANCES = {
@@ -90,10 +84,10 @@ _INSTANCES = {
     "matching": [{"kind": "matching", "n": 3}, {"kind": "matching", "n": 8}],
     "spanning_tree": [{"kind": "spanning_tree", "graph": _K4},
                       {"kind": "spanning_tree",
-                       "graph": {"num_nodes": 7, "edges": _complete(7), "directed": False}}],
+                       "graph": {"num_nodes": 7, "edges": complete_edges(7), "directed": False}}],
     "arborescence": [{"kind": "arborescence", "graph": _D3, "root": 0},
                      {"kind": "arborescence", "root": 0,
-                      "graph": {"num_nodes": 7, "edges": _complete_arcs(7), "directed": True}}],
+                      "graph": {"num_nodes": 7, "edges": complete_arcs(7), "directed": True}}],
 }
 
 

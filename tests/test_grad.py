@@ -25,11 +25,11 @@ from sst import (
 from sst.errors import InputError, InvalidSpecError
 from sst.structures import gibbs_moments
 
+from graphs import D3, K3, K4, complete_digraph, complete_graph
+
+_grad_module = importlib.import_module("sst.grad")
 _relax_module = importlib.import_module("sst.relax")
 _relax_rows, _SEPARABLE = _relax_module._relax_rows, _relax_module._SEPARABLE
-
-K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-D3 = Graph(3, [(i, j) for i in range(3) for j in range(3) if i != j], directed=True)
 
 ONE_HOT2 = StructureSpec(StructureKind.ONE_HOT, n=2)
 SHANNON = RelaxationSpec(Regularizer.SHANNON, temperature=1.0)
@@ -117,6 +117,33 @@ class TestGradcheck:
         assert rep.covariance_discrepancy is not None
         assert rep.covariance_discrepancy <= 1e-6
 
+    @pytest.mark.parametrize("spec", [
+        StructureSpec(StructureKind.ONE_HOT, n=4),
+        StructureSpec(StructureKind.SUBSETS, n=4),
+        StructureSpec(StructureKind.K_SUBSETS, n=8, k=3),
+        StructureSpec(StructureKind.CORR_K_SUBSETS, n=5, k=2),
+        StructureSpec(StructureKind.MATCHING, n=3),
+        StructureSpec(StructureKind.SPANNING_TREE, graph=K4),
+        StructureSpec(StructureKind.ARBORESCENCE, graph=D3, root=1),
+    ], ids=lambda spec: spec.kind.value)
+    def test_expfam_enumerates_once(self, spec, monkeypatch):
+        """Where ``analytic_jacobian`` is the enumerated covariance, its
+        discrepancy is the covariance discrepancy; one-hot and subsets have
+        closed forms and enumerate the covariance on their own.  Either way
+        the report holds the former two-enumeration values."""
+        calls = []
+        monkeypatch.setattr(_grad_module, "gibbs_moments",
+                            lambda *args, **kw: calls.append(1) or gibbs_moments(*args, **kw))
+        rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=0.8)
+        u = np.random.default_rng(1).normal(size=spec.dim)
+        rep = gradcheck(spec, rspec, u)
+        assert len(calls) == 1
+        jac = fd_jacobian(spec, rspec, u)
+        _, cov = gibbs_moments(spec, u / 0.8, 10_000, covariance=True)
+        assert rep.covariance_discrepancy == float(np.abs(jac - cov / 0.8).max())
+        assert rep.max_discrepancy == float(np.abs(jac - analytic_jacobian(spec, rspec, u)).max())
+        assert rep.passed
+
     def test_failing_tolerance_reported(self):
         spec = StructureSpec(StructureKind.ONE_HOT, n=3)
         rep = gradcheck(spec, SHANNON, np.zeros(3), tolerance=1e-18)
@@ -202,19 +229,11 @@ def _two_call_fd_vjp(spec, rspec, u, d, fd=FDConfig()):
     return (xp - xm) / (2.0 * eps)
 
 
-def _complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def _complete_digraph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(n) if i != j], directed=True)
-
-
 _EXPFAM_SPECS = (
     [StructureSpec(StructureKind.K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 4), (100, 10))]
     + [StructureSpec(StructureKind.CORR_K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 5), (50, 10))]
-    + [StructureSpec(StructureKind.SPANNING_TREE, graph=_complete(n)) for n in range(3, 13)]
-    + [StructureSpec(StructureKind.ARBORESCENCE, graph=_complete_digraph(n), root=0)
+    + [StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(n)) for n in range(3, 13)]
+    + [StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(n), root=0)
        for n in range(3, 11)]
     + [StructureSpec(StructureKind.ONE_HOT, n=6), StructureSpec(StructureKind.SUBSETS, n=6)]
 )
@@ -250,10 +269,19 @@ def test_fd_vjp_keeps_the_two_call_bytes_on_every_pair(kind, reg):
     assert fd_vjp(spec, rspec, u, d).tobytes() == _two_call_fd_vjp(spec, rspec, u, d).tobytes()
 
 
-def test_tree_fd_pair_with_different_boundaries():
-    # tied largest edges with tails 0 and 2: u + eps d and u - eps d drop
-    # different nodes, so the pair is solved as two groups
-    graph = _complete(6)
+def test_tree_fd_pair_with_tied_largest_edges(monkeypatch):
+    # tied largest edges with tails 0 and 2, nudged apart in opposite
+    # directions by u + eps d and u - eps d: the pair is one kernel call,
+    # and each point keeps the bytes of its own relax call
+    calls = []
+    kernel = _relax_module._tree_marginals_by_logdet
+
+    def counted(nn, boundary, edges, theta, directed):
+        calls.append(boundary)
+        return kernel(nn, boundary, edges, theta, directed)
+
+    monkeypatch.setattr(_relax_module, "_tree_marginals_by_logdet", counted)
+    graph = complete_graph(6)
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     u = np.random.default_rng(8).normal(size=graph.num_edges)
     i, j = graph.edges.index((0, 3)), graph.edges.index((2, 4))
@@ -262,7 +290,10 @@ def test_tree_fd_pair_with_different_boundaries():
     d[i], d[j] = -1.0, 1.0
     for t in (1.0, 1e-2):
         rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
-        assert fd_vjp(spec, rspec, u, d).tobytes() == _two_call_fd_vjp(spec, rspec, u, d).tobytes()
+        calls.clear()
+        got = fd_vjp(spec, rspec, u, d)
+        assert calls == [graph.num_nodes - 1]
+        assert got.tobytes() == _two_call_fd_vjp(spec, rspec, u, d).tobytes()
 
 
 def _former_separable_jacobian(s, t):

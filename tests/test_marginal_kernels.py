@@ -20,6 +20,8 @@ from scipy.special import logsumexp
 
 from sst import Graph, NumericalError, directed_matrix_tree_marginals, matrix_tree_marginals
 
+from graphs import complete_digraph, complete_edges, complete_graph
+
 # the package exports the function ``relax`` under the module's name
 relax_mod = importlib.import_module("sst.relax")
 
@@ -126,9 +128,9 @@ def _theta(u, t):
 
 
 def _undirected_oracle(graph, u, t):
-    theta = _theta(u, t)
-    drop = graph.edges[int(np.argmax(theta))][0]
-    return _tree_marginals_per_edge(graph, drop, theta)
+    # node 0, not the solver's last node: the marginals do not depend on
+    # which row and column of the Laplacian are deleted
+    return _tree_marginals_per_edge(graph, 0, _theta(u, t))
 
 
 def _directed_oracle(graph, root, u, t):
@@ -198,10 +200,6 @@ def _chain_dp_loop(n, k, z):
 
 # --- instances ----------------------------------------------------------------
 
-def _complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
 def _random_connected_digraph(n, p, seed):
     """Random arcs with probability p, plus a random path from node 0 to all."""
     rng = np.random.default_rng(seed)
@@ -230,7 +228,7 @@ class TestBatchedTreeMarginals:
     @pytest.mark.parametrize("n", [6, 10, 16])
     @pytest.mark.parametrize("t", TEMPERATURES)
     def test_complete_graphs_match_per_edge_path(self, n, t):
-        g = _complete(n)
+        g = complete_graph(n)
         u = np.random.default_rng(n).normal(size=g.num_edges)
         got = matrix_tree_marginals(g, u, t).x
         want, _ = _undirected_oracle(g, u, t)
@@ -248,14 +246,14 @@ class TestBatchedTreeMarginals:
         assert abs(got.sum() - (g.num_nodes - 1)) < 1e-9
 
     def test_equal_weights(self):
-        g = _complete(7)
+        g = complete_graph(7)
         u = np.zeros(g.num_edges)
         got = matrix_tree_marginals(g, u).x
         want, _ = _undirected_oracle(g, u, 1.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         # every edge of K_n is in the same share (n - 1) / m of the trees
         np.testing.assert_allclose(got, 2.0 / 7, rtol=0, atol=1e-12)
-        d = Graph(6, [(i, j) for i in range(6) for j in range(6) if i != j], directed=True)
+        d = complete_digraph(6)
         got = directed_matrix_tree_marginals(d, 2, np.zeros(d.num_edges)).x
         want, _ = _directed_oracle(d, 2, np.zeros(d.num_edges), 1.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -292,8 +290,8 @@ class TestBatchedTreeMarginals:
     def test_large_instances_take_one_elimination(self):
         # one elimination and one reverse sweep cost O(n^3) flops; an
         # elimination per deleted edge, O(m n^3), takes seconds on K64
-        g = _complete(64)
-        d = Graph(32, [(i, j) for i in range(32) for j in range(32) if i != j], directed=True)
+        g = complete_graph(64)
+        d = complete_digraph(32)
         u = np.random.default_rng(13).normal(size=g.num_edges)
         v = np.random.default_rng(14).normal(size=d.num_edges)
         start = time.perf_counter()
@@ -323,7 +321,7 @@ class TestBatchedTreeMarginals:
             assert g.is_connected()
             u = jittered_ties(g.num_edges)
             theta = _theta(u, t)
-            want = _tree_marginals_mp(g, g.edges[int(np.argmax(theta))][0], theta)
+            want = _tree_marginals_mp(g, 0, theta)
             got = matrix_tree_marginals(g, u, t).x
             assert np.abs(got - want).max() <= bound
             d = _random_connected_digraph(7, 0.5, 30 + seed)
@@ -332,11 +330,36 @@ class TestBatchedTreeMarginals:
             got = directed_matrix_tree_marginals(d, 0, u, t).x
             assert np.abs(got - want).max() <= bound
 
+    def test_last_node_boundary_against_high_precision_oracle(self):
+        # graphs where the last node, the one the solver eliminates toward,
+        # is a poor pick: a leaf on the lightest edge, a node whose edges
+        # are all 4 lighter, a node behind a bridge
+        leaf = Graph(7, complete_edges(6) + [[2, 6]])
+        light = complete_graph(7)
+        bridged = Graph(8, complete_edges(4) + [[a + 4, b + 4] for a, b in complete_edges(4)]
+                        + [[3, 4]])
+        rng = np.random.default_rng(40)
+        worst = 0.0
+        for count, (g, t) in enumerate(itertools.product(
+                (complete_graph(6), complete_graph(8), leaf, light, bridged),
+                (1.0, 0.1, 0.01, 1e-3))):
+            u = rng.normal(size=g.num_edges)
+            if count % 3 == 2:
+                u = np.round(u)  # ties
+            if g is leaf:
+                u[-1] = u.min() - 1.0
+            if g is light:
+                u[[i for i, e in enumerate(g.edges) if 6 in e]] -= 4.0
+            want = _tree_marginals_mp(g, 0, _theta(u, t))
+            worst = max(worst, np.abs(matrix_tree_marginals(g, u, t).x - want).max())
+        assert worst <= 1e-12
+
     def test_condition_estimate_is_the_log_pivot_spread(self):
-        g = _complete(6)
+        g = complete_graph(6)
         u = np.random.default_rng(11).normal(size=g.num_edges)
         point = matrix_tree_marginals(g, u, 1e-4)
-        _, pivots = _undirected_oracle(g, u, 1e-4)
+        # the solver eliminates toward the last node
+        _, pivots = _tree_marginals_per_edge(g, g.num_nodes - 1, _theta(u, 1e-4))
         finite = [p for p in pivots if np.isfinite(p)]
         assert np.isfinite(point.condition_estimate)
         assert point.condition_estimate == pytest.approx(max(finite) - min(finite), rel=1e-12)
@@ -541,7 +564,7 @@ class TestBlockKernelsKeepTheOneVectorBytes:
     @pytest.mark.parametrize("t", TEMPERATURES)
     def test_tree_kernel(self, t):
         rng = np.random.default_rng(int(-np.log10(t)))
-        cases = [(_complete(n), None) for n in (2, 3, 6, 10, 12)]
+        cases = [(complete_graph(n), None) for n in (2, 3, 6, 10, 12)]
         cases += [(_random_connected_graph(9, 14, s), None) for s in range(3)]
         cases += [(_random_connected_digraph(n, 0.5, s), 0) for n, s in ((3, 0), (6, 1), (10, 2))]
         for graph, root in cases:

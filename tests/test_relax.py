@@ -43,10 +43,7 @@ from sst import (
 )
 from sst.errors import InvalidSpecError
 
-K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-D3 = Graph(3, [(i, j) for i in range(3) for j in range(3) if i != j], directed=True)
-
+from graphs import D3, K3, K4, complete_digraph, complete_graph
 
 class TestSoftmax:
     def test_closed_form(self):
@@ -344,11 +341,10 @@ class TestMatrixTree:
 
     def test_k6_against_enumeration(self):
         # 6^4 = 1296 trees keeps the oracle feasible
-        k6 = Graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
-        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=k6)
+        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(6))
         u = np.random.default_rng(22).normal(size=15)
         np.testing.assert_allclose(
-            matrix_tree_marginals(k6, u, 0.8).x,
+            matrix_tree_marginals(spec.graph, u, 0.8).x,
             gibbs_marginals_bruteforce(spec, u, 0.8),
             atol=1e-11,
         )
@@ -666,10 +662,8 @@ def test_edge_vector_gate_is_shared():
 def test_tree_solves_trust_the_spec(monkeypatch):
     """A ``StructureSpec`` proves on construction that its graph has a tree,
     so no solve searches the graph again."""
-    k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    d4 = Graph(4, [(i, j) for i in range(4) for j in range(4) if i != j], directed=True)
-    specs = [StructureSpec(StructureKind.SPANNING_TREE, graph=k5),
-             StructureSpec(StructureKind.ARBORESCENCE, graph=d4, root=1)]
+    specs = [StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(5)),
+             StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(4), root=1)]
     rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=0.5)
 
     def solves(spec):
@@ -763,14 +757,6 @@ _relax_module = importlib.import_module("sst.relax")
 _relax_rows, _expfam_rows = _relax_module._relax_rows, _relax_module._expfam_rows
 
 
-def _complete_graph(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def _complete_digraph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(n) if i != j], directed=True)
-
-
 def _bridged_graph():
     # two K4 blobs joined by the bridge path 3-4-5-6
     blob = list(itertools.combinations(range(4), 2))
@@ -781,9 +767,9 @@ _BLOCK_SPECS = (
     [StructureSpec(StructureKind.ONE_HOT, n=6), StructureSpec(StructureKind.SUBSETS, n=6)]
     + [StructureSpec(StructureKind.K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 4), (40, 10))]
     + [StructureSpec(StructureKind.CORR_K_SUBSETS, n=n, k=k) for n, k in ((2, 1), (9, 5), (30, 10))]
-    + [StructureSpec(StructureKind.SPANNING_TREE, graph=_complete_graph(n)) for n in range(3, 13)]
+    + [StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(n)) for n in range(3, 13)]
     + [StructureSpec(StructureKind.SPANNING_TREE, graph=_bridged_graph())]
-    + [StructureSpec(StructureKind.ARBORESCENCE, graph=_complete_digraph(n), root=n // 2)
+    + [StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(n), root=n // 2)
        for n in range(3, 11)]
 )
 
@@ -822,13 +808,12 @@ def test_block_rows_equal_one_row_relax(spec, t):
             assert float(spread[b]) == one.condition_estimate == public.condition_estimate
 
 
-def test_tree_block_rows_with_different_boundaries():
-    """An undirected row drops the tail of its largest edge.  Two rows whose
-    largest edges have different tails are eliminated apart in one
-    ``_expfam_rows`` call, and each row's marginals and log-pivot spread
-    still equal its one-row solve, by ``relax`` and by the public
-    ``matrix_tree_marginals``."""
-    graph = _complete_graph(7)
+def test_tree_block_rows_with_tied_largest_edges():
+    """Two tied largest edges with different tails, nudged apart in opposite
+    directions: each row's marginals and log-pivot spread from one
+    ``_expfam_rows`` block still equal its one-row solve, by ``relax`` and
+    by the public ``matrix_tree_marginals``."""
+    graph = complete_graph(7)
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     first, second = graph.edges.index((0, 1)), graph.edges.index((2, 5))
     for t in (1.0, 1e-2, 1e-4):
@@ -847,6 +832,33 @@ def test_tree_block_rows_with_different_boundaries():
             public = matrix_tree_marginals(graph, row, t)
             assert x.tobytes() == one.x.tobytes() == public.x.tobytes()
             assert float(c) == one.condition_estimate == public.condition_estimate
+
+
+def test_tree_solves_take_one_kernel_call(monkeypatch):
+    """Every row of a block eliminates toward the same boundary, so each
+    ``relax`` and each ``fd_vjp`` pair on K10 and on an 8-node digraph is
+    one call of the elimination kernel."""
+    calls = []
+    kernel = _relax_module._tree_marginals_by_logdet
+
+    def counted(nn, boundary, edges, theta, directed):
+        calls.append(boundary)
+        return kernel(nn, boundary, edges, theta, directed)
+
+    monkeypatch.setattr(_relax_module, "_tree_marginals_by_logdet", counted)
+    specs = [(StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(10)), 9),
+             (StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(8), root=3), 3)]
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY)
+    rng = np.random.default_rng(5)
+    for spec, boundary in specs:
+        for _ in range(3):
+            u, d = rng.normal(size=(2, spec.dim))
+            calls.clear()
+            relax(spec, rspec, u)
+            assert calls == [boundary]
+            calls.clear()
+            fd_vjp(spec, rspec, u, d)
+            assert calls == [boundary]
 
 
 @pytest.mark.parametrize("kind, reg", supported_pairs())

@@ -16,7 +16,6 @@ from scipy.special import expit
 
 import sst
 from sst import (
-    Graph,
     InputError,
     StructureKind,
     StructureSpec,
@@ -39,13 +38,7 @@ from sst.cli import run
 from sst.utilities import draw
 from sst.verify import RETRY_OFFSET
 
-
-def _complete(n):
-    return [[i, j] for i in range(n) for j in range(i + 1, n)]
-
-
-def _arcs(n):
-    return [[i, j] for i in range(n) for j in range(n) if i != j]
+from graphs import D3, K4, complete_arcs, complete_digraph, complete_edges
 
 
 SPECS = {
@@ -55,9 +48,9 @@ SPECS = {
     "corr_k_subsets": {"kind": "corr_k_subsets", "n": 5, "k": 2},
     "matching": {"kind": "matching", "n": 3},
     "spanning_tree": {"kind": "spanning_tree",
-                      "graph": {"num_nodes": 4, "edges": _complete(4), "directed": False}},
+                      "graph": {"num_nodes": 4, "edges": complete_edges(4), "directed": False}},
     "arborescence": {"kind": "arborescence", "root": 1,
-                     "graph": {"num_nodes": 4, "edges": _arcs(4), "directed": True}},
+                     "graph": {"num_nodes": 4, "edges": complete_arcs(4), "directed": True}},
 }
 FAMILIES = [f.value for f in UtilityFamily]
 
@@ -358,10 +351,6 @@ def test_zero_draws_rejected_at_every_entry(call):
 # --- suites --------------------------------------------------------------------------
 
 
-K4 = Graph(4, tuple(map(tuple, _complete(4))))
-D3 = Graph(3, tuple(map(tuple, _arcs(3))), directed=True)
-
-
 def _retry(make, noise_seed):
     rep = make(noise_seed)
     if rep.passed:
@@ -507,7 +496,7 @@ def test_negative_infinite_rates_are_input_errors():
 
 
 def test_graph_arcs_are_built_once():
-    g = Graph(4, tuple(map(tuple, _arcs(4))), directed=True)
+    g = complete_digraph(4)
     assert g.arcs is g.arcs
     tails, entering = g.arcs
     assert tails == tuple(t for t, _ in g.edges)
@@ -515,4 +504,4 @@ def test_graph_arcs_are_built_once():
         assert list(entering[v]) == g.in_edges(v) == sorted(entering[v])
         assert all(g.edges[i][1] == v for i in entering[v])
     assert sorted(i for ids in entering for i in ids) == list(range(g.num_edges))
-    assert g == Graph(4, tuple(map(tuple, _arcs(4))), directed=True)
+    assert g == complete_digraph(4)

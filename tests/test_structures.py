@@ -7,24 +7,29 @@ from sst import (
     Graph,
     InputError,
     InvalidSpecError,
+    RelaxationSpec,
+    Regularizer,
     StructureKind,
     StructureSpec,
+    UtilityFamily,
+    UtilitySpec,
+    cle_max_arborescence,
+    directed_matrix_tree_marginals,
+    draw_block,
     embedding_dim,
     enumerate_vertices,
     is_vertex,
+    mc_frequencies,
+    sample_arborescence_categorical,
+    sample_topk_without_replacement,
     spec_from_dict,
     spec_to_dict,
+    topk_select,
 )
 from sst.errors import DimensionMismatchError
 from sst.structures import DEFAULT_ENUM_LIMIT, default_enum_limit
 
-
-def k_n(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_digraph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(n) if i != j], directed=True)
+from graphs import complete_digraph, complete_graph
 
 
 class TestEmbeddingDim:
@@ -36,7 +41,8 @@ class TestEmbeddingDim:
         assert embedding_dim(StructureSpec(StructureKind.CORR_K_SUBSETS, n=4, k=2)) == 7
 
     def test_spanning_tree_k4(self):
-        assert embedding_dim(StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4))) == 6
+        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(4))
+        assert embedding_dim(spec) == 6
 
     def test_matching(self):
         assert embedding_dim(StructureSpec(StructureKind.MATCHING, n=3)) == 9
@@ -78,7 +84,7 @@ class TestSpecValidation:
 
 class TestIsVertex:
     def test_k3_tree(self):
-        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(3))
+        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(3))
         assert is_vertex(spec, [1, 1, 0])
         assert not is_vertex(spec, [1, 0, 0])
 
@@ -125,8 +131,8 @@ class TestEnumeration:
             (StructureSpec(StructureKind.K_SUBSETS, n=4, k=2), 6),
             (StructureSpec(StructureKind.CORR_K_SUBSETS, n=4, k=2), 6),
             (StructureSpec(StructureKind.MATCHING, n=4), 24),
-            (StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4)), 16),
-            (StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(5)), 125),
+            (StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(4)), 16),
+            (StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(5)), 125),
             (StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(3), root=0), 3),
             (StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(4), root=1), 16),
         ],
@@ -142,7 +148,7 @@ class TestEnumeration:
             StructureSpec(StructureKind.K_SUBSETS, n=5, k=2),
             StructureSpec(StructureKind.CORR_K_SUBSETS, n=5, k=3),
             StructureSpec(StructureKind.MATCHING, n=3),
-            StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4)),
+            StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(4)),
             StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(3), root=2),
         ],
     )
@@ -178,8 +184,15 @@ class TestEnumeration:
         monkeypatch.setenv("SST_MAX_ENUM", "0")
         assert default_enum_limit() == 0
 
+    @pytest.mark.parametrize("limit, message", [
+        (-1, "limit must be >= 0, got -1"), (2.5, "limit must be an integer, got 2.5"),
+        (True, "limit must be an integer, got True")])
+    def test_limit_must_be_a_non_negative_integer(self, limit, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            enumerate_vertices(StructureSpec(StructureKind.SUBSETS, n=2), limit)
+
     def test_deterministic(self):
-        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4))
+        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(4))
         a = [tuple(v) for v in enumerate_vertices(spec)]
         b = [tuple(v) for v in enumerate_vertices(spec)]
         assert a == b
@@ -206,7 +219,7 @@ def _in_hull_of_others(vertices, idx):
         StructureSpec(StructureKind.K_SUBSETS, n=4, k=2),
         StructureSpec(StructureKind.CORR_K_SUBSETS, n=4, k=2),
         StructureSpec(StructureKind.MATCHING, n=3),
-        StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4)),
+        StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(4)),
         StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(3), root=0),
     ],
 )
@@ -224,7 +237,7 @@ class TestJsonRoundTrip:
         [
             StructureSpec(StructureKind.ONE_HOT, n=3),
             StructureSpec(StructureKind.K_SUBSETS, n=6, k=3),
-            StructureSpec(StructureKind.SPANNING_TREE, graph=k_n(4)),
+            StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(4)),
             StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(3), root=1),
         ],
     )
@@ -255,3 +268,42 @@ def test_reachability_is_returned_fresh():
     assert d.reachable_from(3) == {2, 3}
     assert d.is_connected()  # direction ignored
     assert not Graph(3, [(0, 1)]).is_connected()
+
+
+def test_counts_and_indices_are_integers():
+    """One gate for every count and index: Python and numpy integers pass,
+    floats, strings and bools do not; specs and graphs raise
+    ``InvalidSpecError``, the other entries ``InputError``."""
+    rng = np.random.default_rng(0)
+    for bad in (2.5, "2", True, None):
+        with pytest.raises(InvalidSpecError, match="^num_nodes must be an integer"):
+            Graph(bad, ())
+        with pytest.raises(InvalidSpecError, match="^edge endpoint must be an integer"):
+            Graph(3, ((0, 1), (1, bad)))
+        with pytest.raises(InputError, match="^k must be an integer"):
+            topk_select(np.zeros(4), bad)
+        with pytest.raises(InputError, match="^k must be an integer"):
+            sample_topk_without_replacement(np.zeros(4), bad, rng)
+        with pytest.raises(InputError, match="^draws must be an integer"):
+            draw_block(UtilitySpec(UtilityFamily.GUMBEL, np.zeros(2)), rng, bad)
+        with pytest.raises(InputError, match="^draws must be an integer"):
+            mc_frequencies(lambda r: np.zeros(2), bad, 0)
+        d3 = complete_digraph(3)
+        for solve in (lambda: directed_matrix_tree_marginals(d3, bad, np.zeros(6)),
+                      lambda: cle_max_arborescence(d3, bad, np.zeros(6)),
+                      lambda: sample_arborescence_categorical(d3, bad, np.ones(6), rng)):
+            with pytest.raises(InputError, match="^root must be an integer"):
+                solve()
+        if bad is not None:  # None is the default of an optional field
+            for fields in ({"n": bad}, {"n": 5, "k": bad}):
+                kind = StructureKind.K_SUBSETS if "k" in fields else StructureKind.ONE_HOT
+                with pytest.raises(InvalidSpecError, match="must be an integer"):
+                    StructureSpec(kind, **fields)
+            with pytest.raises(InvalidSpecError, match="^root must be an integer"):
+                StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(3), root=bad)
+            with pytest.raises(InvalidSpecError, match="^max_iter must be an integer"):
+                RelaxationSpec(Regularizer.SHANNON, max_iter=bad)
+    three = np.int64(3)
+    assert Graph(three, ((np.int32(0), np.int64(2)),)).edges == ((0, 2),)
+    assert StructureSpec(StructureKind.K_SUBSETS, n=three, k=np.int8(2)).dim == 3
+    assert topk_select(np.arange(4.0), np.int64(1)).tolist() == [0, 0, 0, 1]

@@ -21,8 +21,7 @@ from sst.structures import enumerate_vertices
 from sst.verify import RETRY_OFFSET
 from sst.utilities import UtilityFamily, UtilitySpec, draw
 
-K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-
+from graphs import K3, complete_digraph
 
 def table(support, counts):
     counts = np.asarray(counts, dtype=np.int64)
@@ -256,8 +255,7 @@ def test_four_node_arborescence_equivalence():
     which forces the contraction recursion through nested cycles."""
     from sst import cle_max_arborescence, sample_arborescence_categorical
 
-    d4 = Graph(4, [(i, j) for i in range(4) for j in range(4) if i != j],
-               directed=True)
+    d4 = complete_digraph(4)
     rng = np.random.default_rng(31)
     theta = rng.uniform(-1.0, 1.0, d4.num_edges)
     lam = np.exp(theta)
