@@ -116,6 +116,22 @@ def _assignment(u: np.ndarray) -> np.ndarray:
     return rows * u.shape[0] + cols
 
 
+def _matching_tie(n: int, u: np.ndarray, bits: np.ndarray) -> bool:
+    """Whether a second n x n permutation scores ``u @ bits``, the best score
+    of the flat utilities ``u``.  Every other permutation leaves out a cell
+    of ``bits``, so each is forbidden (-inf) in turn and the rest re-solved.
+    One row has one permutation."""
+    if n == 1:
+        return False
+    best = u @ bits
+    for cell in np.flatnonzero(bits):
+        w = u.copy()
+        w[cell] = -np.inf
+        if u @ _indicator(u.size, _assignment(w.reshape(n, n))) == best:
+            return True
+    return False
+
+
 def hungarian_match(u: np.ndarray) -> np.ndarray:
     """Permutation matrix (flattened row-major) maximizing sum(u[i, sigma(i)])."""
     u = _square_matrix(u)
@@ -466,6 +482,8 @@ def solve_map(spec: StructureSpec, u: np.ndarray) -> MapSolution:
             # the greatest unchosen one
             chosen = bits.astype(bool)
             tie = u[chosen].min() == u[~chosen].max()
-        else:  # matching, spanning tree
+        elif kind == StructureKind.MATCHING:
+            tie = _matching_tie(spec.n, u, bits)
+        else:  # spanning tree
             tie = _has_duplicates(u)
     return MapSolution(vertex=bits, objective=float(u @ bits), tie_broken=bool(tie))

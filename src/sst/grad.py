@@ -19,8 +19,7 @@ import numpy as np
 from .errors import (EnumerationLimitError, InputError, InvalidSpecError,
                      UnsupportedPairError, _require_finite)
 from .relax import (
-    _CLOSED_SIMPLEX,
-    _COORDINATE_KINDS,
+    _PAIRS,
     _SEPARABLE,
     _relax_rows,
     _scaled,
@@ -98,10 +97,11 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
     t = rspec.temperature
     reg = rspec.regularizer
     kind = spec.kind
-    if kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX:
+    rule = _PAIRS.get((kind, reg))
+    if rule == "expfam" and kind == StructureKind.ONE_HOT:
         p = softmax_simplex(u, t).x
         return (np.diag(p) - np.outer(p, p)) / t
-    if reg == Regularizer.EXPFAM_ENTROPY and kind != StructureKind.SUBSETS:
+    if rule == "expfam" and kind != StructureKind.SUBSETS:
         try:
             _, cov = gibbs_moments(spec, _scaled(u, t), DEFAULT_ENUM_LIMIT, covariance=True)
         except EnumerationLimitError as exc:
@@ -109,9 +109,9 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
                 f"{kind.value!r} instance too large to enumerate a covariance Jacobian; use fd_vjp"
             ) from exc
         return cov / t
-    if reg == Regularizer.EXPFAM_ENTROPY:
+    if rule == "expfam":
         reg = Regularizer.BINARY_ENTROPY  # the product-Bernoulli marginals are the sigmoid
-    if reg not in _SEPARABLE or kind not in _COORDINATE_KINDS:
+    elif rule != "separable":
         raise UnsupportedPairError(
             f"no closed-form Jacobian for {kind.value!r} with {reg.value!r}; use fd_vjp"
         )

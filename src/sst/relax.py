@@ -1,12 +1,12 @@
 """Temperature-controlled relaxations: maximize ``u . x - t * f(x)`` over
 the convex hull of a structure's vertex set.
 
-``supported_pairs()`` lists the (structure, regularizer) pairs ``relax``
-accepts; the README tabulates them.  On the probability simplex the
-shannon, categorical-entropy and exponential-family solutions coincide
-with the tempered softmax, so all three dispatch to it.  Every solver
-works in a shifted or log domain so that temperatures far below 1 stay
-finite.
+``_PAIRS`` holds the (structure, regularizer) pairs ``relax`` accepts
+and the solver each one takes; ``supported_pairs()`` lists them and the
+README tabulates them.  On the probability simplex the shannon,
+categorical-entropy and exponential-family solutions coincide with the
+tempered softmax, so all three take it.  Every solver works in a shifted
+or log domain so that temperatures far below 1 stay finite.
 """
 
 from __future__ import annotations
@@ -74,8 +74,10 @@ class Regularizer(str, Enum):
 class RelaxationSpec:
     """Regularizer choice, temperature and solver tolerances.
 
-    ``max_iter`` of ``None`` resolves to 200 for the shift searches and
-    1000 for Sinkhorn.
+    ``relax`` looks the solver of a (structure kind, regularizer) pair up
+    in ``_PAIRS``, the one place where that choice is made.  ``max_iter``
+    of ``None`` resolves to 200 for the shift searches and 1000 for
+    Sinkhorn.
     """
 
     regularizer: Regularizer
@@ -87,12 +89,6 @@ class RelaxationSpec:
         object.__setattr__(self, "regularizer", Regularizer(self.regularizer))
         _require_temperature(self.temperature, error=InvalidSpecError)
         _require_solver_controls(self.tol, self.max_iter, error=InvalidSpecError)
-
-    def bisect_iter(self) -> int:
-        return self.max_iter if self.max_iter is not None else DEFAULT_BISECT_ITER
-
-    def sinkhorn_iter(self) -> int:
-        return self.max_iter if self.max_iter is not None else DEFAULT_SINKHORN_ITER
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,7 @@ def _separable_point(reg, spec, u, t, tol, max_iter):
     one-hot and k-subsets applied to ``u / t - nu``, with the shift ``nu``
     searched so that the coordinates sum to the cardinality."""
     u = _check_dim(spec, u)
-    if spec.kind not in _COORDINATE_KINDS:
+    if (spec.kind, reg) not in _PAIRS:
         raise UnsupportedPairError(
             f"{reg.value.replace('_', '-')} relaxation does not support {spec.kind.value}"
         )
@@ -592,58 +588,61 @@ def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoi
     return RelaxedPoint(x=mu[0], condition_estimate=None if spread is None else float(spread[0]))
 
 
-_CLOSED_SIMPLEX = (Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY, Regularizer.EXPFAM_ENTROPY)
-_COORDINATE_KINDS = (StructureKind.ONE_HOT, StructureKind.SUBSETS, StructureKind.K_SUBSETS)
-
-# The structure kinds each regularizer supports, in the order
-# ``supported_pairs`` lists them.
-_SUPPORTED_KINDS = {
-    Regularizer.SHANNON: (StructureKind.ONE_HOT, StructureKind.MATCHING),
-    Regularizer.EUCLIDEAN: _COORDINATE_KINDS,
-    Regularizer.BINARY_ENTROPY: _COORDINATE_KINDS,
-    Regularizer.CATEGORICAL_ENTROPY: _COORDINATE_KINDS,
-    Regularizer.EXPFAM_ENTROPY: tuple(StructureKind),
+# The solver of every supported (kind, regularizer) pair, in the order
+# ``supported_pairs`` lists them: "expfam" is ``expfam_marginals``,
+# "sinkhorn" is ``sinkhorn_relax`` and "separable" is the regularizer's own
+# solver.  The values are tags, not functions: ``relax`` calls each solver
+# through its module attribute, so a wrapper written over that attribute (a
+# tracer's span, a test's monkeypatch) sees every call.
+_PAIRS = {
+    (StructureKind.ONE_HOT, Regularizer.SHANNON): "expfam",
+    (StructureKind.MATCHING, Regularizer.SHANNON): "sinkhorn",
+    (StructureKind.ONE_HOT, Regularizer.EUCLIDEAN): "separable",
+    (StructureKind.SUBSETS, Regularizer.EUCLIDEAN): "separable",
+    (StructureKind.K_SUBSETS, Regularizer.EUCLIDEAN): "separable",
+    (StructureKind.ONE_HOT, Regularizer.BINARY_ENTROPY): "separable",
+    (StructureKind.SUBSETS, Regularizer.BINARY_ENTROPY): "separable",
+    (StructureKind.K_SUBSETS, Regularizer.BINARY_ENTROPY): "separable",
+    (StructureKind.ONE_HOT, Regularizer.CATEGORICAL_ENTROPY): "expfam",
+    (StructureKind.SUBSETS, Regularizer.CATEGORICAL_ENTROPY): "separable",
+    (StructureKind.K_SUBSETS, Regularizer.CATEGORICAL_ENTROPY): "separable",
+    **{(kind, Regularizer.EXPFAM_ENTROPY): "expfam" for kind in StructureKind},
 }
 
 
 def supported_pairs() -> list:
     """All (kind, regularizer) pairs ``relax`` accepts."""
-    return [(kind, reg) for reg, kinds in _SUPPORTED_KINDS.items() for kind in kinds]
-
-
-def _solves_as_expfam(kind: StructureKind, reg: Regularizer) -> bool:
-    """The pairs whose relaxation is the exponential-family marginal vector:
-    every kind under its entropy, and one-hot under a regularizer whose
-    solution on the closed simplex is the tempered softmax."""
-    return (reg == Regularizer.EXPFAM_ENTROPY
-            or kind == StructureKind.ONE_HOT and reg in _CLOSED_SIMPLEX)
+    return list(_PAIRS)
 
 
 def _relax_rows(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> np.ndarray:
     """``relax(spec, rspec, row).x`` for every row of the block ``u``, whose
     rows the caller has checked.  The exponential-family pairs solve the
     whole block at once; every other pair goes one row at a time."""
-    if _solves_as_expfam(spec.kind, rspec.regularizer):
+    if _PAIRS.get((spec.kind, rspec.regularizer)) == "expfam":
         return _expfam_rows(spec, u, rspec.temperature)[0]
     return np.stack([relax(spec, rspec, row).x for row in u])
 
 
 def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedPoint:
-    """Dispatch to the solver for (structure kind, regularizer)."""
+    """Dispatch to the solver ``_PAIRS`` names for (structure kind, regularizer)."""
     u = _check_dim(spec, u)
     t = rspec.temperature
     reg = rspec.regularizer
     kind = spec.kind
-    if kind not in _SUPPORTED_KINDS[reg]:
+    rule = _PAIRS.get((kind, reg))
+    if rule is None:
         raise UnsupportedPairError(
             f"no solver for structure {kind.value!r} with regularizer {reg.value!r}"
         )
-    if _solves_as_expfam(kind, reg):
+    if rule == "expfam":
         return expfam_marginals(spec, u, t)
-    if reg == Regularizer.SHANNON:
-        return sinkhorn_relax(u.reshape(spec.n, spec.n), t, rspec.tol, rspec.sinkhorn_iter())
+    if rule == "sinkhorn":
+        max_iter = DEFAULT_SINKHORN_ITER if rspec.max_iter is None else rspec.max_iter
+        return sinkhorn_relax(u.reshape(spec.n, spec.n), t, rspec.tol, max_iter)
+    max_iter = DEFAULT_BISECT_ITER if rspec.max_iter is None else rspec.max_iter
     if reg == Regularizer.EUCLIDEAN:
-        return euclidean_project(spec, u, t, rspec.tol, rspec.bisect_iter())
+        return euclidean_project(spec, u, t, rspec.tol, max_iter)
     if reg == Regularizer.BINARY_ENTROPY:
-        return binary_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
-    return categorical_entropy_relax(spec, u, t, rspec.tol, rspec.bisect_iter())
+        return binary_entropy_relax(spec, u, t, rspec.tol, max_iter)
+    return categorical_entropy_relax(spec, u, t, rspec.tol, max_iter)

@@ -73,7 +73,8 @@ class Graph:
     """A simple graph; the edge list order fixes the coordinate order.
 
     Undirected edges are normalized to ``(min, max)`` on construction.
-    Self-loops and duplicate edges are rejected.
+    An edge must be a pair of nodes; self-loops, duplicate edges and a
+    ``directed`` that is not a bool are rejected.
     """
 
     num_nodes: int
@@ -83,9 +84,15 @@ class Graph:
     def __post_init__(self):
         if _require_int(self.num_nodes, "num_nodes", InvalidSpecError) < 1:
             raise InvalidSpecError("graph needs at least one node")
+        if not isinstance(self.directed, bool):
+            raise InvalidSpecError(f"directed must be true or false, got {self.directed!r}")
         norm = []
         for e in self.edges:
-            t, h = (_require_int(end, "edge endpoint", InvalidSpecError) for end in (e[0], e[1]))
+            try:
+                t, h = e
+            except (TypeError, ValueError) as exc:
+                raise InvalidSpecError(f"an edge must be a pair of nodes, got {e!r}") from exc
+            t, h = (_require_int(end, "edge endpoint", InvalidSpecError) for end in (t, h))
             if t == h:
                 raise InvalidSpecError(f"self-loop on node {t}")
             if not (0 <= t < self.num_nodes and 0 <= h < self.num_nodes):
@@ -418,7 +425,7 @@ def spec_from_dict(d: dict) -> StructureSpec:
     if "graph" in d:
         g = d["graph"]
         try:
-            graph = Graph(g["num_nodes"], g["edges"], bool(g.get("directed", False)))
-        except (KeyError, TypeError, IndexError) as exc:
+            graph = Graph(g["num_nodes"], g["edges"], g.get("directed", False))
+        except (KeyError, TypeError) as exc:
             raise InvalidSpecError(f"malformed graph: {g!r}") from exc
     return StructureSpec(kind, n=d.get("n"), k=d.get("k"), graph=graph, root=d.get("root"))

@@ -100,6 +100,14 @@ class TestSolveMap:
             assert sol.tie_broken == (vals[k - 1] == vals[k])
             assert np.array_equal(sol.vertex, topk_select(u, k))
 
+    def test_matching_ties_of_distinct_utilities(self):
+        """Both matchings of [[0, 1], [2, 3]] sum to 3: a tie no two equal
+        utilities show.  One row has one matching, which cannot tie."""
+        spec = StructureSpec(StructureKind.MATCHING, n=2)
+        assert solve_map(spec, np.array([0.0, 1.0, 2.0, 3.0])).tie_broken
+        assert not solve_map(spec, np.array([0.0, 1.0, 2.0, 4.0])).tie_broken
+        assert not solve_map(StructureSpec(StructureKind.MATCHING, n=1), np.array([5.0])).tie_broken
+
 
 class TestTopK:
     def test_two_largest(self):
@@ -687,8 +695,9 @@ def _map_spec(data, kind):
 def test_map_is_the_enumerated_maximum(data):
     """``solve_map`` against enumeration on small integer utilities, where
     ties are common: the objective is the enumerated maximum, the vertex
-    attains it, an unflagged vertex is the only one that does, and
-    ``_map_block`` gives every row of a block its ``solve_map`` vertex."""
+    attains it, an unflagged vertex is the only one that does (a matching
+    is flagged exactly when it is not), and ``_map_block`` gives every row
+    of a block its ``solve_map`` vertex."""
     kind = data.draw(st.sampled_from([
         StructureKind.ONE_HOT, StructureKind.K_SUBSETS, StructureKind.CORR_K_SUBSETS,
         StructureKind.MATCHING, StructureKind.SPANNING_TREE]))
@@ -702,8 +711,8 @@ def test_map_is_the_enumerated_maximum(data):
         values = [float(u @ v) for v in verts]
         best = max(values)
         assert sol.objective == best == float(u @ sol.vertex)
-        # a matching's flag reads equal utilities, not equal sums of
-        # distinct ones: [[0, 1], [2, 3]] has two optimal matchings unflagged
-        if not sol.tie_broken and kind != StructureKind.MATCHING:
+        if not sol.tie_broken:
             assert values.count(best) == 1
             assert verts[values.index(best)].tobytes() == sol.vertex.tobytes()
+        if kind == StructureKind.MATCHING:  # a matching's flag is exact
+            assert sol.tie_broken == (values.count(best) > 1)

@@ -63,6 +63,15 @@ class TestSolve:
         spec = files("spec.json", {"kind": "one_hot", "n": 3})
         assert run(["solve", "--spec", spec, "--utilities", "/nonexistent.json"]) == 1
 
+    def test_directed_must_be_a_json_boolean(self, files, capsys):
+        spec = files("spec.json", {"kind": "arborescence", "root": 0, "graph": {
+            "num_nodes": 2, "edges": [[0, 1]], "directed": "false"}})
+        u = files("u.json", [1.0])
+        assert run(["solve", "--spec", spec, "--utilities", u]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "InvalidSpecError"
+        assert err["message"] == "directed must be true or false, got 'false'"
+
 
 class TestRelax:
     def test_k3_tree_marginals(self, files, capsys):

@@ -872,6 +872,68 @@ def test_block_rows_of_every_pair(kind, reg):
         assert x.tobytes() == relax(spec, rspec, row).x.tobytes()
 
 
+def test_supported_pairs_keep_their_order():
+    """The limits and gradcheck suites zip the pairs with seeds spawned in
+    order, so a reordered list would change their reports."""
+    assert [(kind.value, reg.value) for kind, reg in supported_pairs()] == [
+        ("one_hot", "shannon"), ("matching", "shannon"),
+        ("one_hot", "euclidean"), ("subsets", "euclidean"), ("k_subsets", "euclidean"),
+        ("one_hot", "binary_entropy"), ("subsets", "binary_entropy"),
+        ("k_subsets", "binary_entropy"),
+        ("one_hot", "categorical_entropy"), ("subsets", "categorical_entropy"),
+        ("k_subsets", "categorical_entropy"),
+        ("one_hot", "expfam_entropy"), ("subsets", "expfam_entropy"),
+        ("k_subsets", "expfam_entropy"), ("corr_k_subsets", "expfam_entropy"),
+        ("matching", "expfam_entropy"), ("spanning_tree", "expfam_entropy"),
+        ("arborescence", "expfam_entropy"),
+    ]
+
+
+@pytest.mark.parametrize("kind, reg", supported_pairs())
+def test_relax_has_the_bytes_of_its_pairs_solver(kind, reg):
+    """Sinkhorn for matchings under shannon, the exponential-family marginals
+    for every kind under its entropy and for one-hot under the regularizers
+    whose simplex solution is the softmax, else the regularizer's own solver."""
+    spec = _instance_for(kind)
+    t, tol, max_iter = 0.7, 1e-12, 20_000
+    u = np.random.default_rng(zlib.crc32(f"{kind.value}/{reg.value}".encode())).normal(
+        size=spec.dim)
+    if kind == StructureKind.MATCHING and reg == Regularizer.SHANNON:
+        want = sinkhorn_relax(u.reshape(spec.n, spec.n), t, tol, max_iter)
+    elif reg == Regularizer.EXPFAM_ENTROPY or (
+            kind == StructureKind.ONE_HOT
+            and reg in (Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY)):
+        want = expfam_marginals(spec, u, t)
+    else:
+        solver = {Regularizer.EUCLIDEAN: euclidean_project,
+                  Regularizer.BINARY_ENTROPY: binary_entropy_relax,
+                  Regularizer.CATEGORICAL_ENTROPY: categorical_entropy_relax}[reg]
+        want = solver(spec, u, t, tol, max_iter)
+    got = relax(spec, RelaxationSpec(reg, temperature=t, tol=tol, max_iter=max_iter), u)
+    assert got.x.tobytes() == want.x.tobytes()
+
+
+def test_default_iteration_limits(monkeypatch):
+    """``max_iter=None`` is 1000 Sinkhorn sweeps and 200 shift evaluations."""
+    matching = StructureSpec(StructureKind.MATCHING, n=8)
+    u = np.random.default_rng(0).standard_normal(64)
+    with pytest.raises(ConvergenceError, match="after 1000 iterations$"):
+        relax(matching, RelaxationSpec(Regularizer.SHANNON, temperature=0.01), u)
+    limits = []
+    newton_shift = _relax_module._newton_shift
+
+    def recorded(values_of, slope_of, target, z, tol, max_iter):
+        limits.append(max_iter)
+        return newton_shift(values_of, slope_of, target, z, tol, max_iter)
+
+    monkeypatch.setattr(_relax_module, "_newton_shift", recorded)
+    spec = StructureSpec(StructureKind.K_SUBSETS, n=5, k=2)
+    for reg in (Regularizer.EUCLIDEAN, Regularizer.BINARY_ENTROPY,
+                Regularizer.CATEGORICAL_ENTROPY):
+        relax(spec, RelaxationSpec(reg), np.arange(5.0))
+    assert limits == [200, 200, 200]
+
+
 def test_block_gates_run_on_the_whole_block():
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=K4)
     rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=1e-300)

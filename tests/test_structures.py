@@ -81,6 +81,23 @@ class TestSpecValidation:
         g = Graph(3, [(2, 0), (1, 0)])
         assert g.edges == ((0, 2), (0, 1))
 
+    @pytest.mark.parametrize("edges", [[(0, 1, 2), (1, 2)], [(0,), (1, 2)], [0, (1, 2)]])
+    def test_edges_must_be_pairs(self, edges):
+        with pytest.raises(InvalidSpecError, match="^an edge must be a pair of nodes"):
+            Graph(3, edges)
+        d = {"kind": "spanning_tree", "graph": {"num_nodes": 3, "edges": edges}}
+        with pytest.raises(InvalidSpecError, match="^an edge must be a pair of nodes"):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize("directed", ["false", "true", 0, 1, None])
+    def test_directed_must_be_a_bool(self, directed):
+        with pytest.raises(InvalidSpecError, match="^directed must be true or false"):
+            Graph(2, [(0, 1)], directed=directed)
+        d = {"kind": "arborescence", "root": 0,
+             "graph": {"num_nodes": 2, "edges": [[0, 1]], "directed": directed}}
+        with pytest.raises(InvalidSpecError, match="^directed must be true or false"):
+            spec_from_dict(d)
+
 
 class TestIsVertex:
     def test_k3_tree(self):
