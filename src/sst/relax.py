@@ -361,15 +361,16 @@ def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
 _LOWEST = -np.finfo(float).max
 
 
-def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
+def _tree_marginals_by_logdet(nn, src, dst, theta, directed):
     """Per-edge marginals as the gradient of the log-determinant, one row
     of marginals per row of log weights ``theta``.
 
     ``mu_e`` is the derivative of log Z = log det(reduced Laplacian) in
     the edge's log weight.  ``lw[:, a, c]`` is the log weight of arc a->c
-    (-inf where absent; an undirected edge is a pair of arcs).  The
-    boundary, whose row and column the reduced Laplacian drops, moves
-    last, and the forward pass eliminates the others in index order.
+    (-inf where absent; an undirected edge is a pair of arcs), with the
+    nodes numbered by ``src`` and ``dst``: the boundary, whose row and
+    column the reduced Laplacian drops, is last (``Graph.tree_plan``),
+    and the forward pass eliminates the others in index order.
     Pivoted elimination of a Laplacian is star-mesh graph contraction:
     node v's pivot is its total in-weight from the nodes still present,
     and removing v gives every arc a->c the extra weight
@@ -383,17 +384,14 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
     v took, spread over v's incoming arcs by their softmax weights.  An
     edge's marginal is the adjoint of its arcs; an arc into the boundary
     lands in its column, which neither pass reads, and keeps adjoint 0.
-    O(n^3) flops and about 2 n^3 / 3 doubles of shares per row; the
-    inverse-Laplacian formula is avoided because it cancels once the
-    distribution concentrates.
+    O(n^3) flops and about 2 n^3 / 3 doubles of shares per row.  It solves
+    the rows whose inverse-Laplacian marginals the error bound of
+    ``_tree_rows_by_inverse`` rejects: the inverse cancels once the
+    distribution concentrates, this pass does not.
     Returns the marginals and each row's spread of the log pivots.
     """
     neg = -np.inf
     rows = theta.shape[0]
-    # the boundary moves last, the other nodes keep their order
-    pos = np.arange(nn) - (np.arange(nn) > boundary)
-    pos[boundary] = nn - 1
-    src, dst = pos[np.array(edges, dtype=int).reshape(-1, 2)].T
     lw = np.full((rows, nn, nn), neg)
     lw[:, src, dst] = theta
     if not directed:
@@ -434,6 +432,138 @@ def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
     return mu, (pivots.max(axis=1) - pivots.min(axis=1))[:, 0]
 
 
+_EPS = np.finfo(float).eps
+
+
+def _tree_rows_by_inverse(nn, src, dst, w, directed):
+    """Tree marginals from the inverse G of the reduced Laplacian, one row
+    per row of edge weights ``w``, with the rows whose error estimate
+    accepts them.
+
+    ``src`` and ``dst`` number the nodes with the boundary last, so the
+    reduced Laplacian L is the leading (nn - 1) block of the Laplacian,
+    and G padded with a zero row and column for the boundary gives
+    ``w (G_ss + G_dd - G_sd - G_ds)`` for an edge {s, d} and
+    ``w (G_bb - G_ba)`` for an arc a->b (Koo et al., 2007).
+    ``np.linalg.inv`` solves L x_j = e_j column by column from one LU
+    factorization, so each column carries its own backward error
+    ``dL_j`` with ``|dL_j| <= 3 n eps |L^| |U^|`` (Higham, 2002, ch. 9
+    and 14; n is the order of L), and a marginal reads two columns whose
+    errors need not cancel.  To first order, taking ``|L^| |U^|`` as
+    ``|L|``, an edge's error is at most
+    ``w (3 n eps |r|^T |L| (|G e_s| + |G e_d|) + 4 eps (|G_ss| + |G_dd| + |G_sd| + |G_ds|))``
+    with ``r = G^T (e_s - e_d)``, which cancels as well and so is widened
+    by its own first-order error, ``3 n eps`` times rows s and d of
+    ``|G| |L| |G|``; an arc's error is at most
+    ``w (3 n eps |e_b^T G| |L| (|G e_b| + |G e_a|) + 4 eps (|G_bb| + |G_ba|))``.
+    The last term is the rounding of the final combination.  A row is
+    certified when its largest bound is at most 1e-12, its marginals are
+    finite, and Skeel's ``n eps || |G| |L| ||_inf <= 1e-3`` keeps the
+    first-order term valid.  The bound is first order and leaves out the
+    factors' growth, so it is not a proof: the tests check the certified
+    rows against a 60-digit oracle and against the elimination kernel.
+    A certified row's spread comes from ``_log_pivots``, the pivots of
+    eliminating L in the kernel's order.  Returns the
+    marginals, the certified rows' log-pivot spreads (NaN elsewhere) and
+    the certified mask; each row's outputs are those of its one-row call.
+    """
+    rows, m = len(w), nn - 1
+    # lap[:, c, a] is the Laplacian's [a, c] entry: -w(a->c) off the
+    # diagonal, c's total in-weight on it, summed along a contiguous line
+    lap = np.zeros((rows, nn, nn))
+    lap[:, dst, src] = w
+    if not directed:
+        lap[:, src, dst] = w
+    deg = lap.sum(axis=2)
+    np.negative(lap, out=lap)
+    lap.reshape(rows, -1)[:, ::nn + 1] = deg
+    red = lap[:, :m, :m].transpose(0, 2, 1)
+    with np.errstate(all="ignore"):
+        g = np.zeros((rows, nn, nn))
+        g[:, :m, :m] = _inverses(red)
+        diag = g.reshape(rows, -1)[:, ::nn + 1]
+        if directed:
+            terms = (diag[:, dst], g[:, dst, src])
+            mu = w * (terms[0] - terms[1])
+        else:
+            terms = (diag[:, src], diag[:, dst], g[:, src, dst], g[:, dst, src])
+            mu = w * (terms[0] + terms[1] - terms[2] - terms[3])
+        # the rounding term costs O(1) per edge and the first-order term
+        # O(n), so the rounding term screens the rows first
+        last = 4 * _EPS * sum(map(np.abs, terms))
+        ok = np.isfinite(mu).all(axis=1) & ((w * last).max(axis=1) <= 1e-12)
+        live = np.flatnonzero(ok)
+        if live.size:
+            g = g[live]
+            # |G| |L|, padded with a zero row for the boundary
+            skeel = np.zeros((live.size, nn, m))
+            np.matmul(np.abs(g[:, :m, :m]), np.abs(red[live]), out=skeel[:, :m])
+            if directed:
+                # the columns of |G| as rows, each arc reading those of a and b
+                cols = np.abs(g.transpose(0, 2, 1)[:, :, :m])
+                first = skeel[:, dst] * (cols[:, dst] + cols[:, src])
+            else:
+                # L and G are symmetric, so |L| |G e_s| is row s of |G| |L|;
+                # r cancels where the distribution concentrates, so it
+                # gets the first-order error of its two rows of G
+                glg = np.zeros((live.size, nn, m))
+                np.matmul(skeel[:, :m], np.abs(g[:, :m, :m]), out=glg[:, :m])
+                r = (np.abs(g[:, src, :m] - g[:, dst, :m])
+                     + 3 * m * _EPS * (glg[:, src] + glg[:, dst]))
+                first = r * (skeel[:, src] + skeel[:, dst])
+            bound = w[live] * (3 * m * _EPS * first.sum(axis=2) + last[live])
+            ok[live] = ((bound.max(axis=1) <= 1e-12)
+                        & (m * _EPS * skeel.sum(axis=2).max(axis=1) <= 1e-3))
+    spread = np.full(rows, np.nan)
+    if ok.any():
+        pivots = _log_pivots(red[ok], directed)
+        spread[ok] = pivots.max(axis=1) - pivots.min(axis=1)
+    return mu, spread, ok
+
+
+def _inverses(a):
+    """``np.linalg.inv`` of every matrix of the stack ``a``.  One singular
+    matrix fails the whole stack, so then each is inverted alone, and a
+    singular one gets NaN."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        out = np.full(a.shape, np.nan)
+        for r, x in enumerate(a):
+            try:
+                out[r] = np.linalg.inv(x)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _log_pivots(red, directed):
+    """The log pivots of eliminating each matrix of ``red`` in index order.
+
+    An undirected graph's reduced Laplacian is positive definite, and its
+    pivots are the squares of the diagonal of its Cholesky factor.  In
+    general pivot k is the ratio of the leading minors of orders k + 1
+    and k; each minor is one ``slogdet``, with the identity in the
+    trailing block.  To keep the work O(n^3), this runs on 16 rows and
+    columns at a time, then moves on to their Schur complement."""
+    if not directed:
+        diag = np.diagonal(np.linalg.cholesky(red), axis1=1, axis2=2)
+        # math.log per value, so a row's bytes do not depend on the block
+        return 2.0 * np.fromiter(map(math.log, diag.flat), float, diag.size).reshape(diag.shape)
+    out = []
+    while True:
+        b = min(16, red.shape[-1])
+        ar = np.arange(b)
+        # minor k keeps the leading (k + 1) block and is the identity elsewhere
+        lead = np.maximum.outer(ar, ar) <= ar[:, None, None]
+        logdet = np.linalg.slogdet(np.where(lead, red[:, None, :b, :b], np.eye(b)))[1]
+        logdet[:, 1:] -= logdet[:, :-1].copy()
+        out.append(logdet)
+        if b == red.shape[-1]:
+            return np.concatenate(out, axis=1)
+        red = red[:, b:, b:] - red[:, b:, :b] @ np.linalg.solve(red[:, :b, :b], red[:, :b, b:])
+
+
 def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> tuple:
     """Marginals and log-pivot spreads of the spanning trees (``root`` None)
     or of the arborescences rooted at ``root``, one row per row of edge
@@ -441,10 +571,15 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
 
     Every row eliminates toward one boundary: the root, or the last node
     of a spanning-tree graph (the marginals hold whichever row and column
-    of the Laplacian are deleted).  So the block takes one kernel call,
-    and every row keeps the bytes of its one-row solve.  The graph must
-    have such a tree: a ``StructureSpec`` proves it on construction, and
-    the two raw-graph solvers check it before they get here.
+    of the Laplacian are deleted).  Two paths share the graph's
+    ``tree_plan`` for that boundary: one batched inverse of the reduced
+    Laplacian solves the whole block, and the rows whose first-order
+    per-edge error estimate exceeds 1e-12 go to the log-domain
+    elimination in one call.  Either way every row keeps the bytes of its one-row solve;
+    a certified row may differ from the elimination in its last bits.
+    The graph must have such a tree: a ``StructureSpec`` proves it on
+    construction, and the two raw-graph solvers check it before they get
+    here.
     """
     theta = _scaled(u, t)
     if not theta.shape[1]:  # one node: its only tree has no edges
@@ -452,8 +587,12 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
     # subtracting a row's max scales every tree's weight alike
     theta = theta - theta.max(axis=1, keepdims=True)
     directed = root is not None
-    mu, spread = _tree_marginals_by_logdet(
-        graph.num_nodes, root if directed else graph.num_nodes - 1, graph.edges, theta, directed)
+    nn = graph.num_nodes
+    src, dst = graph.tree_plan(root if directed else nn - 1)
+    mu, spread, ok = _tree_rows_by_inverse(nn, src, dst, np.exp(theta), directed)
+    if not ok.all():
+        rest = ~ok
+        mu[rest], spread[rest] = _tree_marginals_by_logdet(nn, src, dst, theta[rest], directed)
     return np.clip(mu, 0.0, 1.0), spread
 
 
@@ -462,9 +601,12 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> Relaxe
 
     Works on the weighted Laplacian of exp(u/t) with the row and column
     of the last node deleted; the marginals are the gradient of its
-    log-determinant in the log weights, from one log-domain elimination
-    and its reverse pass.  ``condition_estimate`` is the spread of the
-    elimination pivots: the largest minus the smallest log pivot.
+    log-determinant in the log weights.  They come from its inverse where
+    a first-order per-edge error estimate is at most 1e-12 (a filter the
+    tests check against a high-precision oracle, not a proof), and
+    otherwise from one log-domain elimination and its reverse pass.
+    ``condition_estimate`` is the spread of the elimination pivots: the
+    largest minus the smallest log pivot.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=False)
     if not graph.is_connected():
@@ -479,10 +621,10 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
 
     The Laplacian collects entering weights on the diagonal and the
     root row/column is deleted; the marginals are the gradient of its
-    log-determinant from one log-domain elimination and its reverse
-    pass, as in the undirected case, and ``condition_estimate`` is the
-    same log-pivot spread.  Edges entering the root have marginal zero
-    by definition.
+    log-determinant, from its certified inverse or from the log-domain
+    elimination, as in the undirected case, and ``condition_estimate`` is
+    the same log-pivot spread.  Edges entering the root have marginal
+    zero by definition.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
     if graph.reachable_from(root) != set(range(graph.num_nodes)):
@@ -528,27 +670,29 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
         np.exp(m, out=m)
         return np.log(m.sum(axis=axis)) + mx.reshape(-1)
 
-    def current():
-        # exp(base - f - g), in the scratch matrix m
-        np.subtract(base, f[:, None], out=m)
-        np.subtract(m, g, out=m)
-        return np.exp(m, out=m)
-
     # The first sweep starts from arbitrary duals and needs the max.  After
     # it every update divides by sums in [1/n, n]: an update leaves its
     # rows (or columns) summing to 1, so every entry is at most 1, and the
-    # other update divides each entry by at most n.  So ``current`` can
-    # neither overflow nor lose a whole row or column to underflow.
+    # other update divides each entry by at most n.  So exp(base - f - g)
+    # can neither overflow nor lose a whole row or column to underflow.
     f = lse(1, g[None, :])
     g = lse(0, f[:, None])
+    f_col = f[:, None]  # f is updated in place from here on
+    base_f = base - f_col  # refreshed after every row update
+    sums = np.empty(len(base))
     residual = np.inf
     for _ in range(max_iter):
-        rows = current().sum(axis=1)
-        residual = float(np.abs(rows - 1.0).max())
+        np.exp(np.subtract(base_f, g, out=m), out=m)
+        np.add.reduce(m, axis=1, out=sums)
+        # |r - 1| is exact for r >= 0.5 (Sterbenz) and rounding is monotone
+        # below, so this is max |rows - 1| to the bit
+        residual = float(max(sums.max() - 1.0, 1.0 - sums.min()))
         if residual <= tol:
             return RelaxedPoint(x=m.reshape(-1), dual=np.stack([f, g]), residual=residual)
-        f += np.log(rows)
-        g += np.log(current().sum(axis=0))
+        f += np.log(sums, out=sums)
+        np.subtract(base, f_col, out=base_f)
+        np.exp(np.subtract(base_f, g, out=m), out=m)
+        g += np.log(np.add.reduce(m, axis=0, out=sums), out=sums)
     raise ConvergenceError(
         f"sinkhorn row residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",
         residual=residual,

@@ -18,7 +18,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -116,6 +116,24 @@ class Graph:
         for i, (_, h) in enumerate(self.edges):
             entering[h].append(i)
         return tuple(t for t, _ in self.edges), tuple(map(tuple, entering))
+
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def tree_plan(self, boundary: int) -> tuple:
+        """The tails and heads of the edges, renumbered so that ``boundary``
+        comes last and the other nodes keep their order: the index arrays
+        of the tree solves that eliminate toward ``boundary``, built once
+        per boundary and read-only."""
+        plan = self._plans.get(boundary)
+        if plan is None:
+            pos = np.arange(self.num_nodes) - (np.arange(self.num_nodes) > boundary)
+            pos[boundary] = self.num_nodes - 1
+            plan = pos[np.array(self.edges, dtype=int).reshape(-1, 2)].T.copy()
+            plan.flags.writeable = False
+            plan = self._plans[boundary] = tuple(plan)
+        return plan
 
     def in_edges(self, node: int) -> list:
         """Indices of edges entering ``node`` (directed graphs)."""
@@ -378,13 +396,24 @@ def enumerate_vertices(spec: StructureSpec, limit: int = DEFAULT_ENUM_LIMIT) -> 
     return [np.array(bits, dtype=np.int8) for bits in out]
 
 
+@lru_cache(maxsize=1, typed=True)
+def _vertex_matrix(spec: StructureSpec, limit: int) -> np.ndarray:
+    """``enumerate_vertices(spec, limit)`` as the rows of a read-only float
+    matrix.  The last one is kept, so repeated moments of one spec (a
+    finite-difference Jacobian, a gradcheck) enumerate once; ``typed``
+    keeps a limit of another type from reusing it unchecked."""
+    verts = np.stack(enumerate_vertices(spec, limit)).astype(float)
+    verts.flags.writeable = False
+    return verts
+
+
 def gibbs_moments(spec: StructureSpec, z: np.ndarray, limit: int, covariance: bool = False):
     """Mean of p(x) ~ exp(z . x) over the spec's vertices, by enumeration.
 
     With ``covariance`` returns ``(mean, covariance)``.  Raises
     ``EnumerationLimitError`` past ``limit`` vertices.
     """
-    verts = np.stack(enumerate_vertices(spec, limit)).astype(float)
+    verts = _vertex_matrix(spec, limit)
     logw = verts @ z
     w = np.exp(logw - logw.max())
     if not covariance:

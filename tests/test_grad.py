@@ -26,6 +26,7 @@ from sst.errors import InputError, InvalidSpecError
 from sst.structures import gibbs_moments
 
 from graphs import D3, K3, K4, complete_digraph, complete_graph
+from tree_solves import assert_one_solve_per_block, watch_tree_solves
 
 _grad_module = importlib.import_module("sst.grad")
 _relax_module = importlib.import_module("sst.relax")
@@ -271,16 +272,10 @@ def test_fd_vjp_keeps_the_two_call_bytes_on_every_pair(kind, reg):
 
 def test_tree_fd_pair_with_tied_largest_edges(monkeypatch):
     # tied largest edges with tails 0 and 2, nudged apart in opposite
-    # directions by u + eps d and u - eps d: the pair is one kernel call,
-    # and each point keeps the bytes of its own relax call
-    calls = []
-    kernel = _relax_module._tree_marginals_by_logdet
-
-    def counted(nn, boundary, edges, theta, directed):
-        calls.append(boundary)
-        return kernel(nn, boundary, edges, theta, directed)
-
-    monkeypatch.setattr(_relax_module, "_tree_marginals_by_logdet", counted)
+    # directions by u + eps d and u - eps d: the pair is one certified
+    # inverse and at most one kernel call, on the rows it rejected, and
+    # each point keeps the bytes of its own relax call
+    log = watch_tree_solves(monkeypatch)
     graph = complete_graph(6)
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     u = np.random.default_rng(8).normal(size=graph.num_edges)
@@ -288,11 +283,12 @@ def test_tree_fd_pair_with_tied_largest_edges(monkeypatch):
     u[[i, j]] = u.max() + 0.5
     d = np.random.default_rng(9).normal(size=graph.num_edges)
     d[i], d[j] = -1.0, 1.0
+    eps = FDConfig().epsilon
     for t in (1.0, 1e-2):
         rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
-        calls.clear()
+        log.clear()
         got = fd_vjp(spec, rspec, u, d)
-        assert calls == [graph.num_nodes - 1]
+        assert_one_solve_per_block(log, np.stack([u + eps * d, u - eps * d]), t)
         assert got.tobytes() == _two_call_fd_vjp(spec, rspec, u, d).tobytes()
 
 

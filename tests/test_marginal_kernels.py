@@ -374,6 +374,84 @@ class TestBatchedTreeMarginals:
         assert point.condition_estimate == pytest.approx(max(finite) - min(finite), rel=1e-12)
 
 
+# --- the certified inverse path -----------------------------------------------
+
+GATE_TEMPERATURES = (1.0, 0.5, 0.2, 0.1, 0.05, 1e-2, 1e-4)
+
+
+def _both_paths(graph, root, theta):
+    """The inverse path's marginals, spreads and certified mask, and the
+    kernel's marginals and spreads, for a block of max-shifted log weights."""
+    nn, directed = graph.num_nodes, root is not None
+    boundary = root if directed else nn - 1
+    plan = graph.tree_plan(boundary)
+    mu, spread, ok = relax_mod._tree_rows_by_inverse(nn, *plan, np.exp(theta), directed)
+    want, want_spread = relax_mod._tree_marginals_by_logdet(nn, *plan, theta, directed)
+    return (mu, spread, ok), (want, want_spread), boundary
+
+
+def _gate_rows(rng, dim, t, rows):
+    """Normal, tied, jittered-tie and wide utility rows, cycled."""
+    kinds = (lambda: rng.normal(size=dim),
+             lambda: np.round(rng.normal(size=dim)),
+             lambda: np.round(rng.normal(size=dim)) + t * rng.normal(size=dim),
+             lambda: 3.0 * rng.normal(size=dim))
+    return np.stack([kinds[r % 4]() for r in range(rows)])
+
+
+class TestCertifiedInverse:
+    """The certificate's gate: a row the per-edge bound accepts lies within
+    1e-12 of the 60-digit oracle and of the kernel, and its spread within
+    1e-12 relative of the kernel's, at every temperature."""
+
+    @pytest.mark.parametrize("t", GATE_TEMPERATURES)
+    def test_certified_rows_against_high_precision_oracle(self, t):
+        leaf = Graph(6, complete_edges(5) + [[1, 5]])  # a leaf on the lightest edge
+        bridged = Graph(6, [[0, 1], [0, 2], [1, 2], [2, 3], [3, 4], [3, 5], [4, 5]])
+        cases = [(complete_graph(6), None), (complete_digraph(5), 0), (complete_digraph(5), 3),
+                 (leaf, None), (bridged, None)]
+        rng = np.random.default_rng(int(round(-np.log10(t) * 10)))
+        certified = 0
+        for graph, root in cases:
+            u = _gate_rows(rng, graph.num_edges, t, 8)
+            if graph is leaf:
+                u[:, -1] = u.min(axis=1) - 1.0
+            theta = _theta(u, t)
+            theta = theta - theta.max(axis=1, keepdims=True)
+            (mu, spread, ok), (_, want_spread), boundary = _both_paths(graph, root, theta)
+            for r in np.flatnonzero(ok):
+                want = _tree_marginals_mp(graph, boundary, theta[r])
+                assert np.abs(np.clip(mu[r], 0.0, 1.0) - want).max() <= 1e-12
+                assert abs(spread[r] - want_spread[r]) <= 1e-12 * abs(want_spread[r])
+            certified += ok.sum()
+        if t >= 0.1:
+            assert certified
+
+    @pytest.mark.parametrize("t", GATE_TEMPERATURES)
+    def test_certified_rows_against_the_kernel(self, t):
+        rng = np.random.default_rng(int(round(-np.log10(t) * 10)) + 100)
+        for graph, root, rows in ((complete_graph(10), None, 12), (complete_digraph(8), 0, 12),
+                                  (complete_graph(32), None, 4)):
+            theta = _theta(_gate_rows(rng, graph.num_edges, t, rows), t)
+            theta = theta - theta.max(axis=1, keepdims=True)
+            (mu, spread, ok), (want, want_spread), _ = _both_paths(graph, root, theta)
+            assert np.abs(mu[ok] - want[ok]).max(initial=0.0) <= 1e-12
+            assert (np.abs(spread[ok] - want_spread[ok]) <= 1e-12 * np.abs(want_spread[ok])).all()
+            assert np.isnan(spread[~ok]).all()
+            for r in range(rows):  # and each row alone has the bytes it has in the block
+                alone, _, _ = _both_paths(graph, root, theta[r:r + 1])
+                assert [x[0].tobytes() for x in alone] == [x[r].tobytes() for x in (mu, spread, ok)]
+
+    def test_rejected_rows_are_the_ill_conditioned_ones(self):
+        # equal weights stay certified at any temperature; t = 1e-4 on
+        # distinct utilities spreads the weights past what the bound accepts
+        g = complete_graph(10)
+        theta = np.stack([np.zeros(g.num_edges), _theta(np.random.default_rng(3).normal(
+            size=g.num_edges), 1e-4)])
+        (_, _, ok), _, _ = _both_paths(g, None, theta)
+        assert list(ok) == [True, False]
+
+
 # --- k-subset DPs -------------------------------------------------------------
 
 class TestVectorizedDPs:
@@ -575,6 +653,6 @@ class TestBlockKernelsKeepTheOneVectorBytes:
             want = [_tree_marginals_by_logdet(graph.num_nodes, boundary, graph.edges, row,
                                               directed=root is not None) for row in theta]
             mu, spread = relax_mod._tree_marginals_by_logdet(
-                graph.num_nodes, boundary, graph.edges, theta, directed=root is not None)
+                graph.num_nodes, *graph.tree_plan(boundary), theta, directed=root is not None)
             assert _byte_rows(mu, [w[0] for w in want])
             assert [float(s) for s in spread] == [w[1] for w in want]

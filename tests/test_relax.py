@@ -9,6 +9,7 @@ from scipy.special import expit, logit
 
 from sst import (
     ConvergenceError,
+    FDConfig,
     Graph,
     InfeasibleStructureError,
     InputError,
@@ -43,7 +44,8 @@ from sst import (
 )
 from sst.errors import InvalidSpecError
 
-from graphs import D3, K3, K4, complete_digraph, complete_graph
+from graphs import D3, K3, K4, complete_arcs, complete_digraph, complete_edges, complete_graph
+from tree_solves import assert_one_solve_per_block, watch_tree_solves
 
 class TestSoftmax:
     def test_closed_form(self):
@@ -319,13 +321,14 @@ class TestMatrixTree:
             if g.is_connected():
                 cases.append((g, rng.normal(size=g.num_edges)))
         for g, theta in cases:
-            outs = [kernel(g.num_nodes, b, g.edges, theta[None], directed=False)[0][0]
+            outs = [kernel(g.num_nodes, *g.tree_plan(b), theta[None], directed=False)[0][0]
                     for b in range(g.num_nodes)]
             for x in outs[1:]:
                 np.testing.assert_allclose(x, outs[0], atol=1e-12)
-            arcs = list(g.edges) + [(h, t) for t, h in g.edges]
+            arcs = Graph(g.num_nodes, list(g.edges) + [(h, t) for t, h in g.edges], directed=True)
             for root in range(g.num_nodes):
-                mu = kernel(g.num_nodes, root, arcs, np.r_[theta, theta][None], directed=True)[0][0]
+                mu = kernel(g.num_nodes, *arcs.tree_plan(root), np.r_[theta, theta][None],
+                            directed=True)[0][0]
                 np.testing.assert_allclose(mu[:g.num_edges] + mu[g.num_edges:], outs[0],
                                            atol=1e-12)
 
@@ -780,7 +783,7 @@ def _spec_id(spec):
     return f"{spec.kind.value}-{spec.n}-{spec.k}"
 
 
-@pytest.mark.parametrize("t", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("t", [1.0, 0.2, 1e-2, 1e-4])
 @pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_spec_id)
 def test_block_rows_equal_one_row_relax(spec, t):
     rng = np.random.default_rng(zlib.crc32(f"{_spec_id(spec)}/{t}".encode()))
@@ -837,28 +840,74 @@ def test_tree_block_rows_with_tied_largest_edges():
 def test_tree_solves_take_one_kernel_call(monkeypatch):
     """Every row of a block eliminates toward the same boundary, so each
     ``relax`` and each ``fd_vjp`` pair on K10 and on an 8-node digraph is
-    one call of the elimination kernel."""
-    calls = []
-    kernel = _relax_module._tree_marginals_by_logdet
-
-    def counted(nn, boundary, edges, theta, directed):
-        calls.append(boundary)
-        return kernel(nn, boundary, edges, theta, directed)
-
-    monkeypatch.setattr(_relax_module, "_tree_marginals_by_logdet", counted)
-    specs = [(StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(10)), 9),
-             (StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(8), root=3), 3)]
-    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY)
+    one certified inverse and at most one call of the elimination kernel,
+    on exactly the rows the certificate rejected."""
+    log = watch_tree_solves(monkeypatch)
+    specs = [StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(10)),
+             StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(8), root=3)]
+    eps = FDConfig().epsilon
     rng = np.random.default_rng(5)
-    for spec, boundary in specs:
-        for _ in range(3):
-            u, d = rng.normal(size=(2, spec.dim))
-            calls.clear()
-            relax(spec, rspec, u)
-            assert calls == [boundary]
-            calls.clear()
-            fd_vjp(spec, rspec, u, d)
-            assert calls == [boundary]
+    paths = set()
+    for spec in specs:
+        for t in (1.0, 0.2):
+            rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+            for _ in range(3):
+                u, d = rng.normal(size=(2, spec.dim))
+                log.clear()
+                relax(spec, rspec, u)
+                paths.update(assert_one_solve_per_block(log, u[None], t))
+                log.clear()
+                fd_vjp(spec, rspec, u, d)
+                paths.update(assert_one_solve_per_block(
+                    log, np.stack([u + eps * d, u - eps * d]), t))
+    assert paths == {False, True}  # both paths ran
+
+
+def _assert_rows_keep_their_one_row_solves(spec, u, t):
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+    mu, spread = _expfam_rows(spec, u, t)
+    for b in range(len(u)):
+        one = relax(spec, rspec, u[b])
+        assert mu[b].tobytes() == one.x.tobytes()
+        assert float(spread[b]) == one.condition_estimate
+
+
+@pytest.mark.parametrize("root", [None, 2])
+def test_tree_block_mixing_both_paths_keeps_the_one_row_bytes(monkeypatch, root):
+    """At t = 0.2 a block holds rows the certificate accepts and rows it
+    sends to the kernel; each keeps its marginals and spread alone."""
+    graph = complete_graph(8) if root is None else complete_digraph(8)
+    kind = StructureKind.SPANNING_TREE if root is None else StructureKind.ARBORESCENCE
+    spec = StructureSpec(kind, graph=graph, root=root)
+    u = np.random.default_rng(21).normal(size=(6, spec.dim)) * [[0.5], [1], [1], [2], [3], [0.5]]
+    log = watch_tree_solves(monkeypatch)
+    _expfam_rows(spec, u, 0.2)
+    ok = assert_one_solve_per_block(log, u, 0.2)
+    assert ok.any() and not ok.all()
+    monkeypatch.undo()
+    _assert_rows_keep_their_one_row_solves(spec, u, 0.2)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_tree_block_with_a_singular_row(monkeypatch, directed):
+    """Node 0 hangs on one edge (arc) from node 3; a utility 800 under the
+    rest underflows its weight to 0, so that row's reduced Laplacian is
+    singular in the linear domain and ``np.linalg.inv`` fails the whole
+    stack.  The block then inverts row by row: the singular row goes to
+    the kernel, whose log domain keeps the edge, and every row keeps its
+    one-row bytes."""
+    rest = complete_arcs(6) if directed else complete_edges(6)
+    graph = Graph(7, [(3, 0)] + [(a + 1, b + 1) for a, b in rest], directed=directed)
+    spec = (StructureSpec(StructureKind.ARBORESCENCE, graph=graph, root=6) if directed
+            else StructureSpec(StructureKind.SPANNING_TREE, graph=graph))
+    u = 0.5 * np.random.default_rng(22).normal(size=(3, spec.dim))
+    u[1, 0] = -800.0
+    log = watch_tree_solves(monkeypatch)
+    mu, _ = _expfam_rows(spec, u, 1.0)
+    assert list(assert_one_solve_per_block(log, u, 1.0)) == [True, False, True]
+    assert mu[1, 0] == 1.0  # a bridge is in every tree
+    monkeypatch.undo()
+    _assert_rows_keep_their_one_row_solves(spec, u, 1.0)
 
 
 @pytest.mark.parametrize("kind, reg", supported_pairs())

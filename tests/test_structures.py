@@ -27,7 +27,7 @@ from sst import (
     topk_select,
 )
 from sst.errors import DimensionMismatchError
-from sst.structures import DEFAULT_ENUM_LIMIT, default_enum_limit
+from sst.structures import DEFAULT_ENUM_LIMIT, default_enum_limit, gibbs_moments
 
 from graphs import complete_digraph, complete_graph
 
@@ -207,6 +207,20 @@ class TestEnumeration:
     def test_limit_must_be_a_non_negative_integer(self, limit, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             enumerate_vertices(StructureSpec(StructureKind.SUBSETS, n=2), limit)
+
+    def test_gibbs_moments_checks_every_limit_after_enumerating(self):
+        # the vertex matrix of the last (spec, limit) is kept; a later call
+        # with another limit still gets the error a fresh enumeration gives
+        spec = StructureSpec(StructureKind.SUBSETS, n=2)
+        z = np.array([0.5, -1.0])
+        mean = gibbs_moments(spec, z, 4)
+        for limit, error, message in (
+                (4.0, InputError, "limit must be an integer, got 4.0"),
+                (True, InputError, "limit must be an integer, got True"),
+                (3, EnumerationLimitError, "subsets instance has more than limit=3 vertices")):
+            with pytest.raises(error, match=f"^{message}$"):
+                gibbs_moments(spec, z, limit)
+        assert gibbs_moments(spec, z, 4).tobytes() == mean.tobytes()
 
     def test_deterministic(self):
         spec = StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(4))
