@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (InfeasibleStructureError, InputError, InvalidSpecError, _require_finite,
+from .errors import (InfeasibleStructureError, InputError, _as_floats, _require_finite,
                      _require_int)
 from .structures import (
     Graph,
@@ -66,7 +66,7 @@ def _stable_order(U: np.ndarray) -> np.ndarray:
 
 def _k_of_n(x, k: int, what: str) -> np.ndarray:
     """``x`` as a finite float vector of ``what`` whose length n has 1 <= k < n."""
-    x = np.asarray(x, dtype=float)
+    x = _as_floats(x, what)
     if not 1 <= _require_int(k, "k") < x.shape[0]:
         raise InputError(f"k must satisfy 1 <= k < {x.shape[0]}, got {k}")
     _require_finite(x, what)
@@ -422,11 +422,9 @@ def _map_block(spec: StructureSpec, U: np.ndarray) -> np.ndarray:
     elif kind == StructureKind.SPANNING_TREE:
         for row, order in zip(bits, _stable_order(U).tolist()):
             row[_kruskal(spec.graph, order)] = 1
-    elif kind == StructureKind.ARBORESCENCE:
+    else:  # an arborescence
         for row, work in zip(bits, U.tolist()):
             row[_cle(spec.graph, spec.root, work, None)] = 1
-    else:  # pragma: no cover
-        raise InvalidSpecError(f"unknown kind {kind!r}")
     return bits
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .argmax import _map_chunks, solve_map
-from .errors import InputError, SolverError, SstError, _require_draws, _require_finite
+from .errors import InputError, SolverError, _as_floats, _require_draws, _require_finite
 from .grad import FDConfig, gradcheck
 from .relax import RelaxationSpec, Regularizer, expfam_marginals, relax
 from .structures import (
@@ -76,10 +76,7 @@ def _load_vector(path: str) -> np.ndarray:
     raw = _load_json(path)
     if isinstance(raw, dict) and "u" in raw:
         raw = raw["u"]
-    try:
-        vec = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: utilities must be an array of numbers") from exc
+    vec = _as_floats(raw, f"{path}: utilities")
     _require_finite(vec, f"{path}: utilities")
     return vec
 
@@ -183,6 +180,8 @@ def _cmd_sample(args) -> int:
         )
     if not args.raw:
         _require_draws(args.draws)
+    elif args.draws < 0:
+        raise InputError("draws must be >= 0 with --raw")
     # Each chunk's noise block holds the bytes of the same number of
     # sequential draws, so the output of a seed does not depend on chunking.
     rng = np.random.default_rng(args.seed)
@@ -347,8 +346,6 @@ def run(argv=None) -> int:
         return _fail("invalid_input", exc, EXIT_INVALID_INPUT)
     except SolverError as exc:
         return _fail("solver_failure", exc, EXIT_SOLVER_FAILURE)
-    except SstError as exc:  # pragma: no cover
-        return _fail("invalid_input", exc, EXIT_INVALID_INPUT)
 
 
 def main() -> None:

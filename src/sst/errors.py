@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by all modules, and the finiteness,
-integer, temperature, solver-control and draw-count checks every public
-entry raises through.
+"""Exception hierarchy shared by all modules, and the conversion,
+finiteness, integer, temperature, solver-control and draw-count checks
+every public entry raises through.
 
 Two broad families matter for the CLI exit codes: problems with the
 caller's input (``InputError``, exit 1) and failures of a solver on a
@@ -60,6 +60,15 @@ class ConvergenceError(SolverError):
 
 class NumericalError(SolverError):
     """A computation lost validity (singular matrix, overflow)."""
+
+
+def _as_floats(x, what: str, error=InputError) -> np.ndarray:
+    """``x`` as a float array; raises ``error("<what> must be an array of
+    numbers")`` where numpy cannot convert it (text, ragged rows)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be an array of numbers") from exc
 
 
 def _require_finite(x, what: str, error=InputError) -> None:

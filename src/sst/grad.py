@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (EnumerationLimitError, InputError, InvalidSpecError,
-                     UnsupportedPairError, _require_finite)
+                     UnsupportedPairError, _as_floats, _require_finite)
 from .relax import (
     _PAIRS,
     _SEPARABLE,
@@ -61,7 +61,7 @@ def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     solver as one block; each gets the bytes of its own ``relax`` call.
     """
     u = _check_dim(spec, u)
-    d = np.asarray(d, dtype=float)
+    d = _as_floats(d, "direction")
     if d.shape != u.shape:
         raise InputError(f"direction must have shape {u.shape}, got {d.shape}")
     _require_finite(d, "direction")

@@ -27,6 +27,7 @@ from .errors import (
     InvalidSpecError,
     NumericalError,
     UnsupportedPairError,
+    _as_floats,
     _require_finite,
     _require_solver_controls,
     _require_temperature,
@@ -105,7 +106,7 @@ def _scaled(u: np.ndarray, t: float) -> np.ndarray:
     """``u / t`` for finite ``u`` (a vector or a block of rows) and ``t > 0``,
     failing loudly if the division itself overflows.  Every solver that
     takes a temperature divides by it here."""
-    u = np.asarray(u, dtype=float)
+    u = _as_floats(u, "utilities")
     _require_finite(u, "utilities")
     _require_temperature(t)
     with np.errstate(over="ignore"):
@@ -126,7 +127,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 def softmax_simplex(u: np.ndarray, t: float) -> RelaxedPoint:
     """Tempered softmax of a non-empty vector, with max-subtraction."""
-    u = np.asarray(u, dtype=float)
+    u = _as_floats(u, "utilities")
     if u.ndim != 1 or not u.size:
         raise InputError(f"expected a non-empty vector, got shape {u.shape}")
     return RelaxedPoint(x=_softmax_rows(_scaled(u, t)[None])[0])
@@ -462,10 +463,8 @@ def _tree_rows_by_inverse(nn, src, dst, w, directed):
     first-order term valid.  The bound is first order and leaves out the
     factors' growth, so it is not a proof: the tests check the certified
     rows against a 60-digit oracle and against the elimination kernel.
-    A certified row's spread comes from ``_log_pivots``, the pivots of
-    eliminating L in the kernel's order.  Returns the
-    marginals, the certified rows' log-pivot spreads (NaN elsewhere) and
-    the certified mask; each row's outputs are those of its one-row call.
+    Returns the marginals, the certified mask and the reduced Laplacians;
+    each row's outputs are those of its one-row call.
     """
     rows, m = len(w), nn - 1
     # lap[:, c, a] is the Laplacian's [a, c] entry: -w(a->c) off the
@@ -514,11 +513,7 @@ def _tree_rows_by_inverse(nn, src, dst, w, directed):
             bound = w[live] * (3 * m * _EPS * first.sum(axis=2) + last[live])
             ok[live] = ((bound.max(axis=1) <= 1e-12)
                         & (m * _EPS * skeel.sum(axis=2).max(axis=1) <= 1e-3))
-    spread = np.full(rows, np.nan)
-    if ok.any():
-        pivots = _log_pivots(red[ok], directed)
-        spread[ok] = pivots.max(axis=1) - pivots.min(axis=1)
-    return mu, spread, ok
+    return mu, ok, red
 
 
 def _inverses(a):
@@ -565,9 +560,9 @@ def _log_pivots(red, directed):
 
 
 def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> tuple:
-    """Marginals and log-pivot spreads of the spanning trees (``root`` None)
-    or of the arborescences rooted at ``root``, one row per row of edge
-    utilities ``u``.
+    """Marginals of the spanning trees (``root`` None) or arborescences
+    rooted at ``root``, one row per row of edge utilities ``u``, with the
+    kernel's log-pivot spreads (NaN on certified rows) and the reduced Laplacians.
 
     Every row eliminates toward one boundary: the root, or the last node
     of a spanning-tree graph (the marginals hold whichever row and column
@@ -583,17 +578,27 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
     """
     theta = _scaled(u, t)
     if not theta.shape[1]:  # one node: its only tree has no edges
-        return theta, np.zeros(len(theta))
+        return theta, np.zeros(len(theta)), None
     # subtracting a row's max scales every tree's weight alike
     theta = theta - theta.max(axis=1, keepdims=True)
     directed = root is not None
     nn = graph.num_nodes
     src, dst = graph.tree_plan(root if directed else nn - 1)
-    mu, spread, ok = _tree_rows_by_inverse(nn, src, dst, np.exp(theta), directed)
+    mu, ok, red = _tree_rows_by_inverse(nn, src, dst, np.exp(theta), directed)
+    spread = np.full(len(theta), np.nan)
     if not ok.all():
         rest = ~ok
         mu[rest], spread[rest] = _tree_marginals_by_logdet(nn, src, dst, theta[rest], directed)
-    return np.clip(mu, 0.0, 1.0), spread
+    return np.clip(mu, 0.0, 1.0), spread, red
+
+
+def _tree_point(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> RelaxedPoint:
+    """The point of one vector of edge utilities ``u``.  Only a point reports
+    the log-pivot spread, so only here does a certified row pay for its pivots."""
+    mu, spread, red = _tree_rows(graph, u[None], t, root)
+    if np.isnan(spread[0]):  # certified
+        spread = np.ptp(_log_pivots(red, root is not None), axis=1)
+    return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
 
 
 def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> RelaxedPoint:
@@ -611,8 +616,7 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> Relaxe
     u = _edge_vector(graph, u, "edge utilities", directed=False)
     if not graph.is_connected():
         raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
-    mu, spread = _tree_rows(graph, u[None], t)
-    return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
+    return _tree_point(graph, u, t)
 
 
 def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
@@ -629,8 +633,7 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
     u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
     if graph.reachable_from(root) != set(range(graph.num_nodes)):
         raise InfeasibleStructureError("no arborescence: some node unreachable from the root")
-    mu, spread = _tree_rows(graph, u[None], t, root)
-    return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
+    return _tree_point(graph, u, t, root)
 
 
 def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
@@ -655,7 +658,7 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     if warm_start is None:
         g = np.zeros(len(base))
     else:
-        warm_start = np.asarray(warm_start, dtype=float)
+        warm_start = _as_floats(warm_start, "warm_start")
         if warm_start.shape != (2, len(base)):
             raise InputError(f"warm_start must have shape (2, {len(base)}), got {warm_start.shape}")
         _require_finite(warm_start, "warm_start")
@@ -699,37 +702,37 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     )
 
 
-def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> tuple:
+def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
     """The marginals of p(x) ~ exp(u . x / t) for every row of ``u``, each
-    kernel run once on the whole block (matchings enumerate row by row),
-    and each row's log-pivot spread on trees and arborescences (None on
-    the other kinds)."""
+    kernel run once on the whole block (matchings enumerate row by row)."""
     kind = spec.kind
     if kind in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
-        return _tree_rows(spec.graph, u, t, spec.root)
+        return _tree_rows(spec.graph, u, t, spec.root)[0]
     if kind == StructureKind.MATCHING and spec.n > MATCHING_EXACT_LIMIT:
         raise EnumerationLimitError(
             f"exact matching marginals are limited to n <= {MATCHING_EXACT_LIMIT}"
         )
     z = _scaled(u, t)
     if kind == StructureKind.ONE_HOT:
-        return _softmax_rows(z), None
+        return _softmax_rows(z)
     if kind == StructureKind.SUBSETS:
-        return expit(z), None
+        return expit(z)
     if kind == StructureKind.K_SUBSETS:
-        return _cardinality_dp_marginals(z, spec.k), None
+        return _cardinality_dp_marginals(z, spec.k)
     if kind == StructureKind.MATCHING:
         mu = np.stack([gibbs_moments(spec, row, DEFAULT_ENUM_LIMIT) for row in z])
-        return np.clip(mu, 0.0, 1.0), None
-    return _chain_dp_marginals(spec.n, spec.k, z), None
+        return np.clip(mu, 0.0, 1.0)
+    return _chain_dp_marginals(spec.n, spec.k, z)
 
 
 def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoint:
     """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices;
     on trees and arborescences ``condition_estimate`` is the log-pivot
     spread of ``matrix_tree_marginals``."""
-    mu, spread = _expfam_rows(spec, _check_dim(spec, u)[None], t)
-    return RelaxedPoint(x=mu[0], condition_estimate=None if spread is None else float(spread[0]))
+    u = _check_dim(spec, u)
+    if spec.kind in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
+        return _tree_point(spec.graph, u, t, spec.root)
+    return RelaxedPoint(x=_expfam_rows(spec, u[None], t)[0])
 
 
 # The solver of every supported (kind, regularizer) pair, in the order
@@ -764,7 +767,7 @@ def _relax_rows(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> np
     rows the caller has checked.  The exponential-family pairs solve the
     whole block at once; every other pair goes one row at a time."""
     if _PAIRS.get((spec.kind, rspec.regularizer)) == "expfam":
-        return _expfam_rows(spec, u, rspec.temperature)[0]
+        return _expfam_rows(spec, u, rspec.temperature)
     return np.stack([relax(spec, rspec, row).x for row in u])
 
 

@@ -28,6 +28,7 @@ from .errors import (
     EnumerationLimitError,
     InputError,
     InvalidSpecError,
+    _as_floats,
     _require_int,
 )
 
@@ -220,14 +221,12 @@ def embedding_dim(spec: StructureSpec) -> int:
         return 2 * spec.n - 1
     if kind == StructureKind.MATCHING:
         return spec.n * spec.n
-    if kind in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
-        return spec.graph.num_edges
-    raise InvalidSpecError(f"unknown kind {kind!r}")
+    return spec.graph.num_edges  # a spanning tree or an arborescence
 
 
 def _check_dim(spec: StructureSpec, x: Sequence) -> np.ndarray:
     """``x`` as a float vector of the spec's embedding dimension."""
-    x = np.asarray(x, dtype=float)
+    x = _as_floats(x, "input")
     if x.ndim != 1 or x.shape[0] != embedding_dim(spec):
         raise DimensionMismatchError(
             f"expected a vector of length {embedding_dim(spec)}, got shape {x.shape}"
@@ -243,7 +242,7 @@ def _edge_vector(graph: Graph, x: Sequence, what: str, directed: bool,
     if graph.directed != directed:
         raise InvalidSpecError("arborescences need a directed graph" if directed
                                else "spanning trees need an undirected graph")
-    x = np.asarray(x, dtype=float)
+    x = _as_floats(x, what)
     if x.shape != (graph.num_edges,):
         raise InputError(f"expected {graph.num_edges} {what}, got shape {x.shape}")
     if directed and not 0 <= _require_int(root, "root") < graph.num_nodes:
@@ -253,7 +252,7 @@ def _edge_vector(graph: Graph, x: Sequence, what: str, directed: bool,
 
 def _square_matrix(u: Sequence) -> np.ndarray:
     """``u`` as a square float matrix of utilities."""
-    u = np.asarray(u, dtype=float)
+    u = _as_floats(u, "utility matrix")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InputError(f"utility matrix must be square, got shape {u.shape}")
     return u
@@ -332,9 +331,7 @@ def is_vertex(spec: StructureSpec, x: Sequence) -> bool:
         return bool((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all())
     if kind == StructureKind.SPANNING_TREE:
         return _edges_form_spanning_tree(spec.graph, np.flatnonzero(b))
-    if kind == StructureKind.ARBORESCENCE:
-        return _edges_form_arborescence(spec.graph, spec.root, np.flatnonzero(b))
-    raise InvalidSpecError(f"unknown kind {kind!r}")
+    return _edges_form_arborescence(spec.graph, spec.root, np.flatnonzero(b))
 
 
 def _bits(dim: int, chosen) -> tuple:
@@ -366,14 +363,12 @@ def _iter_vertices(spec: StructureSpec) -> Iterator[tuple]:
         for sel in itertools.combinations(range(g.num_edges), g.num_nodes - 1):
             if _edges_form_spanning_tree(g, sel):
                 yield _bits(g.num_edges, sel)
-    elif kind == StructureKind.ARBORESCENCE:
+    else:  # an arborescence
         g = spec.graph
         in_lists = [g.in_edges(v) for v in range(g.num_nodes) if v != spec.root]
         for combo in itertools.product(*in_lists):
             if _edges_form_arborescence(g, spec.root, combo):
                 yield _bits(g.num_edges, combo)
-    else:
-        raise InvalidSpecError(f"unknown kind {kind!r}")
 
 
 def enumerate_vertices(spec: StructureSpec, limit: int = DEFAULT_ENUM_LIMIT) -> list:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import (InputError, InvalidSpecError, OutOfSupportError, UnsupportedFamilyError,
-                     _require_draws, _require_finite)
+                     _as_floats, _require_draws, _require_finite)
 
 __all__ = [
     "UtilityFamily",
@@ -58,7 +58,7 @@ class UtilitySpec:
 
     def __post_init__(self):
         family = UtilityFamily(self.family)
-        theta = np.asarray(self.theta, dtype=float)
+        theta = _as_floats(self.theta, "theta", InvalidSpecError)
         if theta.ndim != 1:
             raise InvalidSpecError("theta must be a 1-d vector")
         _require_finite(theta, "theta", InvalidSpecError)
@@ -95,10 +95,8 @@ def _transform(spec: UtilitySpec, base: np.ndarray) -> UtilityDraw:
         u = th + np.log(base) - np.log1p(-base)
     elif spec.family == UtilityFamily.NEG_EXPONENTIAL:
         u = np.log(base) / th
-    elif spec.family == UtilityFamily.GAUSSIAN:
+    else:  # Gaussian
         u = th + ndtri(base)
-    else:  # pragma: no cover
-        raise UnsupportedFamilyError(f"unknown family {spec.family!r}")
     return UtilityDraw(u=u, base=base)
 
 
@@ -108,7 +106,7 @@ def sample(spec: UtilitySpec, base: np.ndarray) -> UtilityDraw:
     ``base`` must lie strictly inside (0, 1) coordinatewise; endpoints
     map to infinite utilities and are rejected.
     """
-    base = np.asarray(base, dtype=float)
+    base = _as_floats(base, "base noise")
     if base.shape != (spec.dim,):
         raise InputError(f"base noise must have shape ({spec.dim},), got {base.shape}")
     return _transform(spec, base)
@@ -162,7 +160,7 @@ def draw_block(spec: UtilitySpec, rng: np.random.Generator, draws: int) -> Utili
 
 def log_density(spec: UtilitySpec, u: np.ndarray) -> float:
     """Sum of per-coordinate log densities at ``u``."""
-    u = np.asarray(u, dtype=float)
+    u = _as_floats(u, "u")
     if u.shape != (spec.dim,):
         raise InputError(f"u must have shape ({spec.dim},), got {u.shape}")
     _require_finite(u, "u")
@@ -178,10 +176,8 @@ def log_density(spec: UtilitySpec, u: np.ndarray) -> float:
         if (u > 0).any():
             raise OutOfSupportError("neg_exponential utilities must satisfy u <= 0")
         return float(np.sum(np.log(th) + th * u))
-    if spec.family == UtilityFamily.GAUSSIAN:
-        z = u - th
-        return float(np.sum(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)))
-    raise UnsupportedFamilyError(f"unknown family {spec.family!r}")  # pragma: no cover
+    z = u - th  # Gaussian
+    return float(np.sum(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)))
 
 
 def kl_to_standard(spec: UtilitySpec) -> float:

@@ -27,7 +27,7 @@ from .argmax import (
     sample_topk_without_replacement,
     solve_map,
 )
-from .errors import InputError, SolverError, _require_draws
+from .errors import InputError, SolverError, _as_floats, _require_draws
 from .grad import gradcheck
 from .relax import (
     _PAIRS,
@@ -188,7 +188,7 @@ def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
 def chi_square_gof(table: FrequencyTable, expected: np.ndarray,
                    level: float = 0.01) -> TestReport:
     """Pearson goodness-of-fit against cell probabilities ``expected``."""
-    expected = np.asarray(expected, dtype=float)
+    expected = _as_floats(expected, "expected probabilities")
     if expected.shape != (len(table.support),):
         raise InputError("expected probabilities must align with the table support")
     if not (expected > 0).all():

@@ -182,6 +182,20 @@ class TestSample:
         assert len(out["draws"]) == 5
         assert all(sum(d) == 1 for d in out["draws"])
 
+    def test_raw_negative_draws_are_rejected(self, files, capsys):
+        argv = ["sample", "--spec", files("spec.json", {"kind": "one_hot", "n": 2}),
+                "--noise", files("noise.json", {"family": "gumbel", "theta": [0.0, 0.0]}),
+                "--seed", "1", "--raw"]
+        assert run(argv + ["--draws", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": {
+            "code": "invalid_input", "type": "InputError",
+            "message": "draws must be >= 0 with --raw"}}
+        assert run(argv + ["--draws", "0"]) == 0
+        assert capsys.readouterr().out == '{"draws": []}\n'
+
     def test_noise_dimension_checked(self, files, capsys):
         spec = files("spec.json", {"kind": "one_hot", "n": 3})
         noise = files("noise.json", {"family": "gumbel", "theta": [0.0]})
@@ -432,6 +446,51 @@ def test_import_leaves_slow_scipy_modules_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_TREE_SOLVES_SCRIPT = """
+import importlib, sys
+import numpy as np
+import sst, sst.cli
+from sst import Graph, RelaxationSpec, StructureSpec, fd_vjp, relax
+
+relax_module = importlib.import_module("sst.relax")
+calls = {"_log_pivots": 0, "_tree_marginals_by_logdet": 0}
+for name in calls:
+    def counted(*args, _name=name, _f=getattr(relax_module, name)):
+        calls[_name] += 1
+        return _f(*args)
+    setattr(relax_module, name, counted)
+rspec = RelaxationSpec("expfam_entropy", temperature=0.05)
+k5 = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+d4 = Graph(4, [(a, b) for a in range(4) for b in range(4) if a != b], directed=True)
+for spec in (StructureSpec("spanning_tree", graph=k5), StructureSpec("arborescence", graph=d4, root=0)):
+    # equal weights are certified at any temperature; spread ones are not
+    for u in (np.zeros(spec.dim), 3.0 * np.random.default_rng(0).normal(size=spec.dim)):
+        relax(spec, rspec, u)
+        fd_vjp(spec, rspec, u, np.ones(spec.dim))
+assert sst.cli.run(sys.argv[1:]) == 0
+assert min(calls.values()) > 0, calls
+print(sorted(m for m in ("scipy.optimize", "scipy.stats", "scipy.linalg") if m in sys.modules),
+      file=sys.stderr)
+"""
+
+
+def test_tree_solves_and_a_sample_leave_slow_scipy_modules_unloaded(files):
+    """Both tree paths (the certified inverse with its pivots, and the
+    elimination) and a one-hot ``sst sample`` run on numpy alone: the
+    matching solver's ``scipy.optimize`` and the KS test's ``scipy.stats``
+    stay lazy, and no tree solve reaches for ``scipy.linalg``."""
+    src = os.path.dirname(os.path.dirname(sst.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["sample", "--spec", files("spec.json", {"kind": "one_hot", "n": 3}),
+            "--noise", files("noise.json", {"family": "gumbel", "theta": [0.0, 0.5, -0.5]}),
+            "--seed", "3", "--draws", "50"]
+    proc = subprocess.run([sys.executable, "-c", _TREE_SOLVES_SCRIPT, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total"] == 50
+    assert proc.stderr.strip() == "[]"
 
 
 def test_bad_subcommand_exits_one():

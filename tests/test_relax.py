@@ -760,6 +760,19 @@ _relax_module = importlib.import_module("sst.relax")
 _relax_rows, _expfam_rows = _relax_module._relax_rows, _relax_module._expfam_rows
 
 
+def _public_point(spec, u, t):
+    """The public tree solver's point for the tree or arborescence ``spec``."""
+    if spec.root is None:
+        return matrix_tree_marginals(spec.graph, u, t)
+    return directed_matrix_tree_marginals(spec.graph, spec.root, u, t)
+
+
+def _kernel_spreads(spec, u, t):
+    """The log-pivot spreads a tree block keeps: the kernel's, NaN on the
+    rows the certificate accepted."""
+    return _relax_module._tree_rows(spec.graph, u, t, spec.root)[1]
+
+
 def _bridged_graph():
     # two K4 blobs joined by the bridge path 3-4-5-6
     blob = list(itertools.combinations(range(4), 2))
@@ -797,25 +810,27 @@ def test_block_rows_equal_one_row_relax(spec, t):
     rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
     block = _relax_rows(spec, rspec, u)
     assert block.shape == u.shape
-    mu, spread = _expfam_rows(spec, u, t)
-    assert mu.tobytes() == block.tobytes()
+    assert _expfam_rows(spec, u, t).tobytes() == block.tobytes()
+    spread = _kernel_spreads(spec, u, t) if spec.graph is not None else None
     for b in range(len(u)):
         one = relax(spec, rspec, u[b])
         assert block[b].tobytes() == one.x.tobytes()
         # and alone in a block of its own
         assert _relax_rows(spec, rspec, u[b:b + 1])[0].tobytes() == one.x.tobytes()
-        if spread is not None:  # and as the public tree solvers give it
-            public = (matrix_tree_marginals(spec.graph, u[b], t) if spec.root is None
-                      else directed_matrix_tree_marginals(spec.graph, spec.root, u[b], t))
+        if spread is None:
+            assert one.condition_estimate is None
+        else:  # and as the public tree solvers give it, with the block's kernel spread
+            public = _public_point(spec, u[b], t)
             assert public.x.tobytes() == one.x.tobytes()
-            assert float(spread[b]) == one.condition_estimate == public.condition_estimate
+            assert one.condition_estimate == public.condition_estimate
+            assert np.isnan(spread[b]) or float(spread[b]) == one.condition_estimate
 
 
 def test_tree_block_rows_with_tied_largest_edges():
     """Two tied largest edges with different tails, nudged apart in opposite
-    directions: each row's marginals and log-pivot spread from one
-    ``_expfam_rows`` block still equal its one-row solve, by ``relax`` and
-    by the public ``matrix_tree_marginals``."""
+    directions: each row's marginals from one ``_expfam_rows`` block, and
+    its kernel spread where the block keeps one, still equal its one-row
+    solve, by ``relax`` and by the public ``matrix_tree_marginals``."""
     graph = complete_graph(7)
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     first, second = graph.edges.index((0, 1)), graph.edges.index((2, 5))
@@ -828,54 +843,61 @@ def test_tree_block_rows_with_tied_largest_edges():
         block = np.stack([u + 1e-4 * d, u - 1e-4 * d, u])
         assert [graph.edges[i][0] for i in block.argmax(axis=1)] == [2, 0, 0]
         got = _relax_rows(spec, rspec, block)
-        mu, spread = _expfam_rows(spec, block, t)
-        assert mu.tobytes() == got.tobytes()
-        for row, x, c in zip(block, got, spread):
+        assert _expfam_rows(spec, block, t).tobytes() == got.tobytes()
+        for row, x, c in zip(block, got, _kernel_spreads(spec, block, t)):
             one = relax(spec, rspec, row)
             public = matrix_tree_marginals(graph, row, t)
             assert x.tobytes() == one.x.tobytes() == public.x.tobytes()
-            assert float(c) == one.condition_estimate == public.condition_estimate
+            assert one.condition_estimate == public.condition_estimate
+            assert np.isnan(c) or float(c) == one.condition_estimate
 
 
 def test_tree_solves_take_one_kernel_call(monkeypatch):
     """Every row of a block eliminates toward the same boundary, so each
-    ``relax`` and each ``fd_vjp`` pair on K10 and on an 8-node digraph is
-    one certified inverse and at most one call of the elimination kernel,
-    on exactly the rows the certificate rejected."""
+    ``relax``, ``expfam_marginals`` and public tree solve and each
+    ``fd_vjp`` pair on K10 and on an 8-node digraph is one certified
+    inverse and at most one call of the elimination kernel, on exactly the
+    rows the certificate rejected.  ``_log_pivots`` runs once per point
+    whose row was certified, never for a point the kernel solved, and
+    never for an ``fd_vjp`` pair, which reports no spread."""
     log = watch_tree_solves(monkeypatch)
     specs = [StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(10)),
              StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(8), root=3)]
     eps = FDConfig().epsilon
     rng = np.random.default_rng(5)
-    paths = set()
+    point_paths, pair_paths = set(), set()
     for spec in specs:
         for t in (1.0, 0.2):
             rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
             for _ in range(3):
                 u, d = rng.normal(size=(2, spec.dim))
-                log.clear()
-                relax(spec, rspec, u)
-                paths.update(assert_one_solve_per_block(log, u[None], t))
+                for solve in (lambda: relax(spec, rspec, u), lambda: expfam_marginals(spec, u, t),
+                              lambda: _public_point(spec, u, t)):
+                    log.clear()
+                    solve()
+                    point_paths.update(assert_one_solve_per_block(log, u[None], t, point=True))
                 log.clear()
                 fd_vjp(spec, rspec, u, d)
-                paths.update(assert_one_solve_per_block(
+                pair_paths.update(assert_one_solve_per_block(
                     log, np.stack([u + eps * d, u - eps * d]), t))
-    assert paths == {False, True}  # both paths ran
+    assert point_paths == pair_paths == {False, True}  # both paths ran
 
 
 def _assert_rows_keep_their_one_row_solves(spec, u, t):
     rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
-    mu, spread = _expfam_rows(spec, u, t)
+    mu, spread = _expfam_rows(spec, u, t), _kernel_spreads(spec, u, t)
     for b in range(len(u)):
         one = relax(spec, rspec, u[b])
         assert mu[b].tobytes() == one.x.tobytes()
-        assert float(spread[b]) == one.condition_estimate
+        assert one.condition_estimate == _public_point(spec, u[b], t).condition_estimate
+        assert np.isnan(spread[b]) or float(spread[b]) == one.condition_estimate
 
 
 @pytest.mark.parametrize("root", [None, 2])
 def test_tree_block_mixing_both_paths_keeps_the_one_row_bytes(monkeypatch, root):
     """At t = 0.2 a block holds rows the certificate accepts and rows it
-    sends to the kernel; each keeps its marginals and spread alone."""
+    sends to the kernel; each keeps its marginals alone, and a kernel row
+    its spread."""
     graph = complete_graph(8) if root is None else complete_digraph(8)
     kind = StructureKind.SPANNING_TREE if root is None else StructureKind.ARBORESCENCE
     spec = StructureSpec(kind, graph=graph, root=root)
@@ -903,7 +925,7 @@ def test_tree_block_with_a_singular_row(monkeypatch, directed):
     u = 0.5 * np.random.default_rng(22).normal(size=(3, spec.dim))
     u[1, 0] = -800.0
     log = watch_tree_solves(monkeypatch)
-    mu, _ = _expfam_rows(spec, u, 1.0)
+    mu = _expfam_rows(spec, u, 1.0)
     assert list(assert_one_solve_per_block(log, u, 1.0)) == [True, False, True]
     assert mu[1, 0] == 1.0  # a bridge is in every tree
     monkeypatch.undo()
