@@ -64,11 +64,15 @@ class NumericalError(SolverError):
 
 def _as_floats(x, what: str, error=InputError) -> np.ndarray:
     """``x`` as a float array; raises ``error("<what> must be an array of
-    numbers")`` where numpy cannot convert it (text, ragged rows)."""
+    numbers")`` where numpy cannot convert it (text, ragged rows), and
+    ``error("<what> must be finite")`` for an integer past the doubles'
+    range, as a float literal past it reads as inf and fails that gate."""
     try:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} must be an array of numbers") from exc
+    except OverflowError as exc:
+        raise error(f"{what} must be finite") from exc
 
 
 def _require_finite(x, what: str, error=InputError) -> None:

@@ -295,7 +295,8 @@ def _cardinality_dp_marginals(z: np.ndarray, k: int) -> np.ndarray:
 
     Log-domain forward/backward over (position, count); O(n k).  The
     Python loop runs over the count: each count's recursion along the
-    positions is one sequential ``logaddexp.accumulate``.
+    positions is one sequential ``logaddexp.accumulate``.  It solves the
+    rows that ``_dp_certified`` keeps from ``_cardinality_dp_linear``.
     """
     rows, n = z.shape
     # fwd[:, c, i]: c chosen among the first i; bwd[:, c, i]: c chosen from i on
@@ -325,7 +326,8 @@ def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
     (position, state, count) lattice in the log domain.  The Python loop
     runs over the count: state 1 at count c follows from count c - 1 in
     one vector step, and state 0's recursion along the positions is one
-    sequential ``logaddexp.accumulate``.
+    sequential ``logaddexp.accumulate``.  It solves the rows that
+    ``_dp_certified`` keeps from ``_chain_dp_linear``.
     """
     rows = z.shape[0]
     phi, psi = z[:, :n], z[:, n:]
@@ -356,6 +358,107 @@ def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
         terms = (fwd[:, :-1, 1, 1:k] + psi[:, :, None] + phi[:, 1:, None]
                  + bwd[:, 1:, 1, k - 2::-1])
         mu[:, n:] = np.exp(_logsumexp_rows(terms) - log_z)
+    return np.clip(mu, 0.0, 1.0)
+
+
+# The linear-domain DPs below multiply weights and add positive sums, so
+# every entry of their tables is a sum of monomials (products of weights)
+# and carries a relative error of O((n + k) eps), unless a monomial falls
+# below the smallest normal double or a sum overflows.  ``_dp_certified``
+# rules both out before any table is built.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HUGE = math.log(np.finfo(float).max)
+
+
+def _dp_certified(z, n, k):
+    """The rows of scores ``z`` whose k-subset DP (n columns) or chain DP
+    (2 n - 1 columns, the pair scores after the unary ones) may run in the
+    linear domain.
+
+    Every monomial of a table is a product of at most k unary weights
+    exp(phi - max phi), each in (0, 1], and, on a chain, at most k - 1
+    pair factors exp(psi), so its log lies in [low, high] with
+    ``low = k (min phi - max phi) + (k - 1) min(0, min psi)`` and
+    ``high = (k - 1) max(0, max psi)``.  A row is certified when ``low``
+    is at least the log of the smallest normal double plus a margin of 1,
+    and ``high`` plus log(k C(n, c*)) at most the log of the largest double
+    minus 1: C(n, c*), the binomial C(n, c) largest over c <= k, bounds how
+    many monomials one entry sums, and the kernels' last sum, of every
+    numerator, is k Z.  The margin is far wider than the kernels' relative
+    error, so no computed entry leaves that range either.
+    """
+    phi, psi = z[:, :n], z[:, n:]
+    with np.errstate(over="ignore"):  # a spread past the doubles fails the test
+        low = k * (phi.min(axis=1) - phi.max(axis=1))
+        high = 0.0
+        if psi.shape[1]:
+            low = low + (k - 1) * psi.min(axis=1, initial=0.0)
+            high = (k - 1) * psi.max(axis=1, initial=0.0)
+    c = min(k, n // 2)
+    count = math.log(k) + math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+    return (low >= _LOG_TINY + 1.0) & (high <= _LOG_HUGE - count - 1.0)
+
+
+def _cardinality_dp_linear(z: np.ndarray, k: int) -> np.ndarray:
+    """``_cardinality_dp_marginals`` in the linear domain, for the rows
+    ``_dp_certified`` accepts.
+
+    With weights w = exp(z - max z), ``tab[:, 0, c, i]`` sums the products
+    of the c-subsets of the first i weights, and ``tab[:, 1, c, i]`` those
+    of the last i, from the same recursion on the reversed weights; each
+    count is one ``add.accumulate`` along the positions for both
+    directions.  Element i's marginal is ``w_i sum_c tab[0, c, i]
+    tab[1, k - 1 - c, n - 1 - i] / Z``, and these numerators sum to k Z,
+    so no table needs count k.
+    """
+    rows, n = z.shape
+    w = np.exp(z - z.max(axis=1, keepdims=True))
+    both = np.stack([w, w[:, ::-1]], axis=1)
+    tab = np.zeros((rows, 2, k, n + 1))
+    tab[:, :, 0] = 1.0
+    for c in range(1, k):
+        np.add.accumulate(tab[:, :, c - 1, :-1] * both, axis=2, out=tab[:, :, c, 1:])
+    numer = w * (tab[:, 0, :, :n] * tab[:, 1, ::-1, n - 1::-1]).sum(axis=1)
+    mu = numer * (k / numer.sum(axis=1, keepdims=True))
+    return np.clip(mu, 0.0, 1.0)
+
+
+def _chain_dp_linear(n: int, k: int, z: np.ndarray) -> np.ndarray:
+    """``_chain_dp_marginals`` in the linear domain, for the rows
+    ``_dp_certified`` accepts.
+
+    Unary factors a = exp(phi - max phi) and pair factors b = exp(psi).
+    ``tab[:, 0, c, s, i]`` sums the configurations of positions 0..i with
+    c ones and x_i = s, and ``tab[:, 1]`` the same on the reversed chain,
+    so ``tab[:, 1, c, s, n - 1 - i]`` covers positions i..n-1.  Each
+    count takes one vector step for state 1 and one ``add.accumulate``
+    along the positions for state 0, both directions at once.  Element i
+    is selected with c ones up to and at it and k + 1 - c from it on, so
+    its numerator divides a_i out of the forward side first, and each of
+    its products holds k unary factors, as every monomial does.  The unary
+    numerators sum to k Z.
+    """
+    rows = z.shape[0]
+    phi, psi = z[:, :n], z[:, n:]
+    a = np.exp(phi - phi.max(axis=1, keepdims=True))
+    tab = np.zeros((rows, 2, k + 1, 2, n))
+    tab[:, :, 0, 0] = 1.0
+    tab[:, :, 1, 1] = both = np.stack([a, a[:, ::-1]], axis=1)
+    if k > 1:  # k = 1 has no pair factors, and psi is not bounded then
+        b = np.exp(np.stack([psi, psi[:, ::-1]], axis=1))
+    for c in range(1, k):
+        np.add.accumulate(tab[:, :, c, 1, :-1], axis=2, out=tab[:, :, c, 0, 1:])
+        prev = tab[:, :, c, :, :-1]
+        tab[:, :, c + 1, 1, 1:] = both[:, :, 1:] * (prev[:, :, 0] + prev[:, :, 1] * b)
+    fwd, bwd = tab[:, 0, 1:, 1], tab[:, 1, :0:-1, 1, ::-1]
+    mu = np.zeros((rows, 2 * n - 1))
+    unary = (fwd / a[:, None] * bwd).sum(axis=1)
+    scale = k / unary.sum(axis=1, keepdims=True)
+    mu[:, :n] = unary * scale
+    if k >= 2:
+        # both endpoints selected: c ones up to i, k - c from i + 1 on
+        pair = (fwd[:, :-1, :-1] * bwd[:, 1:, 1:]).sum(axis=1)
+        mu[:, n:] = pair * b[:, 0] * scale
     return np.clip(mu, 0.0, 1.0)
 
 
@@ -704,7 +807,14 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
 
 def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
     """The marginals of p(x) ~ exp(u . x / t) for every row of ``u``, each
-    kernel run once on the whole block (matchings enumerate row by row)."""
+    kernel run once on the whole block (matchings enumerate row by row).
+
+    The k-subset and chain DPs run in the linear domain on the rows whose
+    monomial bounds, read off z = u / t alone, ``_dp_certified`` accepts,
+    and in the log domain on the rest; either way each row keeps the
+    bytes of its one-row solve, and a certified row may differ from the
+    log kernel at the rounding level.
+    """
     kind = spec.kind
     if kind in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
         return _tree_rows(spec.graph, u, t, spec.root)[0]
@@ -717,12 +827,29 @@ def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
         return _softmax_rows(z)
     if kind == StructureKind.SUBSETS:
         return expit(z)
-    if kind == StructureKind.K_SUBSETS:
-        return _cardinality_dp_marginals(z, spec.k)
     if kind == StructureKind.MATCHING:
         mu = np.stack([gibbs_moments(spec, row, DEFAULT_ENUM_LIMIT) for row in z])
         return np.clip(mu, 0.0, 1.0)
-    return _chain_dp_marginals(spec.n, spec.k, z)
+    n, k = spec.n, spec.k
+    ok = _dp_certified(z, n, k)
+    if kind == StructureKind.K_SUBSETS:
+        return _dp_rows(z, ok, lambda x: _cardinality_dp_linear(x, k),
+                        lambda x: _cardinality_dp_marginals(x, k))
+    return _dp_rows(z, ok, lambda x: _chain_dp_linear(n, k, x),
+                    lambda x: _chain_dp_marginals(n, k, x))
+
+
+def _dp_rows(z, ok, linear, log):
+    """``linear(z)`` on the rows ``ok`` marks and ``log(z)`` on the rest, one
+    call each; each row keeps the bytes of its one-row call."""
+    if ok.all():
+        return linear(z)
+    if not ok.any():
+        return log(z)
+    mu = np.empty_like(z)
+    mu[ok] = linear(z[ok])
+    mu[~ok] = log(z[~ok])
+    return mu
 
 
 def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoint:

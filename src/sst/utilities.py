@@ -204,6 +204,6 @@ def utility_from_dict(d: dict) -> UtilitySpec:
     try:
         family = UtilityFamily(d["family"])
         theta = np.asarray(d["theta"], dtype=float)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InvalidSpecError(f"malformed utility spec: {d!r}") from exc
     return UtilitySpec(family=family, theta=theta)

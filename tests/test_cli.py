@@ -375,6 +375,17 @@ class TestUnreadableFiles:
         assert err == {"code": "invalid_input", "type": "InputError",
                        "message": f"{u}: utilities must be an array of numbers"}
 
+    def test_integer_past_the_double_range(self, files, capsys):
+        spec = files("spec.json", {"kind": "one_hot", "n": 2})
+        u = files("u.json", [1, 10 ** 400])
+        err = self._error(["solve", "--spec", spec, "--utilities", u], capsys)
+        assert err == {"code": "invalid_input", "type": "InputError",
+                       "message": f"{u}: utilities must be finite"}
+        noise = files("noise.json", {"family": "gumbel", "theta": [0, 10 ** 400]})
+        err = self._error(["sample", "--spec", spec, "--noise", noise, "--seed", "0"], capsys)
+        assert err["type"] == "InvalidSpecError"
+        assert err["message"].startswith("malformed utility spec")
+
     def test_spec_that_is_not_an_object(self, files, capsys):
         spec = files("spec.json", [{"kind": "one_hot", "n": 2}])
         err = self._error(["enumerate", "--spec", spec], capsys)

@@ -31,6 +31,7 @@ from sst import (
     sinkhorn_relax,
     softmax_simplex,
     topk_select,
+    utility_from_dict,
 )
 
 from graphs import D3, K4
@@ -88,3 +89,27 @@ def test_numeric_input_keeps_its_errors():
     with pytest.raises(InputError, match=r"^utility matrix must be square, got shape \(2, 1\)$"):
         sinkhorn_relax([[1.0], [2.0]], 1.0)
     assert relax(ONE_HOT, SHANNON, ["0", "0"]).x.tolist() == [0.5, 0.5]
+
+
+# an integer past the doubles' range, as a JSON file may hold one
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("call, error, what", [
+    (lambda: topk_select([1, HUGE, 3], 1), InputError, "utilities"),
+    (lambda: relax(ONE_HOT, SHANNON, [1, HUGE]), InputError, "input"),
+    (lambda: softmax_simplex([1, HUGE], 1.0), InputError, "utilities"),
+    (lambda: UtilitySpec("gumbel", [0, HUGE]), InvalidSpecError, "theta"),
+], ids=["topk_select", "relax", "softmax_simplex", "UtilitySpec"])
+def test_integer_past_the_double_range_is_not_finite(call, error, what):
+    """Such an integer fails the finiteness gate, as the float literal 1e400
+    (read as inf) does, and not with a bare ``OverflowError``."""
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == f"{what} must be finite"
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_utility_spec_dict_with_an_integer_past_the_double_range():
+    with pytest.raises(InvalidSpecError, match="^malformed utility spec"):
+        utility_from_dict({"family": "gumbel", "theta": [0, HUGE]})

@@ -6,7 +6,8 @@ elimination per deleted edge (mu_e = 1 - det without e / det), and the
 loop DPs.  They are slow (O(m n^3) Python-level steps for trees) but
 leave little room for an indexing slip, which is what the vectorized
 kernels risk.  A 60-digit version of the deletion formula judges the
-rounding of the tree kernel on instances too large to enumerate.
+rounding of the tree kernel on instances too large to enumerate, and a
+50-digit enumeration the linear-domain DPs' certified rows.
 """
 
 import importlib
@@ -18,8 +19,18 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from sst import Graph, NumericalError, directed_matrix_tree_marginals, matrix_tree_marginals
+from sst import (
+    Graph,
+    NumericalError,
+    StructureKind,
+    StructureSpec,
+    UtilitySpec,
+    directed_matrix_tree_marginals,
+    draw,
+    matrix_tree_marginals,
+)
 
+from dp_solves import assert_one_solve_per_dp_block, watch_dp_solves
 from graphs import complete_digraph, complete_edges, complete_graph
 
 # the package exports the function ``relax`` under the module's name
@@ -196,6 +207,24 @@ def _chain_dp_loop(n, k, z):
         if terms:
             mu[n + i] = np.exp(logsumexp(terms) - log_z)
     return mu
+
+
+def _dp_marginals_mp(z, n, k, digits=50):
+    """The k-subset (``len(z) == n``) or chain (``2 n - 1``) marginals at
+    ``digits`` digits, by enumerating the k-subsets."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        scores = [mpmath.mpf(float(x)) for x in z]
+        total, mass = mpmath.mpf(0), [mpmath.mpf(0)] * len(z)
+        for chosen in itertools.combinations(range(n), k):
+            on = list(chosen)
+            if len(z) > n:
+                on += [n + i for i in chosen if i + 1 in chosen]
+            weight = mpmath.exp(mpmath.fsum(scores[i] for i in on))
+            total += weight
+            for i in on:
+                mass[i] += weight
+        return np.array([float(m / total) for m in mass])
 
 
 # --- instances ----------------------------------------------------------------
@@ -476,6 +505,142 @@ class TestVectorizedDPs:
         assert abs(got[:n].sum() - k) < 1e-9
         if k == 1:
             assert not got[n:].any()
+
+
+# --- linear-domain DPs ---------------------------------------------------------
+
+DP_TEMPERATURES = (1.0, 0.3, 0.1, 1e-2, 1e-4)
+# n = 2, k = 1 and k = n - 1 among them
+DP_SIZES = ((2, 1), (5, 1), (5, 4), (8, 3), (10, 5), (10, 9))
+
+
+def _log_kernel(spec, z):
+    if spec.kind == StructureKind.K_SUBSETS:
+        return relax_mod._cardinality_dp_marginals(z, spec.k)
+    return relax_mod._chain_dp_marginals(spec.n, spec.k, z)
+
+
+def _shifted(z, n):
+    """``z`` with each row's largest unary score subtracted from its unary
+    scores: the same law, and the log kernel's sums of scores then carry no
+    rounding from a large common offset."""
+    z = z.copy()
+    z[:, :n] -= z[:, :n].max(axis=1, keepdims=True)
+    return z
+
+
+def _dp_gate_rows(rng, dim):
+    """A normal, a tied, a wide and an offset (u + 500) row."""
+    u = rng.normal(size=dim)
+    return np.stack([u, np.round(rng.normal(size=dim)), 3.0 * rng.normal(size=dim), u + 500.0])
+
+
+@pytest.mark.parametrize("kind", [StructureKind.K_SUBSETS, StructureKind.CORR_K_SUBSETS])
+class TestLinearDPs:
+    """The gate of the linear-domain DPs: a row the certificate accepts lies
+    within 1e-12 relative of a 50-digit oracle on every marginal above
+    1e-300 and within 1e-12 of the log kernel; a row it rejects gets the
+    log kernel's bytes; and every row of a block its one-row bytes."""
+
+    @pytest.mark.parametrize("t", DP_TEMPERATURES)
+    def test_certified_rows_against_the_oracle_and_the_log_kernel(self, kind, t):
+        rng = np.random.default_rng(int(round(-np.log10(t) * 10)) + (kind == StructureKind.K_SUBSETS))
+        certified = 0
+        for n, k in DP_SIZES:
+            spec = StructureSpec(kind, n=n, k=k)
+            u = _dp_gate_rows(rng, spec.dim)
+            z = u / t
+            mu = relax_mod._expfam_rows(spec, u, t)
+            ok = relax_mod._dp_certified(z, n, k)
+            assert np.isfinite(mu).all()
+            for r in np.flatnonzero(ok):
+                want = _dp_marginals_mp(z[r], n, k)
+                big = want > 1e-300
+                assert (np.abs(mu[r] - want)[big] <= 1e-12 * want[big]).all()
+                assert np.abs(mu[r] - _log_kernel(spec, _shifted(z[r:r + 1], n))[0]).max() <= 1e-12
+            assert mu[~ok].tobytes() == _log_kernel(spec, z[~ok]).tobytes()
+            for r in range(len(u)):
+                assert relax_mod._expfam_rows(spec, u[r:r + 1], t)[0].tobytes() == mu[r].tobytes()
+            certified += ok.sum()
+        if t >= 0.1:
+            assert certified
+
+    def test_large_common_offset(self, kind):
+        """u + 500 at t = 1: the k-subset row certifies, since its weights are
+        shifted by their max; the chain's pair factors exp(psi) would
+        overflow, so a chain row with k >= 2 goes to the log kernel, and one
+        with k = 1, which has no pair factor, certifies.  All are finite."""
+        rng = np.random.default_rng(500)
+        for n, k in DP_SIZES:
+            spec = StructureSpec(kind, n=n, k=k)
+            u = rng.normal(size=(1, spec.dim)) + 500.0
+            ok = relax_mod._dp_certified(u, n, k)
+            assert ok[0] == (kind == StructureKind.K_SUBSETS or k == 1)
+            mu = relax_mod._expfam_rows(spec, u, 1.0)[0]
+            assert np.isfinite(mu).all()
+            assert np.abs(mu - _dp_marginals_mp(u[0], n, k)).max() <= 1e-10
+
+    def test_certificate_edges(self, kind):
+        """The lower bound of the monomials' logs against the smallest normal
+        double, and, on a chain, the upper bound of the pair factors'."""
+        n, k = 6, 3
+        spec = StructureSpec(kind, n=n, k=k)
+        floor = (relax_mod._LOG_TINY + 1.0) / k
+        z = np.zeros((2, spec.dim))
+        z[:, 0] = [floor, floor * (1 + 1e-9)]  # one unary score at and past the floor
+        assert list(relax_mod._dp_certified(z, n, k)) == [True, False]
+        if kind == StructureKind.CORR_K_SUBSETS:
+            count = math.log(k * math.comb(n, k))
+            z = np.zeros((2, spec.dim))
+            z[:, n] = np.array([1.0, 1.0 + 1e-9]) * (relax_mod._LOG_HUGE - count - 1.0) / (k - 1)
+            assert list(relax_mod._dp_certified(z, n, k)) == [True, False]
+            for row in z:  # the certified row overflows nothing
+                assert np.isfinite(relax_mod._expfam_rows(spec, row[None], 1.0)).all()
+        z = np.zeros((1, spec.dim))
+        z[0, 0] = -np.finfo(float).max
+        z[0, 1] = np.finfo(float).max  # the spread overflows
+        assert not relax_mod._dp_certified(z, n, k)[0]
+
+    def test_equal_scores_at_the_overflow_edge(self, kind):
+        """Equal scores on k = n / 2 around n = 1024, where k C(n, k) first
+        passes the largest double: every unary marginal is k / n, whichever
+        kernel the certificate picks, and n = 1024 itself is rejected, since
+        the numerators' sum k Z would overflow there though C(n, k) does
+        not."""
+        picks = set()
+        for n in (1018, 1020, 1024):
+            k = n // 2
+            spec = StructureSpec(kind, n=n, k=k)
+            z = np.zeros((1, spec.dim))
+            ok = relax_mod._dp_certified(z, n, k)[0]
+            picks.add(ok)
+            mu = relax_mod._expfam_rows(spec, z, 1.0)[0]
+            assert np.abs(mu[:n] - k / n).max() <= 1e-12
+            if n == 1024:
+                assert math.lgamma(n + 1) - 2 * math.lgamma(k + 1) < relax_mod._LOG_HUGE - 1.0
+                assert not ok
+        assert picks == {True, False}
+
+    def test_relaxed_step_instances_certify_at_t1(self, kind):
+        """Gumbel draws around U(-1, 1) locations on n = 100, k = 10 and on
+        the chain n = 50, k = 10, as the benchmark's step makes them."""
+        n = 100 if kind == StructureKind.K_SUBSETS else 50
+        spec = StructureSpec(kind, n=n, k=10)
+        theta = np.random.default_rng(1).uniform(-1.0, 1.0, spec.dim)
+        u = np.stack([draw(UtilitySpec("gumbel", theta), np.random.default_rng(s)).u
+                      for s in range(200)])
+        assert relax_mod._dp_certified(u, n, 10).all()
+
+    def test_mixed_block_keeps_the_one_row_bytes(self, kind, monkeypatch):
+        spec = StructureSpec(kind, n=40, k=10)
+        u = np.random.default_rng(41).normal(size=(6, spec.dim)) * [[0.3], [3], [1], [4], [0.5], [2]]
+        log = watch_dp_solves(monkeypatch)
+        mu = relax_mod._expfam_rows(spec, u, 0.1)
+        ok = assert_one_solve_per_dp_block(log, u, 0.1, spec.n, spec.k)
+        assert ok.any() and not ok.all()
+        monkeypatch.undo()
+        for r in range(len(u)):
+            assert relax_mod._expfam_rows(spec, u[r:r + 1], 0.1)[0].tobytes() == mu[r].tobytes()
 
 
 # --- the one-vector kernels the block kernels replaced -------------------------

@@ -45,6 +45,7 @@ from sst import (
 from sst.errors import InvalidSpecError
 
 from graphs import D3, K3, K4, complete_arcs, complete_digraph, complete_edges, complete_graph
+from dp_solves import assert_one_solve_per_dp_block, watch_dp_solves
 from tree_solves import assert_one_solve_per_block, watch_tree_solves
 
 class TestSoftmax:
@@ -881,6 +882,35 @@ def test_tree_solves_take_one_kernel_call(monkeypatch):
                 pair_paths.update(assert_one_solve_per_block(
                     log, np.stack([u + eps * d, u - eps * d]), t))
     assert point_paths == pair_paths == {False, True}  # both paths ran
+
+
+def test_dp_solves_take_one_kernel_call(monkeypatch):
+    """Each ``relax`` and ``expfam_marginals`` point and each ``fd_vjp`` pair
+    on n = 100, k = 10 subsets and on the n = 50, k = 10 chain is at most
+    one linear-domain DP call, on exactly the rows the certificate accepts,
+    then at most one log-domain call on the rest: no row pays for both."""
+    log = watch_dp_solves(monkeypatch)
+    specs = [StructureSpec(StructureKind.K_SUBSETS, n=100, k=10),
+             StructureSpec(StructureKind.CORR_K_SUBSETS, n=50, k=10)]
+    eps = FDConfig().epsilon
+    rng = np.random.default_rng(6)
+    paths = set()
+    for spec in specs:
+        for t, scale in ((1.0, 1.0), (0.1, 0.3), (0.1, 1.0)):
+            rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
+            u, d = scale * rng.normal(size=(2, spec.dim))
+            for solve in (lambda: relax(spec, rspec, u), lambda: expfam_marginals(spec, u, t)):
+                log.clear()
+                solve()
+                paths.update(assert_one_solve_per_dp_block(log, u[None], t, spec.n, spec.k))
+            log.clear()
+            fd_vjp(spec, rspec, u, d)
+            pair = np.stack([u + eps * d, u - eps * d])
+            ok = assert_one_solve_per_dp_block(log, pair, t, spec.n, spec.k)
+            if t == 1.0:
+                assert [entry[0] for entry in log] == ["linear"] and len(log[0][1]) == 2
+            paths.update(ok)
+    assert paths == {False, True}  # both paths ran
 
 
 def _assert_rows_keep_their_one_row_solves(spec, u, t):
