@@ -67,6 +67,8 @@ def _stable_order(U: np.ndarray) -> np.ndarray:
 def _k_of_n(x, k: int, what: str) -> np.ndarray:
     """``x`` as a finite float vector of ``what`` whose length n has 1 <= k < n."""
     x = _as_floats(x, what)
+    if x.ndim != 1:
+        raise InputError(f"{what} must be a vector, got shape {x.shape}")
     if not 1 <= _require_int(k, "k") < x.shape[0]:
         raise InputError(f"k must satisfy 1 <= k < {x.shape[0]}, got {k}")
     _require_finite(x, what)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .argmax import _map_chunks, solve_map
-from .errors import InputError, SolverError, _as_floats, _require_draws, _require_finite
+from .errors import (InputError, SolverError, _as_floats, _require_draws, _require_finite,
+                     _require_seed)
 from .grad import FDConfig, gradcheck
 from .relax import RelaxationSpec, Regularizer, expfam_marginals, relax
 from .structures import (
@@ -51,10 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _uint64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+    try:
+        return _require_seed(int(text))
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _load_json(path: str):

@@ -1,11 +1,13 @@
-"""Exception hierarchy shared by all modules, and the conversion,
-finiteness, integer, temperature, solver-control and draw-count checks
-every public entry raises through.
+"""Exception hierarchy shared by all modules, and the conversion, enum,
+finiteness, integer, temperature, solver-control, draw-count and seed
+checks every public entry raises through.
 
 Two broad families matter for the CLI exit codes: problems with the
 caller's input (``InputError``, exit 1) and failures of a solver on a
 well-formed input (``SolverError``, exit 2).
 """
+
+import numbers
 
 import numpy as np
 
@@ -75,16 +77,41 @@ def _as_floats(x, what: str, error=InputError) -> np.ndarray:
         raise error(f"{what} must be finite") from exc
 
 
+def _as_member(enum, value, what: str):
+    """``value`` as a member of ``enum``; raises ``InvalidSpecError("unknown
+    <what> <value!r>; choose from ...")`` where it names none."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        choices = ", ".join(member.value for member in enum)
+        raise InvalidSpecError(f"unknown {what} {value!r}; choose from {choices}") from exc
+
+
 def _require_finite(x, what: str, error=InputError) -> None:
     """Raise ``error("<what> must be finite")`` unless every entry of ``x`` is."""
     if not np.isfinite(x).all():
         raise error(f"{what} must be finite")
 
 
+def _require_positive(value, what: str, error=InputError) -> None:
+    """Raise ``error("<what> must be > 0")`` unless the real number ``value``
+    is above 0 (NaN fails); ``error("<what> must be a real number, got
+    <value!r>")`` where it is none, and ``error("<what> is past the range of
+    a double")`` for an integer no float holds, which no solve could divide
+    by."""
+    if not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a real number, got {value!r}")
+    try:
+        positive = float(value) > 0
+    except OverflowError as exc:
+        raise error(f"{what} is past the range of a double") from exc
+    if not positive:
+        raise error(f"{what} must be > 0")
+
+
 def _require_temperature(t, error=InputError) -> None:
-    """Raise ``error("temperature must be > 0")`` unless ``t > 0`` (NaN fails)."""
-    if not t > 0:
-        raise error("temperature must be > 0")
+    """Raise ``error`` unless the temperature ``t`` is a real number > 0."""
+    _require_positive(t, "temperature", error)
 
 
 def _require_int(value, what: str, error=InputError) -> int:
@@ -99,8 +126,7 @@ def _require_int(value, what: str, error=InputError) -> int:
 def _require_solver_controls(tol, max_iter, error=InputError) -> None:
     """Raise ``error`` unless ``tol > 0`` (NaN fails) and ``max_iter`` is a
     positive integer; a ``max_iter`` of None is the caller's default."""
-    if not tol > 0:
-        raise error("tol must be > 0")
+    _require_positive(tol, "tol", error)
     if max_iter is not None and _require_int(max_iter, "max_iter", error) < 1:
         raise error("max_iter must be positive")
 
@@ -109,3 +135,11 @@ def _require_draws(draws: int) -> None:
     """Raise ``InputError`` unless ``draws`` is an integer >= 1."""
     if _require_int(draws, "draws") < 1:
         raise InputError("draws must be >= 1")
+
+
+def _require_seed(seed):
+    """``seed`` unless it breaks ``0 <= seed < 2**64``, raising ``InputError``
+    then; None passes, for a stream seeded from fresh entropy."""
+    if seed is not None and not 0 <= _require_int(seed, "seed") < 2 ** 64:
+        raise InputError("seed must be an unsigned 64-bit integer")
+    return seed

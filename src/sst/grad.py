@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (EnumerationLimitError, InputError, InvalidSpecError,
-                     UnsupportedPairError, _as_floats, _require_finite)
+                     UnsupportedPairError, _as_floats, _require_finite, _require_positive)
 from .relax import (
     _PAIRS,
     _SEPARABLE,
@@ -47,8 +47,7 @@ class FDConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidSpecError("epsilon must be > 0")
+        _require_positive(self.epsilon, "epsilon", InvalidSpecError)
         _require_finite(self.epsilon, "epsilon", InvalidSpecError)
 
 

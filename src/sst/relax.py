@@ -28,6 +28,7 @@ from .errors import (
     NumericalError,
     UnsupportedPairError,
     _as_floats,
+    _as_member,
     _require_finite,
     _require_solver_controls,
     _require_temperature,
@@ -87,14 +88,22 @@ class RelaxationSpec:
     max_iter: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "regularizer", Regularizer(self.regularizer))
+        object.__setattr__(self, "regularizer",
+                           _as_member(Regularizer, self.regularizer, "regularizer"))
         _require_temperature(self.temperature, error=InvalidSpecError)
         _require_solver_controls(self.tol, self.max_iter, error=InvalidSpecError)
 
 
 @dataclass(frozen=True)
 class RelaxedPoint:
-    """A point of the hull, with solver by-products where they exist."""
+    """A point of the hull, with solver by-products where they exist.
+
+    Tree and arborescence points carry ``condition_estimate``: the natural
+    log of Skeel's condition number ``|| |G| |L| ||_inf`` of the reduced
+    Laplacian L of the max-shifted edge weights, with G its inverse.  It
+    is inf where L is singular in double precision and 0.0 on a one-node
+    graph.
+    """
 
     x: np.ndarray
     dual: Optional[np.ndarray] = None
@@ -297,8 +306,11 @@ def _cardinality_dp_marginals(z: np.ndarray, k: int) -> np.ndarray:
     Python loop runs over the count: each count's recursion along the
     positions is one sequential ``logaddexp.accumulate``.  It solves the
     rows that ``_dp_certified`` keeps from ``_cardinality_dp_linear``.
+    Every subset holds k elements, so subtracting a row's largest score
+    leaves its law alone and keeps a large common offset out of the sums.
     """
     rows, n = z.shape
+    z = z - z.max(axis=1, keepdims=True)
     # fwd[:, c, i]: c chosen among the first i; bwd[:, c, i]: c chosen from i on
     fwd = np.full((rows, k + 1, n + 1), -np.inf)
     bwd = np.full((rows, k + 1, n + 1), -np.inf)
@@ -327,10 +339,13 @@ def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
     runs over the count: state 1 at count c follows from count c - 1 in
     one vector step, and state 0's recursion along the positions is one
     sequential ``logaddexp.accumulate``.  It solves the rows that
-    ``_dp_certified`` keeps from ``_chain_dp_linear``.
+    ``_dp_certified`` keeps from ``_chain_dp_linear``.  Every configuration
+    holds k ones, so the largest unary score is subtracted as in
+    ``_cardinality_dp_marginals``; the pair scores take no such shift, as
+    configurations hold different numbers of adjacent pairs.
     """
     rows = z.shape[0]
-    phi, psi = z[:, :n], z[:, n:]
+    phi, psi = z[:, :n] - z[:, :n].max(axis=1, keepdims=True), z[:, n:]
     neg = -np.inf
     fwd = np.full((rows, n, 2, k + 1), neg)
     fwd[:, :, 0, 0] = 0.0
@@ -492,7 +507,6 @@ def _tree_marginals_by_logdet(nn, src, dst, theta, directed):
     the rows whose inverse-Laplacian marginals the error bound of
     ``_tree_rows_by_inverse`` rejects: the inverse cancels once the
     distribution concentrates, this pass does not.
-    Returns the marginals and each row's spread of the log pivots.
     """
     neg = -np.inf
     rows = theta.shape[0]
@@ -519,9 +533,8 @@ def _tree_marginals_by_logdet(nn, src, dst, theta, directed):
         live = np.maximum(new, _LOWEST)
         steps.append((soft / total, np.exp(x - live), np.exp(old - live)))
         old[...] = new
-    pivots = np.concatenate(pivots, axis=1)
     # a node with no incoming arc left gets a NaN pivot (-inf minus -inf)
-    if np.isnan(pivots).any():
+    if np.isnan(np.concatenate(pivots, axis=1)).any():
         raise NumericalError("singular reduced Laplacian")
     adj = np.zeros((rows, nn, nn))
     for v in range(nn - 2, -1, -1):
@@ -532,8 +545,7 @@ def _tree_marginals_by_logdet(nn, src, dst, theta, directed):
         sums = through.sum(axis=2, keepdims=True)
         adj[:, v + 1:, v:v + 1] += sums + (1.0 - sums.sum(axis=1, keepdims=True)) * soft
         adj[:, v:v + 1, v + 1:nn - 1] += through.sum(axis=1, keepdims=True)
-    mu = adj[:, src, dst] if directed else adj[:, src, dst] + adj[:, dst, src]
-    return mu, (pivots.max(axis=1) - pivots.min(axis=1))[:, 0]
+    return adj[:, src, dst] if directed else adj[:, src, dst] + adj[:, dst, src]
 
 
 _EPS = np.finfo(float).eps
@@ -562,12 +574,13 @@ def _tree_rows_by_inverse(nn, src, dst, w, directed):
     ``w (3 n eps |e_b^T G| |L| (|G e_b| + |G e_a|) + 4 eps (|G_bb| + |G_ba|))``.
     The last term is the rounding of the final combination.  A row is
     certified when its largest bound is at most 1e-12, its marginals are
-    finite, and Skeel's ``n eps || |G| |L| ||_inf <= 1e-3`` keeps the
-    first-order term valid.  The bound is first order and leaves out the
-    factors' growth, so it is not a proof: the tests check the certified
-    rows against a 60-digit oracle and against the elimination kernel.
-    Returns the marginals, the certified mask and the reduced Laplacians;
-    each row's outputs are those of its one-row call.
+    finite, and ``n eps cond <= 1e-3``, with Skeel's condition number
+    ``cond = || |G| |L| ||_inf``, keeps the first-order term valid.  The
+    bound is first order and leaves out the factors' growth, so it is not
+    a proof: the tests check the certified rows against a 60-digit oracle
+    and against the elimination kernel.  Returns the marginals, the
+    certified mask and each row's ``cond``, inf where L is singular in
+    double precision; each row's outputs are those of its one-row call.
     """
     rows, m = len(w), nn - 1
     # lap[:, c, a] is the Laplacian's [a, c] entry: -w(a->c) off the
@@ -590,16 +603,18 @@ def _tree_rows_by_inverse(nn, src, dst, w, directed):
         else:
             terms = (diag[:, src], diag[:, dst], g[:, src, dst], g[:, dst, src])
             mu = w * (terms[0] + terms[1] - terms[2] - terms[3])
+        # |G| |L|, padded with a zero row for the boundary; NaN where L is singular
+        skeel = np.zeros((rows, nn, m))
+        np.matmul(np.abs(g[:, :m, :m]), np.abs(red), out=skeel[:, :m])
+        cond = skeel.sum(axis=2).max(axis=1)
         # the rounding term costs O(1) per edge and the first-order term
         # O(n), so the rounding term screens the rows first
         last = 4 * _EPS * sum(map(np.abs, terms))
-        ok = np.isfinite(mu).all(axis=1) & ((w * last).max(axis=1) <= 1e-12)
+        ok = (np.isfinite(mu).all(axis=1) & ((w * last).max(axis=1) <= 1e-12)
+              & (m * _EPS * cond <= 1e-3))
         live = np.flatnonzero(ok)
         if live.size:
-            g = g[live]
-            # |G| |L|, padded with a zero row for the boundary
-            skeel = np.zeros((live.size, nn, m))
-            np.matmul(np.abs(g[:, :m, :m]), np.abs(red[live]), out=skeel[:, :m])
+            g, skeel = g[live], skeel[live]
             if directed:
                 # the columns of |G| as rows, each arc reading those of a and b
                 cols = np.abs(g.transpose(0, 2, 1)[:, :, :m])
@@ -614,9 +629,9 @@ def _tree_rows_by_inverse(nn, src, dst, w, directed):
                      + 3 * m * _EPS * (glg[:, src] + glg[:, dst]))
                 first = r * (skeel[:, src] + skeel[:, dst])
             bound = w[live] * (3 * m * _EPS * first.sum(axis=2) + last[live])
-            ok[live] = ((bound.max(axis=1) <= 1e-12)
-                        & (m * _EPS * skeel.sum(axis=2).max(axis=1) <= 1e-3))
-    return mu, ok, red
+            ok[live] = bound.max(axis=1) <= 1e-12
+    cond[np.isnan(cond)] = np.inf
+    return mu, ok, cond
 
 
 def _inverses(a):
@@ -635,37 +650,10 @@ def _inverses(a):
         return out
 
 
-def _log_pivots(red, directed):
-    """The log pivots of eliminating each matrix of ``red`` in index order.
-
-    An undirected graph's reduced Laplacian is positive definite, and its
-    pivots are the squares of the diagonal of its Cholesky factor.  In
-    general pivot k is the ratio of the leading minors of orders k + 1
-    and k; each minor is one ``slogdet``, with the identity in the
-    trailing block.  To keep the work O(n^3), this runs on 16 rows and
-    columns at a time, then moves on to their Schur complement."""
-    if not directed:
-        diag = np.diagonal(np.linalg.cholesky(red), axis1=1, axis2=2)
-        # math.log per value, so a row's bytes do not depend on the block
-        return 2.0 * np.fromiter(map(math.log, diag.flat), float, diag.size).reshape(diag.shape)
-    out = []
-    while True:
-        b = min(16, red.shape[-1])
-        ar = np.arange(b)
-        # minor k keeps the leading (k + 1) block and is the identity elsewhere
-        lead = np.maximum.outer(ar, ar) <= ar[:, None, None]
-        logdet = np.linalg.slogdet(np.where(lead, red[:, None, :b, :b], np.eye(b)))[1]
-        logdet[:, 1:] -= logdet[:, :-1].copy()
-        out.append(logdet)
-        if b == red.shape[-1]:
-            return np.concatenate(out, axis=1)
-        red = red[:, b:, b:] - red[:, b:, :b] @ np.linalg.solve(red[:, :b, :b], red[:, :b, b:])
-
-
 def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> tuple:
     """Marginals of the spanning trees (``root`` None) or arborescences
-    rooted at ``root``, one row per row of edge utilities ``u``, with the
-    kernel's log-pivot spreads (NaN on certified rows) and the reduced Laplacians.
+    rooted at ``root``, one row per row of edge utilities ``u``, with each
+    row's ``condition_estimate`` (``RelaxedPoint`` defines it).
 
     Every row eliminates toward one boundary: the root, or the last node
     of a spanning-tree graph (the marginals hold whichever row and column
@@ -681,27 +669,23 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
     """
     theta = _scaled(u, t)
     if not theta.shape[1]:  # one node: its only tree has no edges
-        return theta, np.zeros(len(theta)), None
+        return theta, np.zeros(len(theta))
     # subtracting a row's max scales every tree's weight alike
     theta = theta - theta.max(axis=1, keepdims=True)
     directed = root is not None
     nn = graph.num_nodes
     src, dst = graph.tree_plan(root if directed else nn - 1)
-    mu, ok, red = _tree_rows_by_inverse(nn, src, dst, np.exp(theta), directed)
-    spread = np.full(len(theta), np.nan)
+    mu, ok, cond = _tree_rows_by_inverse(nn, src, dst, np.exp(theta), directed)
     if not ok.all():
-        rest = ~ok
-        mu[rest], spread[rest] = _tree_marginals_by_logdet(nn, src, dst, theta[rest], directed)
-    return np.clip(mu, 0.0, 1.0), spread, red
+        mu[~ok] = _tree_marginals_by_logdet(nn, src, dst, theta[~ok], directed)
+    # math.log per value, so a row's bytes do not depend on the block
+    return np.clip(mu, 0.0, 1.0), np.fromiter(map(math.log, cond), float, len(cond))
 
 
 def _tree_point(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> RelaxedPoint:
-    """The point of one vector of edge utilities ``u``.  Only a point reports
-    the log-pivot spread, so only here does a certified row pay for its pivots."""
-    mu, spread, red = _tree_rows(graph, u[None], t, root)
-    if np.isnan(spread[0]):  # certified
-        spread = np.ptp(_log_pivots(red, root is not None), axis=1)
-    return RelaxedPoint(x=mu[0], condition_estimate=float(spread[0]))
+    """The point of one vector of edge utilities ``u``."""
+    mu, cond = _tree_rows(graph, u[None], t, root)
+    return RelaxedPoint(x=mu[0], condition_estimate=float(cond[0]))
 
 
 def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> RelaxedPoint:
@@ -713,8 +697,8 @@ def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> Relaxe
     a first-order per-edge error estimate is at most 1e-12 (a filter the
     tests check against a high-precision oracle, not a proof), and
     otherwise from one log-domain elimination and its reverse pass.
-    ``condition_estimate`` is the spread of the elimination pivots: the
-    largest minus the smallest log pivot.
+    ``condition_estimate`` is the log of Skeel's condition number of that
+    Laplacian (see ``RelaxedPoint``), the number the certificate reads.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=False)
     if not graph.is_connected():
@@ -730,8 +714,8 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
     root row/column is deleted; the marginals are the gradient of its
     log-determinant, from its certified inverse or from the log-domain
     elimination, as in the undirected case, and ``condition_estimate`` is
-    the same log-pivot spread.  Edges entering the root have marginal
-    zero by definition.
+    the log of Skeel's condition number of this Laplacian.  Edges entering
+    the root have marginal zero by definition.
     """
     u = _edge_vector(graph, u, "edge utilities", directed=True, root=root)
     if graph.reachable_from(root) != set(range(graph.num_nodes)):
@@ -854,8 +838,8 @@ def _dp_rows(z, ok, linear, log):
 
 def expfam_marginals(spec: StructureSpec, u: np.ndarray, t: float) -> RelaxedPoint:
     """Marginal vector of p(x) ~ exp(u . x / t) over the spec's vertices;
-    on trees and arborescences ``condition_estimate`` is the log-pivot
-    spread of ``matrix_tree_marginals``."""
+    on trees and arborescences ``condition_estimate`` is the log Skeel
+    condition number of ``matrix_tree_marginals``."""
     u = _check_dim(spec, u)
     if spec.kind in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
         return _tree_point(spec.graph, u, t, spec.root)

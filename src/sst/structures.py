@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     InvalidSpecError,
     _as_floats,
+    _as_member,
     _require_int,
 )
 
@@ -177,7 +178,7 @@ class StructureSpec:
     root: Optional[int] = None
 
     def __post_init__(self):
-        kind = StructureKind(self.kind)
+        kind = _as_member(StructureKind, self.kind, "structure kind")
         object.__setattr__(self, "kind", kind)
         for name in ("n", "k", "root"):
             if getattr(self, name) is not None:

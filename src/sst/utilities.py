@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import (InputError, InvalidSpecError, OutOfSupportError, UnsupportedFamilyError,
-                     _as_floats, _require_draws, _require_finite)
+                     _as_floats, _as_member, _require_draws, _require_finite)
 
 __all__ = [
     "UtilityFamily",
@@ -57,7 +57,7 @@ class UtilitySpec:
     theta: np.ndarray
 
     def __post_init__(self):
-        family = UtilityFamily(self.family)
+        family = _as_member(UtilityFamily, self.family, "utility family")
         theta = _as_floats(self.theta, "theta", InvalidSpecError)
         if theta.ndim != 1:
             raise InvalidSpecError("theta must be a 1-d vector")

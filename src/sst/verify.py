@@ -27,7 +27,7 @@ from .argmax import (
     sample_topk_without_replacement,
     solve_map,
 )
-from .errors import InputError, SolverError, _as_floats, _require_draws
+from .errors import InputError, SolverError, _as_floats, _require_draws, _require_seed
 from .grad import gradcheck
 from .relax import (
     _PAIRS,
@@ -177,7 +177,7 @@ def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
     used, sorted lexicographically.
     """
     _require_draws(draws)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_seed(seed))
     blocks = (
         np.array([sampler(rng) for _ in range(min(_TALLY_ROWS, draws - start))], dtype=np.int8)
         for start in range(0, draws, _TALLY_ROWS)
@@ -571,7 +571,7 @@ def run_suite(name: str, seed: int, **kwargs) -> list:
     """Run one named suite; returns a list of JSON-ready report dicts."""
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    reports = _SUITES[name](seed, **kwargs)
+    reports = _SUITES[name](_require_seed(seed), **kwargs)
     for rep in reports:
         rep["suite"] = name
     return reports

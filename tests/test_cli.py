@@ -9,7 +9,7 @@ import pytest
 import sst
 from sst.cli import _dumps, _table_json, run
 
-from graphs import complete_arcs
+from graphs import complete_arcs, complete_edges
 
 
 @pytest.fixture
@@ -87,6 +87,19 @@ class TestRelax:
         )
         assert code == 0
         assert [round(v, 4) for v in out["x"]] == [0.6667, 0.6667, 0.6667]
+
+    def test_singular_tree_point_prints_infinity(self, files, capsys):
+        """A tree point whose reduced Laplacian is singular in double
+        precision reports ``condition_estimate`` inf, which Python's json
+        writes as ``Infinity`` and reads back."""
+        spec = files("spec.json", {"kind": "spanning_tree",
+                                   "graph": {"num_nodes": 6, "edges": complete_edges(6)}})
+        u = files("u.json", np.random.default_rng(11).normal(size=15).tolist())
+        code = run(["relax", "--spec", spec, "--utilities", u,
+                    "--regularizer", "expfam_entropy", "--temperature", "1e-4"])
+        text = capsys.readouterr().out
+        assert code == 0 and '"condition_estimate": Infinity' in text
+        assert json.loads(text)["condition_estimate"] == float("inf")
 
     def test_expfam_short_alias(self, files, capsys):
         spec = files("spec.json", {"kind": "k_subsets", "n": 4, "k": 2})
@@ -466,7 +479,7 @@ import sst, sst.cli
 from sst import Graph, RelaxationSpec, StructureSpec, fd_vjp, relax
 
 relax_module = importlib.import_module("sst.relax")
-calls = {"_log_pivots": 0, "_tree_marginals_by_logdet": 0}
+calls = {"_tree_rows_by_inverse": 0, "_tree_marginals_by_logdet": 0}
 for name in calls:
     def counted(*args, _name=name, _f=getattr(relax_module, name)):
         calls[_name] += 1
@@ -488,8 +501,8 @@ print(sorted(m for m in ("scipy.optimize", "scipy.stats", "scipy.linalg") if m i
 
 
 def test_tree_solves_and_a_sample_leave_slow_scipy_modules_unloaded(files):
-    """Both tree paths (the certified inverse with its pivots, and the
-    elimination) and a one-hot ``sst sample`` run on numpy alone: the
+    """Both tree paths (the certified inverse with its condition numbers,
+    and the elimination) and a one-hot ``sst sample`` run on numpy alone: the
     matching solver's ``scipy.optimize`` and the KS test's ``scipy.stats``
     stay lazy, and no tree solve reaches for ``scipy.linalg``."""
     src = os.path.dirname(os.path.dirname(sst.__file__))

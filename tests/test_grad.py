@@ -273,8 +273,8 @@ def test_fd_vjp_keeps_the_two_call_bytes_on_every_pair(kind, reg):
 def test_tree_fd_pair_with_tied_largest_edges(monkeypatch):
     # tied largest edges with tails 0 and 2, nudged apart in opposite
     # directions by u + eps d and u - eps d: the pair is one certified
-    # inverse and at most one kernel call, on the rows it rejected, with no
-    # log pivots, and each point keeps the bytes of its own relax call
+    # inverse and at most one kernel call, on the rows it rejected, and
+    # each point keeps the bytes of its own relax call
     log = watch_tree_solves(monkeypatch)
     graph = complete_graph(6)
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)

@@ -1,8 +1,12 @@
-"""Caller values that numpy cannot read as numbers (text, ragged rows) are
-rejected at every public entry with an ``InputError`` naming the value, not
-with numpy's bare ``ValueError`` or ``TypeError``."""
+"""Caller values that numpy cannot read as numbers (text, ragged rows), and
+unknown names, wrong shapes, scalars and seeds, are rejected at every
+public entry with an ``InputError`` naming the value, not with numpy's or
+the standard library's bare ``ValueError``, ``TypeError``, ``IndexError`` or
+``OverflowError``."""
 
+import argparse
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from sst import (
     InvalidSpecError,
     RelaxationSpec,
     Regularizer,
+    SstError,
     StructureKind,
     StructureSpec,
     UtilitySpec,
@@ -30,11 +35,14 @@ from sst import (
     sample_topk_without_replacement,
     sinkhorn_relax,
     softmax_simplex,
+    spec_from_dict,
     topk_select,
     utility_from_dict,
 )
+from sst.cli import _relaxation_from_args
+from sst.verify import mc_frequencies, run_suite
 
-from graphs import D3, K4
+from graphs import D3, K4, complete_digraph, complete_graph
 
 _scaled = importlib.import_module("sst.relax")._scaled
 
@@ -113,3 +121,95 @@ def test_integer_past_the_double_range_is_not_finite(call, error, what):
 def test_utility_spec_dict_with_an_integer_past_the_double_range():
     with pytest.raises(InvalidSpecError, match="^malformed utility spec"):
         utility_from_dict({"family": "gumbel", "theta": [0, HUGE]})
+
+
+def _choices(enum):
+    return ", ".join(member.value for member in enum)
+
+
+def _singular_tree_point_reports_inf():
+    # K6 at t = 1e-4: the reduced Laplacian is singular in double precision
+    u = np.random.default_rng(11).normal(size=15)
+    return matrix_tree_marginals(complete_graph(6), u, 1e-4).condition_estimate == np.inf
+
+
+def _singular_arborescence_point_reports_inf():
+    # here the inverse's marginals subtract inf from inf, which warns unless
+    # the solve silences it
+    u = np.random.default_rng(44).normal(size=20)
+    point = directed_matrix_tree_marginals(complete_digraph(5), 0, u, 1e-3)
+    return point.condition_estimate == np.inf and abs(point.x.sum() - 4.0) <= 1e-12
+
+
+def _sampler(rng):
+    return np.zeros(2)
+
+
+# (id, call, error type and message, or None twice for a call that returns True)
+BOUNDARY = [
+    ("StructureSpec-name", lambda: StructureSpec("bogus", n=3), InvalidSpecError,
+     f"unknown structure kind 'bogus'; choose from {_choices(StructureKind)}"),
+    ("StructureSpec-int", lambda: StructureSpec(3, n=3), InvalidSpecError,
+     f"unknown structure kind 3; choose from {_choices(StructureKind)}"),
+    ("UtilitySpec-name", lambda: UtilitySpec("bogus", [0.0]), InvalidSpecError,
+     "unknown utility family 'bogus'; choose from gumbel, logistic, neg_exponential, gaussian"),
+    ("RelaxationSpec-name", lambda: RelaxationSpec("bogus"), InvalidSpecError,
+     f"unknown regularizer 'bogus'; choose from {_choices(Regularizer)}"),
+    ("spec_from_dict-name", lambda: spec_from_dict({"kind": "bogus", "n": 3}), InvalidSpecError,
+     "bad structure kind: 'bogus'"),
+    ("utility_from_dict-name", lambda: utility_from_dict({"family": "bogus", "theta": [0.0]}),
+     InvalidSpecError, "malformed utility spec: {'family': 'bogus', 'theta': [0.0]}"),
+    ("cli-regularizer", lambda: _relaxation_from_args(argparse.Namespace(
+        regularizer="bogus", temperature=1.0, tol=1e-10, max_iter=None)), InputError,
+     "unknown regularizer 'bogus'"),
+    ("topk_select-None", lambda: topk_select(None, 1), InputError,
+     "utilities must be a vector, got shape ()"),
+    ("topk_select-scalar", lambda: topk_select(3.0, 1), InputError,
+     "utilities must be a vector, got shape ()"),
+    ("sample_topk-scalar", lambda: sample_topk_without_replacement(
+        3.0, 1, np.random.default_rng(0)), InputError, "scores must be a vector, got shape ()"),
+    ("softmax_simplex-huge-t", lambda: softmax_simplex([0.0, 1.0], HUGE), InputError,
+     "temperature is past the range of a double"),
+    ("softmax_simplex-None-t", lambda: softmax_simplex([0.0, 1.0], None), InputError,
+     "temperature must be a real number, got None"),
+    ("RelaxationSpec-None-t", lambda: RelaxationSpec("shannon", temperature=None),
+     InvalidSpecError, "temperature must be a real number, got None"),
+    ("RelaxationSpec-None-tol", lambda: RelaxationSpec("shannon", tol=None), InvalidSpecError,
+     "tol must be a real number, got None"),
+    ("RelaxationSpec-text-tol", lambda: RelaxationSpec("shannon", tol="1e-10"),
+     InvalidSpecError, "tol must be a real number, got '1e-10'"),
+    ("FDConfig-None-epsilon", lambda: FDConfig(epsilon=None), InvalidSpecError,
+     "epsilon must be a real number, got None"),
+    ("mc_frequencies-negative-seed", lambda: mc_frequencies(_sampler, 3, seed=-1), InputError,
+     "seed must be an unsigned 64-bit integer"),
+    ("mc_frequencies-wide-seed", lambda: mc_frequencies(_sampler, 3, seed=2 ** 64), InputError,
+     "seed must be an unsigned 64-bit integer"),
+    ("mc_frequencies-float-seed", lambda: mc_frequencies(_sampler, 3, seed=2.5), InputError,
+     "seed must be an integer, got 2.5"),
+    ("run_suite-negative-seed", lambda: run_suite("gumbel-max", -1), InputError,
+     "seed must be an unsigned 64-bit integer"),
+    ("run_suite-float-seed", lambda: run_suite("gumbel-max", 2.5), InputError,
+     "seed must be an integer, got 2.5"),
+    ("mc_frequencies-None-seed", lambda: mc_frequencies(_sampler, 3, seed=None).total == 3,
+     None, None),
+    ("singular-tree-point", _singular_tree_point_reports_inf, None, None),
+    ("singular-arborescence-point", _singular_arborescence_point_reports_inf, None, None),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in BOUNDARY],
+                         ids=[case[0] for case in BOUNDARY])
+def test_boundary_table(call, error, message):
+    """Each bad input raises an ``SstError`` subclass, with its message, and
+    no warning on the way; the rows with no error type are good inputs (a
+    None seed draws from fresh entropy, and tree points whose Laplacian is
+    singular say so) that must not warn either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert call()
+            return
+        with pytest.raises(error) as info:
+            call()
+    assert isinstance(info.value, SstError)
+    assert str(info.value) == message

@@ -322,14 +322,14 @@ class TestMatrixTree:
             if g.is_connected():
                 cases.append((g, rng.normal(size=g.num_edges)))
         for g, theta in cases:
-            outs = [kernel(g.num_nodes, *g.tree_plan(b), theta[None], directed=False)[0][0]
+            outs = [kernel(g.num_nodes, *g.tree_plan(b), theta[None], directed=False)[0]
                     for b in range(g.num_nodes)]
             for x in outs[1:]:
                 np.testing.assert_allclose(x, outs[0], atol=1e-12)
             arcs = Graph(g.num_nodes, list(g.edges) + [(h, t) for t, h in g.edges], directed=True)
             for root in range(g.num_nodes):
                 mu = kernel(g.num_nodes, *arcs.tree_plan(root), np.r_[theta, theta][None],
-                            directed=True)[0][0]
+                            directed=True)[0]
                 np.testing.assert_allclose(mu[:g.num_edges] + mu[g.num_edges:], outs[0],
                                            atol=1e-12)
 
@@ -768,9 +768,8 @@ def _public_point(spec, u, t):
     return directed_matrix_tree_marginals(spec.graph, spec.root, u, t)
 
 
-def _kernel_spreads(spec, u, t):
-    """The log-pivot spreads a tree block keeps: the kernel's, NaN on the
-    rows the certificate accepted."""
+def _block_conditions(spec, u, t):
+    """The condition estimates a tree block gives its rows."""
     return _relax_module._tree_rows(spec.graph, u, t, spec.root)[1]
 
 
@@ -812,26 +811,25 @@ def test_block_rows_equal_one_row_relax(spec, t):
     block = _relax_rows(spec, rspec, u)
     assert block.shape == u.shape
     assert _expfam_rows(spec, u, t).tobytes() == block.tobytes()
-    spread = _kernel_spreads(spec, u, t) if spec.graph is not None else None
+    cond = _block_conditions(spec, u, t) if spec.graph is not None else None
     for b in range(len(u)):
         one = relax(spec, rspec, u[b])
         assert block[b].tobytes() == one.x.tobytes()
         # and alone in a block of its own
         assert _relax_rows(spec, rspec, u[b:b + 1])[0].tobytes() == one.x.tobytes()
-        if spread is None:
+        if cond is None:
             assert one.condition_estimate is None
-        else:  # and as the public tree solvers give it, with the block's kernel spread
+        else:  # and as the public tree solvers give it, with the block's condition
             public = _public_point(spec, u[b], t)
             assert public.x.tobytes() == one.x.tobytes()
-            assert one.condition_estimate == public.condition_estimate
-            assert np.isnan(spread[b]) or float(spread[b]) == one.condition_estimate
+            assert one.condition_estimate == public.condition_estimate == float(cond[b])
 
 
 def test_tree_block_rows_with_tied_largest_edges():
     """Two tied largest edges with different tails, nudged apart in opposite
-    directions: each row's marginals from one ``_expfam_rows`` block, and
-    its kernel spread where the block keeps one, still equal its one-row
-    solve, by ``relax`` and by the public ``matrix_tree_marginals``."""
+    directions: each row's marginals and condition estimate from one
+    ``_expfam_rows`` block still equal its one-row solve, by ``relax`` and
+    by the public ``matrix_tree_marginals``."""
     graph = complete_graph(7)
     spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
     first, second = graph.edges.index((0, 1)), graph.edges.index((2, 5))
@@ -845,12 +843,11 @@ def test_tree_block_rows_with_tied_largest_edges():
         assert [graph.edges[i][0] for i in block.argmax(axis=1)] == [2, 0, 0]
         got = _relax_rows(spec, rspec, block)
         assert _expfam_rows(spec, block, t).tobytes() == got.tobytes()
-        for row, x, c in zip(block, got, _kernel_spreads(spec, block, t)):
+        for row, x, c in zip(block, got, _block_conditions(spec, block, t)):
             one = relax(spec, rspec, row)
             public = matrix_tree_marginals(graph, row, t)
             assert x.tobytes() == one.x.tobytes() == public.x.tobytes()
-            assert one.condition_estimate == public.condition_estimate
-            assert np.isnan(c) or float(c) == one.condition_estimate
+            assert one.condition_estimate == public.condition_estimate == float(c)
 
 
 def test_tree_solves_take_one_kernel_call(monkeypatch):
@@ -858,9 +855,8 @@ def test_tree_solves_take_one_kernel_call(monkeypatch):
     ``relax``, ``expfam_marginals`` and public tree solve and each
     ``fd_vjp`` pair on K10 and on an 8-node digraph is one certified
     inverse and at most one call of the elimination kernel, on exactly the
-    rows the certificate rejected.  ``_log_pivots`` runs once per point
-    whose row was certified, never for a point the kernel solved, and
-    never for an ``fd_vjp`` pair, which reports no spread."""
+    rows the certificate rejected; a point's condition estimate costs no
+    other call."""
     log = watch_tree_solves(monkeypatch)
     specs = [StructureSpec(StructureKind.SPANNING_TREE, graph=complete_graph(10)),
              StructureSpec(StructureKind.ARBORESCENCE, graph=complete_digraph(8), root=3)]
@@ -876,7 +872,7 @@ def test_tree_solves_take_one_kernel_call(monkeypatch):
                               lambda: _public_point(spec, u, t)):
                     log.clear()
                     solve()
-                    point_paths.update(assert_one_solve_per_block(log, u[None], t, point=True))
+                    point_paths.update(assert_one_solve_per_block(log, u[None], t))
                 log.clear()
                 fd_vjp(spec, rspec, u, d)
                 pair_paths.update(assert_one_solve_per_block(
@@ -915,19 +911,19 @@ def test_dp_solves_take_one_kernel_call(monkeypatch):
 
 def _assert_rows_keep_their_one_row_solves(spec, u, t):
     rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY, temperature=t)
-    mu, spread = _expfam_rows(spec, u, t), _kernel_spreads(spec, u, t)
+    mu, cond = _expfam_rows(spec, u, t), _block_conditions(spec, u, t)
     for b in range(len(u)):
         one = relax(spec, rspec, u[b])
         assert mu[b].tobytes() == one.x.tobytes()
-        assert one.condition_estimate == _public_point(spec, u[b], t).condition_estimate
-        assert np.isnan(spread[b]) or float(spread[b]) == one.condition_estimate
+        assert (one.condition_estimate == _public_point(spec, u[b], t).condition_estimate
+                == float(cond[b]))
 
 
 @pytest.mark.parametrize("root", [None, 2])
 def test_tree_block_mixing_both_paths_keeps_the_one_row_bytes(monkeypatch, root):
     """At t = 0.2 a block holds rows the certificate accepts and rows it
-    sends to the kernel; each keeps its marginals alone, and a kernel row
-    its spread."""
+    sends to the kernel; each keeps its marginals and its condition
+    estimate alone."""
     graph = complete_graph(8) if root is None else complete_digraph(8)
     kind = StructureKind.SPANNING_TREE if root is None else StructureKind.ARBORESCENCE
     spec = StructureSpec(kind, graph=graph, root=root)
