@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -286,101 +286,36 @@ def categorical_entropy_relax(spec: StructureSpec, u: np.ndarray, t: float,
 # once per block, and every reduction stays along a contiguous last axis,
 # where numpy sums a row of a block exactly as it sums the row alone.
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp along the last axis; an all -inf line gives -inf.
+class _Semiring(NamedTuple):
+    """The arithmetic a DP kernel runs in.  ``weight`` maps scores to table
+    elements, ``value`` maps an element back to a number and ``count``
+    maps a cardinality in; ``times`` and ``divide`` are the product and
+    its inverse, and ``plus`` is the sum, a ufunc whose ``accumulate`` and
+    ``reduce`` run along the positions and the counts."""
 
-    ``scipy.special.logsumexp`` costs about 0.1 ms per call in overhead,
-    more than the arithmetic of the small reductions here.
-    """
-    top = a.max(axis=-1)
-    top[top == -np.inf] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top[..., None]).sum(axis=-1)) + top
-
-
-def _cardinality_dp_marginals(z: np.ndarray, k: int) -> np.ndarray:
-    """Inclusion marginals of the k-of-n distribution p(S) ~ exp(sum z_S),
-    one row of marginals per row of ``z``.
-
-    Log-domain forward/backward over (position, count); O(n k).  The
-    Python loop runs over the count: each count's recursion along the
-    positions is one sequential ``logaddexp.accumulate``.  It solves the
-    rows that ``_dp_certified`` keeps from ``_cardinality_dp_linear``.
-    Every subset holds k elements, so subtracting a row's largest score
-    leaves its law alone and keeps a large common offset out of the sums.
-    """
-    rows, n = z.shape
-    z = z - z.max(axis=1, keepdims=True)
-    # fwd[:, c, i]: c chosen among the first i; bwd[:, c, i]: c chosen from i on
-    fwd = np.full((rows, k + 1, n + 1), -np.inf)
-    bwd = np.full((rows, k + 1, n + 1), -np.inf)
-    fwd[:, 0] = bwd[:, 0] = 0.0
-    for c in range(1, k + 1):
-        fwd[:, c, 1:] = np.logaddexp.accumulate(fwd[:, c - 1, :-1] + z, axis=1)
-        bwd[:, c, :n] = np.logaddexp.accumulate(
-            (bwd[:, c - 1, 1:] + z)[:, ::-1], axis=1)[:, ::-1]
-    log_z = fwd[:, k, n, None]
-    # element i chosen: c of the others before it, k - 1 - c after it; the
-    # count is the last axis of the terms, summed along contiguous memory
-    terms = np.empty((rows, n, k))
-    np.add(fwd[:, :k, :n].transpose(0, 2, 1), bwd[:, k - 1::-1, 1:].transpose(0, 2, 1),
-           out=terms)
-    mu = np.exp(z + _logsumexp_rows(terms) - log_z)
-    return np.clip(mu, 0.0, 1.0)
+    weight: Callable
+    value: Callable
+    count: Callable
+    times: np.ufunc
+    divide: np.ufunc
+    plus: np.ufunc
+    zero: float
+    one: float
 
 
-def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
-    """Unary and adjacent-pair marginals of the cardinality-k chain, one row
-    of marginals per row of ``z``.
-
-    Scores: ``z[:, :n]`` per selected element, ``z[:, n + i]`` whenever
-    elements i and i+1 are both selected.  Forward/backward over the
-    (position, state, count) lattice in the log domain.  The Python loop
-    runs over the count: state 1 at count c follows from count c - 1 in
-    one vector step, and state 0's recursion along the positions is one
-    sequential ``logaddexp.accumulate``.  It solves the rows that
-    ``_dp_certified`` keeps from ``_chain_dp_linear``.  Every configuration
-    holds k ones, so the largest unary score is subtracted as in
-    ``_cardinality_dp_marginals``; the pair scores take no such shift, as
-    configurations hold different numbers of adjacent pairs.
-    """
-    rows = z.shape[0]
-    phi, psi = z[:, :n] - z[:, :n].max(axis=1, keepdims=True), z[:, n:]
-    neg = -np.inf
-    fwd = np.full((rows, n, 2, k + 1), neg)
-    fwd[:, :, 0, 0] = 0.0
-    fwd[:, 0, 1, 1] = phi[:, 0]
-    bwd = np.full((rows, n, 2, k + 1), neg)
-    bwd[:, :, :, 0] = 0.0
-    head = np.full((rows, 1), neg)
-    for c in range(1, k + 1):
-        prev = fwd[:, :-1, :, c - 1]
-        fwd[:, 1:, 1, c] = np.logaddexp(prev[:, :, 0] + phi[:, 1:],
-                                        prev[:, :, 1] + phi[:, 1:] + psi)
-        fwd[:, 1:, 0, c] = np.logaddexp.accumulate(
-            np.concatenate([fwd[:, :1, 0, c], fwd[:, :-1, 1, c]], axis=1), axis=1)[:, 1:]
-        take = bwd[:, 1:, 1, c - 1] + phi[:, 1:]
-        bwd[:, :, 0, c] = np.logaddexp.accumulate(
-            np.concatenate([head, take[:, ::-1]], axis=1), axis=1)[:, ::-1]
-        bwd[:, :-1, 1, c] = np.logaddexp(bwd[:, 1:, 0, c], take + psi)
-    log_z = np.logaddexp(fwd[:, n - 1, 0, k], fwd[:, n - 1, 1, k])[:, None]
-    mu = np.zeros((rows, 2 * n - 1))
-    # element i selected with c ones up to and at it, k - c after it
-    terms = fwd[:, :, 1, 1:] + bwd[:, :, 1, k - 1::-1]
-    mu[:, :n] = np.exp(_logsumexp_rows(terms) - log_z)
-    if k >= 2:
-        # both endpoints selected leaves at most k - 2 ones for the rest
-        terms = (fwd[:, :-1, 1, 1:k] + psi[:, :, None] + phi[:, 1:, None]
-                 + bwd[:, 1:, 1, k - 2::-1])
-        mu[:, n:] = np.exp(_logsumexp_rows(terms) - log_z)
-    return np.clip(mu, 0.0, 1.0)
+def _identity(x):
+    return x
 
 
-# The linear-domain DPs below multiply weights and add positive sums, so
-# every entry of their tables is a sum of monomials (products of weights)
-# and carries a relative error of O((n + k) eps), unless a monomial falls
-# below the smallest normal double or a sum overflows.  ``_dp_certified``
-# rules both out before any table is built.
+# The linear semiring multiplies weights and adds positive sums, so every
+# entry of a DP table is a sum of monomials (products of weights) and
+# carries a relative error of O((n + k) eps), unless a monomial falls below
+# the smallest normal double or a sum overflows.  ``_dp_certified`` rules
+# both out before any table is built; the rows it rejects run in the log
+# semiring, whose entries are the logs of the same sums and span every
+# exponent.
+_LINEAR = _Semiring(np.exp, _identity, float, np.multiply, np.divide, np.add, 0.0, 1.0)
+_LOG = _Semiring(_identity, np.exp, math.log, np.add, np.subtract, np.logaddexp, -np.inf, 0.0)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_HUGE = math.log(np.finfo(float).max)
 
@@ -388,7 +323,7 @@ _LOG_HUGE = math.log(np.finfo(float).max)
 def _dp_certified(z, n, k):
     """The rows of scores ``z`` whose k-subset DP (n columns) or chain DP
     (2 n - 1 columns, the pair scores after the unary ones) may run in the
-    linear domain.
+    linear semiring.
 
     Every monomial of a table is a product of at most k unary weights
     exp(phi - max phi), each in (0, 1], and, on a chain, at most k - 1
@@ -414,39 +349,47 @@ def _dp_certified(z, n, k):
     return (low >= _LOG_TINY + 1.0) & (high <= _LOG_HUGE - count - 1.0)
 
 
-def _cardinality_dp_linear(z: np.ndarray, k: int) -> np.ndarray:
-    """``_cardinality_dp_marginals`` in the linear domain, for the rows
-    ``_dp_certified`` accepts.
+def _cardinality_dp(z: np.ndarray, k: int, sr: _Semiring) -> np.ndarray:
+    """Inclusion marginals of the k-of-n distribution p(S) ~ exp(sum z_S),
+    one row of marginals per row of ``z``, in the semiring ``sr``.
 
-    With weights w = exp(z - max z), ``tab[:, 0, c, i]`` sums the products
-    of the c-subsets of the first i weights, and ``tab[:, 1, c, i]`` those
-    of the last i, from the same recursion on the reversed weights; each
-    count is one ``add.accumulate`` along the positions for both
-    directions.  Element i's marginal is ``w_i sum_c tab[0, c, i]
-    tab[1, k - 1 - c, n - 1 - i] / Z``, and these numerators sum to k Z,
-    so no table needs count k.
+    Forward/backward over (position, count); O(n k).  Every subset holds
+    k elements, so the weights w, of z - max z, leave the law alone and
+    keep a large common offset out of the sums.  ``tab[:, 0, c, i]`` sums
+    the products of the c-subsets of the first i weights, and
+    ``tab[:, 1, c, i]`` those of the last i, from the same recursion on
+    the reversed weights; each count is one ``plus.accumulate`` along the
+    positions for both directions.  Element i's marginal is ``w_i sum_c
+    tab[0, c, i] tab[1, k - 1 - c, n - 1 - i] / Z``, and these numerators
+    sum to k Z, so no table needs count k.
     """
     rows, n = z.shape
-    w = np.exp(z - z.max(axis=1, keepdims=True))
+    w = sr.weight(z - z.max(axis=1, keepdims=True))
     both = np.stack([w, w[:, ::-1]], axis=1)
-    tab = np.zeros((rows, 2, k, n + 1))
-    tab[:, :, 0] = 1.0
+    tab = np.full((rows, 2, k, n + 1), sr.zero)
+    tab[:, :, 0] = sr.one
     for c in range(1, k):
-        np.add.accumulate(tab[:, :, c - 1, :-1] * both, axis=2, out=tab[:, :, c, 1:])
-    numer = w * (tab[:, 0, :, :n] * tab[:, 1, ::-1, n - 1::-1]).sum(axis=1)
-    mu = numer * (k / numer.sum(axis=1, keepdims=True))
-    return np.clip(mu, 0.0, 1.0)
+        sr.plus.accumulate(sr.times(tab[:, :, c - 1, :-1], both), axis=2, out=tab[:, :, c, 1:])
+    numer = sr.times(w, sr.plus.reduce(
+        sr.times(tab[:, 0, :, :n], tab[:, 1, ::-1, n - 1::-1]), axis=1))
+    scale = sr.divide(sr.count(k), sr.plus.reduce(numer, axis=1, keepdims=True))
+    return np.clip(sr.value(sr.times(numer, scale)), 0.0, 1.0)
 
 
-def _chain_dp_linear(n: int, k: int, z: np.ndarray) -> np.ndarray:
-    """``_chain_dp_marginals`` in the linear domain, for the rows
-    ``_dp_certified`` accepts.
+def _chain_dp(n: int, k: int, z: np.ndarray, sr: _Semiring) -> np.ndarray:
+    """Unary and adjacent-pair marginals of the cardinality-k chain, one row
+    of marginals per row of ``z``, in the semiring ``sr``.
 
-    Unary factors a = exp(phi - max phi) and pair factors b = exp(psi).
+    Scores: ``z[:, :n]`` per selected element, ``z[:, n + i]`` whenever
+    elements i and i+1 are both selected.  Forward/backward over the
+    (position, state, count) lattice, with unary factors a of
+    phi - max phi, shifted as in ``_cardinality_dp`` since every
+    configuration holds k ones, and pair factors b of psi, unshifted since
+    configurations hold different numbers of adjacent pairs.
     ``tab[:, 0, c, s, i]`` sums the configurations of positions 0..i with
     c ones and x_i = s, and ``tab[:, 1]`` the same on the reversed chain,
     so ``tab[:, 1, c, s, n - 1 - i]`` covers positions i..n-1.  Each
-    count takes one vector step for state 1 and one ``add.accumulate``
+    count takes one vector step for state 1 and one ``plus.accumulate``
     along the positions for state 0, both directions at once.  Element i
     is selected with c ones up to and at it and k + 1 - c from it on, so
     its numerator divides a_i out of the forward side first, and each of
@@ -455,25 +398,26 @@ def _chain_dp_linear(n: int, k: int, z: np.ndarray) -> np.ndarray:
     """
     rows = z.shape[0]
     phi, psi = z[:, :n], z[:, n:]
-    a = np.exp(phi - phi.max(axis=1, keepdims=True))
-    tab = np.zeros((rows, 2, k + 1, 2, n))
-    tab[:, :, 0, 0] = 1.0
+    a = sr.weight(phi - phi.max(axis=1, keepdims=True))
+    tab = np.full((rows, 2, k + 1, 2, n), sr.zero)
+    tab[:, :, 0, 0] = sr.one
     tab[:, :, 1, 1] = both = np.stack([a, a[:, ::-1]], axis=1)
     if k > 1:  # k = 1 has no pair factors, and psi is not bounded then
-        b = np.exp(np.stack([psi, psi[:, ::-1]], axis=1))
+        b = sr.weight(np.stack([psi, psi[:, ::-1]], axis=1))
     for c in range(1, k):
-        np.add.accumulate(tab[:, :, c, 1, :-1], axis=2, out=tab[:, :, c, 0, 1:])
+        sr.plus.accumulate(tab[:, :, c, 1, :-1], axis=2, out=tab[:, :, c, 0, 1:])
         prev = tab[:, :, c, :, :-1]
-        tab[:, :, c + 1, 1, 1:] = both[:, :, 1:] * (prev[:, :, 0] + prev[:, :, 1] * b)
+        tab[:, :, c + 1, 1, 1:] = sr.times(
+            both[:, :, 1:], sr.plus(prev[:, :, 0], sr.times(prev[:, :, 1], b)))
     fwd, bwd = tab[:, 0, 1:, 1], tab[:, 1, :0:-1, 1, ::-1]
     mu = np.zeros((rows, 2 * n - 1))
-    unary = (fwd / a[:, None] * bwd).sum(axis=1)
-    scale = k / unary.sum(axis=1, keepdims=True)
-    mu[:, :n] = unary * scale
+    unary = sr.plus.reduce(sr.times(sr.divide(fwd, a[:, None]), bwd), axis=1)
+    scale = sr.divide(sr.count(k), sr.plus.reduce(unary, axis=1, keepdims=True))
+    mu[:, :n] = sr.value(sr.times(unary, scale))
     if k >= 2:
         # both endpoints selected: c ones up to i, k - c from i + 1 on
-        pair = (fwd[:, :-1, :-1] * bwd[:, 1:, 1:]).sum(axis=1)
-        mu[:, n:] = pair * b[:, 0] * scale
+        pair = sr.plus.reduce(sr.times(fwd[:, :-1, :-1], bwd[:, 1:, 1:]), axis=1)
+        mu[:, n:] = sr.value(sr.times(sr.times(pair, b[:, 0]), scale))
     return np.clip(mu, 0.0, 1.0)
 
 
@@ -793,11 +737,11 @@ def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
     """The marginals of p(x) ~ exp(u . x / t) for every row of ``u``, each
     kernel run once on the whole block (matchings enumerate row by row).
 
-    The k-subset and chain DPs run in the linear domain on the rows whose
-    monomial bounds, read off z = u / t alone, ``_dp_certified`` accepts,
-    and in the log domain on the rest; either way each row keeps the
-    bytes of its one-row solve, and a certified row may differ from the
-    log kernel at the rounding level.
+    The k-subset and chain DPs run in the linear semiring on the rows
+    whose monomial bounds, read off z = u / t alone, ``_dp_certified``
+    accepts, and in the log semiring on the rest; either way each row
+    keeps the bytes of its one-row solve, and a certified row may differ
+    from its log-semiring solve at the rounding level.
     """
     kind = spec.kind
     if kind in (StructureKind.SPANNING_TREE, StructureKind.ARBORESCENCE):
@@ -817,22 +761,21 @@ def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
     n, k = spec.n, spec.k
     ok = _dp_certified(z, n, k)
     if kind == StructureKind.K_SUBSETS:
-        return _dp_rows(z, ok, lambda x: _cardinality_dp_linear(x, k),
-                        lambda x: _cardinality_dp_marginals(x, k))
-    return _dp_rows(z, ok, lambda x: _chain_dp_linear(n, k, x),
-                    lambda x: _chain_dp_marginals(n, k, x))
+        return _dp_rows(z, ok, lambda x, sr: _cardinality_dp(x, k, sr))
+    return _dp_rows(z, ok, lambda x, sr: _chain_dp(n, k, x, sr))
 
 
-def _dp_rows(z, ok, linear, log):
-    """``linear(z)`` on the rows ``ok`` marks and ``log(z)`` on the rest, one
-    call each; each row keeps the bytes of its one-row call."""
+def _dp_rows(z, ok, kernel):
+    """``kernel(z, _LINEAR)`` on the rows ``ok`` marks and ``kernel(z, _LOG)``
+    on the rest, one call each; each row keeps the bytes of its one-row
+    call."""
     if ok.all():
-        return linear(z)
+        return kernel(z, _LINEAR)
     if not ok.any():
-        return log(z)
+        return kernel(z, _LOG)
     mu = np.empty_like(z)
-    mu[ok] = linear(z[ok])
-    mu[~ok] = log(z[~ok])
+    mu[ok] = kernel(z[ok], _LINEAR)
+    mu[~ok] = kernel(z[~ok], _LOG)
     return mu
 
 

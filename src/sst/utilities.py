@@ -141,6 +141,10 @@ def draw_block(spec: UtilitySpec, rng: np.random.Generator, draws: int) -> Utili
     ``draw``'s redraw rule, and the block resumes after it.
     """
     _require_draws(draws)
+    limit = np.iinfo(np.intp).max // (8 * max(spec.dim, 1))
+    if draws > limit:
+        raise InputError(f"draws must be <= {limit}, the most rows of {spec.dim} doubles "
+                         "one array holds")
     rows = []
     remaining = draws
     while remaining:
@@ -204,6 +208,6 @@ def utility_from_dict(d: dict) -> UtilitySpec:
     try:
         family = UtilityFamily(d["family"])
         theta = np.asarray(d["theta"], dtype=float)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError, OverflowError) as exc:
         raise InvalidSpecError(f"malformed utility spec: {d!r}") from exc
     return UtilitySpec(family=family, theta=theta)

@@ -22,7 +22,7 @@ from sst import (
     relax,
     supported_pairs,
 )
-from sst.errors import InputError, InvalidSpecError
+from sst.errors import ConvergenceError, InputError, InvalidSpecError
 from sst.structures import gibbs_moments
 
 from graphs import D3, K3, K4, complete_digraph, complete_graph
@@ -30,6 +30,7 @@ from tree_solves import assert_one_solve_per_block, watch_tree_solves
 
 _grad_module = importlib.import_module("sst.grad")
 _relax_module = importlib.import_module("sst.relax")
+_verify_module = importlib.import_module("sst.verify")
 _relax_rows, _SEPARABLE = _relax_module._relax_rows, _relax_module._SEPARABLE
 
 ONE_HOT2 = StructureSpec(StructureKind.ONE_HOT, n=2)
@@ -268,6 +269,47 @@ def test_fd_vjp_keeps_the_two_call_bytes_on_every_pair(kind, reg):
     rng = np.random.default_rng(zlib.crc32(f"{kind.value}/{reg.value}/pair".encode()))
     u, d = rng.normal(size=spec.dim), rng.normal(size=spec.dim)
     assert fd_vjp(spec, rspec, u, d).tobytes() == _two_call_fd_vjp(spec, rspec, u, d).tobytes()
+
+
+def _column_fd_jacobian(spec, rspec, u, fd=FDConfig()):
+    """The former ``fd_jacobian``: one ``fd_vjp`` per coordinate direction."""
+    n = len(u)
+    cols = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        cols[:, j] = fd_vjp(spec, rspec, u, e, fd)
+    return cols
+
+
+@pytest.mark.parametrize("spec, reg", _verify_module._pair_instances(4),
+                         ids=lambda x: x.value if isinstance(x, Regularizer) else x.kind.value)
+def test_fd_jacobian_keeps_the_column_bytes(spec, reg):
+    rspec = RelaxationSpec(reg, temperature=0.5, tol=1e-12, max_iter=20_000)
+    rng = np.random.default_rng(zlib.crc32(f"{spec.kind.value}/{reg.value}/jacobian".encode()))
+    u = rng.normal(size=spec.dim)
+    assert fd_jacobian(spec, rspec, u).tobytes() == _column_fd_jacobian(spec, rspec, u).tobytes()
+
+
+def test_fd_jacobian_raises_the_first_column_failure():
+    """A Sinkhorn solve capped at 20 iterations, with eps = 0.3, converges at
+    u + eps e_0 and fails at u - eps e_0 and u + eps e_1: the one block
+    raises on u - eps e_0, as the column loop does."""
+    spec = StructureSpec(StructureKind.MATCHING, n=3)
+    rspec = RelaxationSpec(Regularizer.SHANNON, temperature=0.05, max_iter=20)
+    fd = FDConfig(epsilon=0.3)
+    u = np.random.default_rng(8).normal(size=spec.dim)
+    e0 = np.eye(spec.dim)[0]
+    relax(spec, rspec, u + fd.epsilon * e0)
+    with pytest.raises(ConvergenceError) as want:
+        relax(spec, rspec, u - fd.epsilon * e0)
+    with pytest.raises(ConvergenceError) as loop:
+        _column_fd_jacobian(spec, rspec, u, fd)
+    with pytest.raises(ConvergenceError) as got:
+        fd_jacobian(spec, rspec, u, fd)
+    for info in (loop, got):
+        assert str(info.value) == str(want.value)
+        assert info.value.residual == want.value.residual
 
 
 def test_tree_fd_pair_with_tied_largest_edges(monkeypatch):

@@ -24,7 +24,9 @@ from sst import (
     UtilitySpec,
     chi_square_gof,
     directed_matrix_tree_marginals,
+    draw_block,
     fd_vjp,
+    gradcheck,
     hungarian_match,
     is_vertex,
     kruskal_max_tree,
@@ -141,6 +143,10 @@ def _singular_arborescence_point_reports_inf():
     return point.condition_estimate == np.inf and abs(point.x.sum() - 4.0) <= 1e-12
 
 
+# the most (draws, 2) rows of doubles numpy can shape
+MAX_DRAWS = np.iinfo(np.intp).max // 16
+
+
 def _sampler(rng):
     return np.zeros(2)
 
@@ -190,6 +196,16 @@ BOUNDARY = [
      "seed must be an unsigned 64-bit integer"),
     ("run_suite-float-seed", lambda: run_suite("gumbel-max", 2.5), InputError,
      "seed must be an integer, got 2.5"),
+    ("gradcheck-None-tolerance", lambda: gradcheck(ONE_HOT, SHANNON, [0.0, 1.0], tolerance=None),
+     InputError, "tolerance must be a finite number >= 0, got None"),
+    ("gradcheck-text-tolerance", lambda: gradcheck(ONE_HOT, SHANNON, [0.0, 1.0], tolerance="x"),
+     InputError, "tolerance must be a finite number >= 0, got 'x'"),
+    ("utility_from_dict-numpy-int", lambda: utility_from_dict(np.int64(2)), InvalidSpecError,
+     "malformed utility spec: np.int64(2)"),
+    ("draw_block-huge-draws", lambda: draw_block(GUMBEL, np.random.default_rng(0), HUGE),
+     InputError, f"draws must be <= {MAX_DRAWS}, the most rows of 2 doubles one array holds"),
+    ("draw_block-2**63-draws", lambda: draw_block(GUMBEL, np.random.default_rng(0), 2 ** 63),
+     InputError, f"draws must be <= {MAX_DRAWS}, the most rows of 2 doubles one array holds"),
     ("mc_frequencies-None-seed", lambda: mc_frequencies(_sampler, 3, seed=None).total == 3,
      None, None),
     ("singular-tree-point", _singular_tree_point_reports_inf, None, None),

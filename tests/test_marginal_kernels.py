@@ -522,44 +522,51 @@ class TestCertifiedInverse:
 
 # --- k-subset DPs -------------------------------------------------------------
 
+def _semirings(spec, z):
+    """The log semiring, and the linear one where ``_dp_certified`` accepts
+    the one row ``z``."""
+    if relax_mod._dp_certified(z[None], spec.n, spec.k)[0]:
+        return (relax_mod._LOG, relax_mod._LINEAR)
+    return (relax_mod._LOG,)
+
+
 class TestVectorizedDPs:
     @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 4), (9, 8), (40, 39), (100, 10)])
     def test_cardinality_dp_matches_loops(self, n, k):
+        spec = StructureSpec(StructureKind.K_SUBSETS, n=n, k=k)
         z = 4.0 * np.random.default_rng(n * 100 + k).normal(size=n)
-        got = relax_mod._cardinality_dp_marginals(z[None], k)[0]
-        np.testing.assert_allclose(got, _cardinality_dp_loop(z, k), rtol=0, atol=1e-10)
-        assert abs(got.sum() - k) < 1e-9
+        for sr in _semirings(spec, z):
+            got = _dp_kernel(spec, z[None], sr)[0]
+            np.testing.assert_allclose(got, _cardinality_dp_loop(z, k), rtol=0, atol=1e-10)
+            assert abs(got.sum() - k) < 1e-9
 
     @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 2), (9, 5), (9, 8), (30, 29), (50, 10)])
     def test_chain_dp_matches_loops(self, n, k):
+        spec = StructureSpec(StructureKind.CORR_K_SUBSETS, n=n, k=k)
         z = 4.0 * np.random.default_rng(n * 100 + k).normal(size=2 * n - 1)
-        got = relax_mod._chain_dp_marginals(n, k, z[None])[0]
-        np.testing.assert_allclose(got, _chain_dp_loop(n, k, z), rtol=0, atol=1e-10)
-        assert abs(got[:n].sum() - k) < 1e-9
-        if k == 1:
-            assert not got[n:].any()
+        for sr in _semirings(spec, z):
+            got = _dp_kernel(spec, z[None], sr)[0]
+            np.testing.assert_allclose(got, _chain_dp_loop(n, k, z), rtol=0, atol=1e-10)
+            assert abs(got[:n].sum() - k) < 1e-9
+            if k == 1:
+                assert not got[n:].any()
 
 
-# --- linear-domain DPs ---------------------------------------------------------
+# --- the linear semiring and its certificate -----------------------------------
 
 DP_TEMPERATURES = (1.0, 0.3, 0.1, 1e-2, 1e-4)
 # n = 2, k = 1 and k = n - 1 among them
 DP_SIZES = ((2, 1), (5, 1), (5, 4), (8, 3), (10, 5), (10, 9))
 
 
-def _log_kernel(spec, z):
+def _dp_kernel(spec, z, sr):
     if spec.kind == StructureKind.K_SUBSETS:
-        return relax_mod._cardinality_dp_marginals(z, spec.k)
-    return relax_mod._chain_dp_marginals(spec.n, spec.k, z)
+        return relax_mod._cardinality_dp(z, spec.k, sr)
+    return relax_mod._chain_dp(spec.n, spec.k, z, sr)
 
 
-def _shifted(z, n):
-    """``z`` with each row's largest unary score subtracted from its unary
-    scores, as the log kernels subtract it: the same law, and the sums of
-    scores then carry no rounding from a large common offset."""
-    z = z.copy()
-    z[:, :n] -= z[:, :n].max(axis=1, keepdims=True)
-    return z
+def _log_kernel(spec, z):
+    return _dp_kernel(spec, z, relax_mod._LOG)
 
 
 def _dp_gate_rows(rng, dim):
@@ -695,82 +702,10 @@ class TestLinearDPs:
             assert relax_mod._expfam_rows(spec, u[r:r + 1], 0.1)[0].tobytes() == mu[r].tobytes()
 
 
-# --- the one-vector kernels the block kernels replaced -------------------------
+# --- the one-vector tree kernel the block kernel replaced ---------------------
 #
-# Copied unchanged from the version before the kernels took a leading row
-# axis; every row of a block must carry exactly their bytes on the row
-# with its largest unary score subtracted, which the kernels now do first.
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row of a 2-D array; a row of -inf gives -inf.
-
-    ``scipy.special.logsumexp`` costs about 0.1 ms per call in overhead,
-    more than the arithmetic of the small reductions here.
-    """
-    top = a.max(axis=1)
-    top[top == -np.inf] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
-
-
-def _cardinality_dp_marginals(z: np.ndarray, k: int) -> np.ndarray:
-    """Inclusion marginals of the k-of-n distribution p(S) ~ exp(sum z_S).
-
-    Log-domain forward/backward over (position, count); O(n k).  The
-    Python loop runs over the count: each count's recursion along the
-    positions is one sequential ``logaddexp.accumulate``.
-    """
-    n = z.shape[0]
-    # fwd[i, c]: c chosen among the first i; bwd[i, c]: c chosen from i on
-    fwd = np.full((n + 1, k + 1), -np.inf)
-    bwd = np.full((n + 1, k + 1), -np.inf)
-    fwd[:, 0] = bwd[:, 0] = 0.0
-    for c in range(1, k + 1):
-        fwd[1:, c] = np.logaddexp.accumulate(fwd[:-1, c - 1] + z)
-        bwd[:n, c] = np.logaddexp.accumulate((bwd[1:, c - 1] + z)[::-1])[::-1]
-    log_z = fwd[n, k]
-    # element i chosen: c of the others before it, k - 1 - c after it
-    terms = fwd[:n, :k] + bwd[1:, k - 1::-1]
-    mu = np.exp(z + _logsumexp_rows(terms) - log_z)
-    return np.clip(mu, 0.0, 1.0)
-
-
-def _chain_dp_marginals(n: int, k: int, z: np.ndarray) -> np.ndarray:
-    """Unary and adjacent-pair marginals of the cardinality-k chain.
-
-    Scores: ``z[:n]`` per selected element, ``z[n + i]`` whenever
-    elements i and i+1 are both selected.  Forward/backward over the
-    (position, state, count) lattice in the log domain.  The Python loop
-    runs over the count: state 1 at count c follows from count c - 1 in
-    one vector step, and state 0's recursion along the positions is one
-    sequential ``logaddexp.accumulate``.
-    """
-    phi, psi = z[:n], z[n:]
-    neg = -np.inf
-    fwd = np.full((n, 2, k + 1), neg)
-    fwd[:, 0, 0] = 0.0
-    fwd[0, 1, 1] = phi[0]
-    bwd = np.full((n, 2, k + 1), neg)
-    bwd[:, :, 0] = 0.0
-    for c in range(1, k + 1):
-        prev = fwd[:-1, :, c - 1]
-        fwd[1:, 1, c] = np.logaddexp(prev[:, 0] + phi[1:], prev[:, 1] + phi[1:] + psi)
-        fwd[1:, 0, c] = np.logaddexp.accumulate(np.r_[fwd[0, 0, c], fwd[:-1, 1, c]])[1:]
-        take = bwd[1:, 1, c - 1] + phi[1:]
-        bwd[:, 0, c] = np.logaddexp.accumulate(np.r_[neg, take[::-1]])[::-1]
-        bwd[:-1, 1, c] = np.logaddexp(bwd[1:, 0, c], take + psi)
-    log_z = np.logaddexp(fwd[n - 1, 0, k], fwd[n - 1, 1, k])
-    mu = np.zeros(2 * n - 1)
-    # element i selected with c ones up to and at it, k - c after it
-    terms = fwd[:, 1, 1:] + bwd[:, 1, k - 1::-1]
-    mu[:n] = np.exp(_logsumexp_rows(terms) - log_z)
-    if k >= 2:
-        # both endpoints selected leaves at most k - 2 ones for the rest
-        terms = (fwd[:-1, 1, 1:k] + psi[:, None] + phi[1:, None]
-                 + bwd[1:, 1, k - 2::-1])
-        mu[n:] = np.exp(_logsumexp_rows(terms) - log_z)
-    return np.clip(mu, 0.0, 1.0)
-
+# Copied from the version before the kernel took a leading row axis; every
+# row of a block must carry exactly its bytes.
 
 def _tree_marginals_by_logdet(nn, boundary, edges, theta, directed):
     """Per-edge marginals as the gradient of the log-determinant.
@@ -840,26 +775,37 @@ def _byte_rows(block, rows):
     return [r.tobytes() for r in block] == [r.tobytes() for r in rows]
 
 
+def _assert_dp_block_rows(spec, rng, oracle):
+    """Blocks of three rows at scales 1, 1e2 and 1e4, the middle one tied:
+    in each semiring every row of a block has the bytes of its one-row
+    solve and lies within 1e-10 of the loop oracle, plus the rounding of a
+    sum of 2 k scores as large as the row's (a configuration's score sums
+    at most 2 k - 1 of them: on the chain n = 20, k = 19 at scale 1e4 the
+    kernel is 1.2e-10 and the oracle 4.4e-11 off a 50-digit enumeration).  The
+    linear semiring runs on the rows ``_dp_certified`` accepts, as
+    ``_expfam_rows`` runs it."""
+    for scale in (1.0, 1e2, 1e4):
+        z = scale * rng.normal(size=(3, spec.dim))
+        z[1] = np.round(z[1] / scale)  # ties
+        ok = relax_mod._dp_certified(z, spec.n, spec.k)
+        for sr, rows in ((relax_mod._LOG, z), (relax_mod._LINEAR, z[ok])):
+            mu = _dp_kernel(spec, rows, sr)
+            for row, got in zip(rows, mu):
+                assert _dp_kernel(spec, row[None], sr)[0].tobytes() == got.tobytes()
+                atol = 1e-10 + 2 * spec.k * np.finfo(float).eps * np.abs(row).max()
+                np.testing.assert_allclose(got, oracle(row), rtol=0, atol=atol)
+
+
 class TestBlockKernelsKeepTheOneVectorBytes:
     @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 4), (12, 11), (40, 10), (100, 10)])
     def test_cardinality_dp(self, n, k):
-        rng = np.random.default_rng(n * 7 + k)
-        for scale in (1.0, 1e2, 1e4):
-            z = scale * rng.normal(size=(3, n))
-            z[1] = np.round(z[1] / scale)  # ties
-            want = [_cardinality_dp_marginals(row, k) for row in _shifted(z, n)]
-            assert _byte_rows(relax_mod._cardinality_dp_marginals(z, k), want)
-            assert _byte_rows(relax_mod._cardinality_dp_marginals(z[2:], k), want[2:])
+        _assert_dp_block_rows(StructureSpec(StructureKind.K_SUBSETS, n=n, k=k),
+                              np.random.default_rng(n * 7 + k), lambda z: _cardinality_dp_loop(z, k))
 
     @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (9, 2), (9, 5), (20, 19), (50, 10)])
     def test_chain_dp(self, n, k):
-        rng = np.random.default_rng(n * 11 + k)
-        for scale in (1.0, 1e2, 1e4):
-            z = scale * rng.normal(size=(3, 2 * n - 1))
-            z[1] = np.round(z[1] / scale)
-            want = [_chain_dp_marginals(n, k, row) for row in _shifted(z, n)]
-            assert _byte_rows(relax_mod._chain_dp_marginals(n, k, z), want)
-            assert _byte_rows(relax_mod._chain_dp_marginals(n, k, z[2:]), want[2:])
+        _assert_dp_block_rows(StructureSpec(StructureKind.CORR_K_SUBSETS, n=n, k=k),
+                              np.random.default_rng(n * 11 + k), lambda z: _chain_dp_loop(n, k, z))
 
     @pytest.mark.parametrize("t", TEMPERATURES)
     def test_tree_kernel(self, t):

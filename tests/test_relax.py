@@ -883,8 +883,9 @@ def test_tree_solves_take_one_kernel_call(monkeypatch):
 def test_dp_solves_take_one_kernel_call(monkeypatch):
     """Each ``relax`` and ``expfam_marginals`` point and each ``fd_vjp`` pair
     on n = 100, k = 10 subsets and on the n = 50, k = 10 chain is at most
-    one linear-domain DP call, on exactly the rows the certificate accepts,
-    then at most one log-domain call on the rest: no row pays for both."""
+    one linear-semiring DP call, on exactly the rows the certificate
+    accepts, then at most one log-semiring call on the rest: no row pays
+    for both."""
     log = watch_dp_solves(monkeypatch)
     specs = [StructureSpec(StructureKind.K_SUBSETS, n=100, k=10),
              StructureSpec(StructureKind.CORR_K_SUBSETS, n=50, k=10)]
