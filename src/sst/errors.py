@@ -89,7 +89,7 @@ def _as_member(enum, value, what: str):
 
 def _require_finite(x, what: str, error=InputError) -> None:
     """Raise ``error("<what> must be finite")`` unless every entry of ``x`` is."""
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise error(f"{what} must be finite")
 
 

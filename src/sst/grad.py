@@ -119,7 +119,7 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
     s = _SEPARABLE[reg][1](relax(spec, rspec, u).x)
     if kind == StructureKind.SUBSETS:
         return np.diag(s) / t
-    total = s.sum()
+    total = np.add.reduce(s)
     if total == 0.0:
         return np.zeros((u.shape[0], u.shape[0]))
     # (diag(s) - s s^T / total) / t in one buffer, with the same roundings:
@@ -127,7 +127,7 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
     jac = np.multiply.outer(s, s)
     jac /= total
     np.subtract(0.0, jac, out=jac)
-    jac.flat[::len(s) + 1] += s
+    jac.reshape(-1)[::len(s) + 1] += s
     jac /= t
     return jac
 

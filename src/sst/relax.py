@@ -62,6 +62,8 @@ __all__ = [
 DEFAULT_BISECT_ITER = 200
 DEFAULT_SINKHORN_ITER = 1000
 MATCHING_EXACT_LIMIT = 6
+_EPS = float(np.finfo(float).eps)
+_LOWEST = -float(np.finfo(float).max)
 
 
 class Regularizer(str, Enum):
@@ -120,7 +122,7 @@ def _scaled(u: np.ndarray, t: float) -> np.ndarray:
     _require_temperature(t)
     with np.errstate(over="ignore"):
         z = u / t
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise NumericalError(
             f"u / t overflows double precision at temperature {t:.3e}"
         )
@@ -128,8 +130,10 @@ def _scaled(u: np.ndarray, t: float) -> np.ndarray:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax of each row of ``z``, with max-subtraction."""
-    z = z - z.max(axis=1, keepdims=True)
+    """Softmax of each row of ``z``, with max-subtraction; a score that
+    falls past the doubles below its row's max gets 0."""
+    with np.errstate(over="ignore"):
+        z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -145,74 +149,96 @@ def softmax_simplex(u: np.ndarray, t: float) -> RelaxedPoint:
 def _newton_shift(values_of, slope_of, target, z, tol, max_iter):
     """Find ``nu`` with ``sum(values_of(z - nu)) = target``; returns ``(nu, x)``.
 
-    ``values_of`` is coordinatewise nonincreasing in ``nu`` and
-    ``slope_of(x)`` is its derivative in ``w = z - nu``, written through
-    ``x = values_of(w)``, so the partial sum decreases from the left
-    bracket to the right one.  After the bracket is expanded to hold the
-    root, each step evaluates the sum once, shrinks the bracket to the
-    side the root lies on, and takes the Newton step when it lands
-    strictly inside the bracket and is at most half the step before
-    last; otherwise it bisects (Numerical Recipes' ``rtsafe``).  Newton
-    ends in a few steps where bisection halves some 40 times.  ``tol``
-    bounds ``|sum(x) - target|`` and ``max_iter`` the evaluations after
-    the expansion.
+    ``values_of`` is one of the coordinate maps of ``_SEPARABLE``, each
+    nondecreasing in ``w = z - nu`` with values in [0, 1], and
+    ``slope_of(x)`` is its derivative in ``w``, written through
+    ``x = values_of(w)``; the sum falls as ``nu`` grows.  ``target`` is
+    an integer k with 1 <= k < n = len(z).
+
+    The bracket comes from two order statistics.  Let ``L = log n + 1``
+    and let z_(j) be the j-th largest score.  At ``nu = z_(k+1) - L`` the
+    k + 1 largest coordinates have ``w >= L >= 1``: the clamp and the
+    capped exponential give 1 there and the sigmoid at least
+    ``1 - e^-L = 1 - 1/(e n)``, so the sum is at least
+    ``(k + 1)(1 - 1/(e n)) > k``.  At ``nu = z_(k) + L`` every coordinate
+    from the k-th on has ``w <= -L`` and gives at most
+    ``e^-L = 1/(e n)``, and the k - 1 above it at most 1 each, so the sum
+    is at most ``k - 1 + 1/e < k``.  The margin L is widened by
+    ``2 eps (|z_(j)| + L)``, so the rounded ends and the rounded ``w``
+    still keep ``|w| >= L``; one ``np.partition`` gives both statistics
+    and no end is evaluated.
+
+    Each step evaluates the sum once, shrinks the bracket to the side the
+    root lies on, and takes the Newton step when it lands strictly inside
+    the bracket and is at most half the step before last; otherwise it
+    bisects (Numerical Recipes' ``rtsafe``).  With the capped
+    exponential's slope (``_uncapped``, the coordinates below the cap)
+    the step is taken in log space: the uncapped part of the sum is
+    ``e^-nu`` times a constant until a coordinate reaches the cap, so the
+    Newton ratio ``delta = (sum - k) / sum(slope)`` becomes the step
+    ``-log1p(-delta)``, exact while no coordinate crosses the cap, and a
+    bisection where ``delta >= 1``.  ``tol`` bounds ``|sum(x) - target|``
+    and ``max_iter`` the evaluations; a search whose bisection midpoint
+    is no longer strictly inside the bracket has no double left to try
+    and raises at once.
     """
     n = z.shape[0]
-    lo = z.min() - np.log(n) - 1.0
-    hi = z.max() + np.log(n) + 1.0
-    s_lo = float(values_of(z - lo).sum())
-    s_hi = float(values_of(z - hi).sum())
-    width = hi - lo
-    guard = 0
-    while s_lo < target and guard < 200:
-        lo -= width
-        width *= 2.0
-        s_lo = float(values_of(z - lo).sum())
-        guard += 1
-    guard = 0
-    while s_hi > target and guard < 200:
-        hi += width
-        width *= 2.0
-        s_hi = float(values_of(z - hi).sum())
-        guard += 1
-    if s_lo < s_hi:
-        raise NumericalError("shift objective is not decreasing in nu")
-    best_res = min(abs(s_lo - target), abs(s_hi - target))
-    nu = 0.5 * (lo + hi)
+    k = int(target)
+    below, above = map(float, np.partition(z, (n - k - 1, n - k))[n - k - 1:n - k + 1])
+    reach = math.log(n) + 1.0
+    # in Python floats, which overflow to +-inf without a warning
+    lo = max(below - reach - 2.0 * _EPS * (abs(below) + reach), _LOWEST)
+    hi = min(above + reach + 2.0 * _EPS * (abs(above) + reach), -_LOWEST)
+    log_step = slope_of is _uncapped
+    add = np.add.reduce
+    best_res = math.inf
+    nu = 0.5 * lo + 0.5 * hi
     last = prev = hi - lo
-    for _ in range(max_iter):
-        x = values_of(z - nu)
-        s = float(x.sum())
-        best_res = min(best_res, abs(s - target))
-        if abs(s - target) <= tol:
-            return nu, x
-        if s > target:
-            lo = nu
-        else:
-            hi = nu
-        slope = float(slope_of(x).sum())
-        step = (s - target) / slope if slope > 0.0 else np.nan
-        if lo < nu + step < hi and abs(step) <= 0.5 * abs(prev):
-            nu_next = nu + step
-        else:
-            nu_next = 0.5 * (lo + hi)
-        prev, last = last, nu_next - nu
-        nu = nu_next
+    with np.errstate(over="ignore"):  # z - nu may pass the doubles; the maps take +-inf
+        for _ in range(max_iter):
+            x = values_of(z - nu)
+            s = float(add(x))
+            res = abs(s - target)
+            if res <= tol:
+                return nu, x
+            best_res = min(best_res, res)
+            if s > target:
+                lo = nu
+            else:
+                hi = nu
+            slope = float(add(slope_of(x)))
+            step = (s - target) / slope if slope > 0.0 else math.nan
+            if log_step:
+                step = -math.log1p(-step) if step < 1.0 else math.nan
+            if lo < nu + step < hi and abs(step) <= 0.5 * abs(prev):
+                nu_next = nu + step
+            else:
+                nu_next = 0.5 * lo + 0.5 * hi
+                if not lo < nu_next < hi:
+                    break
+            prev, last = last, nu_next - nu
+            nu = nu_next
     raise ConvergenceError(
         f"shift search did not reach |sum(x) - {target}| <= {tol}", residual=best_res
     )
 
 
+def _uncapped(x):
+    return np.where(x < 1.0, x, 0.0)
+
+
 # The coordinate map ``x = values(w)`` of each separable regularizer, the
 # maximizer of ``w x - f(x)`` over [0, 1], and its slope ``dx/dw``
-# written as a function of ``x``: the shift search steps with the slope,
-# and the Jacobian of every separable relaxation is formed from it alone.
+# written as a function of ``x``: the shift search steps with the slope
+# (in log space with ``_uncapped``, see ``_newton_shift``), and the
+# Jacobian of every separable relaxation is formed from it alone.  The
+# clamp calls the two ufuncs ``np.clip`` would, with the same bytes.
 _SEPARABLE = {
-    Regularizer.EUCLIDEAN: (lambda w: np.clip(w, 0.0, 1.0),
+    Regularizer.EUCLIDEAN: (lambda w: np.minimum(np.maximum(0.0, w), 1.0),
                             lambda x: ((x > 0.0) & (x < 1.0)).astype(float)),
     Regularizer.BINARY_ENTROPY: (expit, lambda x: x * (1.0 - x)),
     Regularizer.CATEGORICAL_ENTROPY: (lambda w: np.minimum(1.0, np.exp(np.minimum(w, 0.0))),
-                                      lambda x: np.where(x < 1.0, x, 0.0)),
+                                      _uncapped),
 }
 
 
@@ -233,7 +259,7 @@ def _separable_point(reg, spec, u, t, tol, max_iter):
     if target == z.shape[0]:  # the feasible set is the single all-ones point
         return RelaxedPoint(x=np.ones(target))
     nu, x = _newton_shift(values, slope, target, z, tol, max_iter)
-    return RelaxedPoint(x=x, dual=np.asarray(nu), residual=abs(float(x.sum()) - target))
+    return RelaxedPoint(x=x, dual=np.asarray(nu), residual=abs(float(np.add.reduce(x)) - target))
 
 
 def _project_simplex(z: np.ndarray) -> tuple:
@@ -421,9 +447,6 @@ def _chain_dp(n: int, k: int, z: np.ndarray, sr: _Semiring) -> np.ndarray:
     return np.clip(mu, 0.0, 1.0)
 
 
-_LOWEST = -np.finfo(float).max
-
-
 def _tree_marginals_by_logdet(nn, src, dst, theta, directed):
     """Per-edge marginals as the gradient of the log-determinant, one row
     of marginals per row of log weights ``theta``.
@@ -490,9 +513,6 @@ def _tree_marginals_by_logdet(nn, src, dst, theta, directed):
         adj[:, v + 1:, v:v + 1] += sums + (1.0 - sums.sum(axis=1, keepdims=True)) * soft
         adj[:, v:v + 1, v + 1:nn - 1] += through.sum(axis=1, keepdims=True)
     return adj[:, src, dst] if directed else adj[:, src, dst] + adj[:, dst, src]
-
-
-_EPS = np.finfo(float).eps
 
 
 def _tree_rows_by_inverse(nn, src, dst, w, directed):
@@ -667,6 +687,12 @@ def directed_matrix_tree_marginals(graph: Graph, root: int, u: np.ndarray,
     return _tree_point(graph, u, t, root)
 
 
+def _row_residual(sums):
+    """``max |r - 1|`` over the row sums r, to the bit: ``|r - 1|`` is exact
+    for r >= 0.5 (Sterbenz) and rounding is monotone below."""
+    return float(max(sums.max() - 1.0, 1.0 - sums.min()))
+
+
 def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
                    max_iter: int = DEFAULT_SINKHORN_ITER,
                    warm_start: Optional[np.ndarray] = None) -> RelaxedPoint:
@@ -675,14 +701,17 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     Each sweep updates the row log-scalings ``f`` so that the rows of
     ``x = exp(U/t - f - g)`` sum to 1, then the column ones ``g`` so that
     its columns do.  The columns of the result therefore sum to 1 up to
-    rounding, and ``residual`` is the worst row-sum deviation, read off
-    the sums of the next row update.  Iterates until it is at most
-    ``tol``; raises ``ConvergenceError`` (carrying the residual) past
-    ``max_iter`` sweeps.  The output ``x`` is flattened row-major;
-    ``dual`` stacks ``f`` and ``g`` and can seed ``warm_start`` of a
-    nearby solve, e.g. along a decreasing temperature schedule where cold
-    starts converge slowly (only ``g`` is read: the first row update
-    replaces ``f``).
+    rounding, and ``residual`` is the worst row-sum deviation
+    ``max(max r - 1, 1 - min r)``, read off the sums r of the next row
+    update.  Iterates until it is at most ``tol``; raises
+    ``ConvergenceError`` (carrying the residual) past ``max_iter`` sweeps.
+    A sweep tests ``max r - 1`` first and reads ``min r`` only when that
+    side passes; the residual returned or raised is the whole maximum,
+    formed from the last row sums, which stay in their own buffer.  The
+    output ``x`` is flattened row-major; ``dual`` stacks ``f`` and ``g``
+    and can seed ``warm_start`` of a nearby solve, e.g. along a decreasing
+    temperature schedule where cold starts converge slowly (only ``g`` is
+    read: the first row update replaces ``f``).
     """
     base = _scaled(_square_matrix(u), t)
     _require_solver_controls(tol, max_iter)
@@ -713,20 +742,20 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     g = lse(0, f[:, None])
     f_col = f[:, None]  # f is updated in place from here on
     base_f = base - f_col  # refreshed after every row update
-    sums = np.empty(len(base))
-    residual = np.inf
+    sums, logs = np.empty(len(base)), np.empty(len(base))
+    top, bottom, add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
     for _ in range(max_iter):
         np.exp(np.subtract(base_f, g, out=m), out=m)
-        np.add.reduce(m, axis=1, out=sums)
-        # |r - 1| is exact for r >= 0.5 (Sterbenz) and rounding is monotone
-        # below, so this is max |rows - 1| to the bit
-        residual = float(max(sums.max() - 1.0, 1.0 - sums.min()))
-        if residual <= tol:
-            return RelaxedPoint(x=m.reshape(-1), dual=np.stack([f, g]), residual=residual)
-        f += np.log(sums, out=sums)
+        add(m, 1, None, sums)
+        # either side alone fails a sweep, so the min side waits for the max side
+        if top(sums) - 1.0 <= tol and 1.0 - bottom(sums) <= tol:
+            return RelaxedPoint(x=m.reshape(-1), dual=np.stack([f, g]),
+                                residual=_row_residual(sums))
+        f += np.log(sums, out=logs)
         np.subtract(base, f_col, out=base_f)
         np.exp(np.subtract(base_f, g, out=m), out=m)
-        g += np.log(np.add.reduce(m, axis=0, out=sums), out=sums)
+        g += np.log(add(m, 0, None, logs), out=logs)
+    residual = _row_residual(sums)  # of the last sweep's row sums, kept in sums
     raise ConvergenceError(
         f"sinkhorn row residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",
         residual=residual,

@@ -411,7 +411,8 @@ def gibbs_moments(spec: StructureSpec, z: np.ndarray, limit: int, covariance: bo
     """
     verts = _vertex_matrix(spec, limit)
     logw = verts @ z
-    w = np.exp(logw - logw.max())
+    with np.errstate(over="ignore"):  # a weight past the doubles below the max is 0
+        w = np.exp(logw - logw.max())
     if not covariance:
         return verts.T @ w / w.sum()
     # the covariance needs normalized weights, which round the mean differently

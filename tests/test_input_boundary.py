@@ -42,9 +42,11 @@ from sst import (
     utility_from_dict,
 )
 from sst.cli import _relaxation_from_args
-from sst.verify import mc_frequencies, run_suite
+from sst.grad import analytic_jacobian
+from sst.verify import gibbs_marginals_bruteforce, mc_frequencies, run_suite
 
 from graphs import D3, K4, complete_digraph, complete_graph
+from test_iterative_solvers import MAPS, _bisect_oracle
 
 _scaled = importlib.import_module("sst.relax")._scaled
 
@@ -143,6 +145,38 @@ def _singular_arborescence_point_reports_inf():
     return point.condition_estimate == np.inf and abs(point.x.sum() - 4.0) <= 1e-12
 
 
+# finite scores whose differences pass the doubles at t = 1
+EXTREMES = np.array([1e308, -1e308, 0.0])
+ONE_OF_THREE = StructureSpec(StructureKind.K_SUBSETS, n=3, k=1)
+
+
+def _extreme_shift_point(reg):
+    """The shift search's point, where ``z - nu`` passes the doubles, is
+    the bisection oracle's."""
+    solve, values_of = MAPS[reg]
+    point = solve(ONE_OF_THREE, EXTREMES, 1.0)
+    with np.errstate(over="ignore"):  # the oracle's own bracket passes the doubles
+        want = values_of(EXTREMES - _bisect_oracle(values_of, 1, EXTREMES, 1e-10))
+    return np.abs(point.x - want).max() <= 1e-8 and abs(point.x.sum() - 1.0) <= 1e-10
+
+
+def _extreme_softmax_points():
+    """The softmax rows, on the simplex and as its one-hot relaxations,
+    are the enumerated marginals, which put all mass on the largest score."""
+    spec = StructureSpec(StructureKind.ONE_HOT, n=3)
+    want = gibbs_marginals_bruteforce(spec, EXTREMES, 1.0)
+    points = [softmax_simplex(EXTREMES, 1.0).x] + [
+        relax(spec, RelaxationSpec(reg), EXTREMES).x
+        for reg in (Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY)]
+    return want.tolist() == [1.0, 0.0, 0.0] and all(np.array_equal(x, want) for x in points)
+
+
+def _extreme_gibbs_covariance():
+    """The enumerated covariance of a point mass is 0."""
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY)
+    return not analytic_jacobian(ONE_OF_THREE, rspec, EXTREMES).any()
+
+
 # the most (draws, 2) rows of doubles numpy can shape
 MAX_DRAWS = np.iinfo(np.intp).max // 16
 
@@ -210,6 +244,10 @@ BOUNDARY = [
      None, None),
     ("singular-tree-point", _singular_tree_point_reports_inf, None, None),
     ("singular-arborescence-point", _singular_arborescence_point_reports_inf, None, None),
+    *[(f"extreme-shift-{reg}", lambda reg=reg: _extreme_shift_point(reg), None, None)
+      for reg in MAPS],
+    ("extreme-softmax", _extreme_softmax_points, None, None),
+    ("extreme-gibbs-covariance", _extreme_gibbs_covariance, None, None),
 ]
 
 

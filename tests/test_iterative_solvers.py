@@ -17,6 +17,8 @@ from scipy.special import expit
 from sst import ConvergenceError, StructureKind, StructureSpec, sinkhorn_relax
 from sst.relax import binary_entropy_relax, categorical_entropy_relax, euclidean_project
 
+from shift_solves import watch_shift_solves
+
 
 # --- oracles ------------------------------------------------------------------
 
@@ -161,6 +163,25 @@ def test_same_sweeps_and_point_as_the_oracle_cold_and_warm(n, t, u):
                 sinkhorn_relax(u, t, tol=tol, max_iter=sweeps - 1, warm_start=warm)
 
 
+def test_sinkhorn_reads_the_min_side_of_the_residual():
+    """Row sums within ``tol`` above 1 but not below it do not return, and
+    the residual returned or raised is the whole ``max(max r - 1, 1 - min r)``
+    of that sweep, to the bit."""
+    u = np.random.default_rng(0).normal(size=(3, 3))
+    x, _, residual, _ = _sinkhorn_oracle(u, 1.0, np.inf, 1)
+    rows = x.reshape(3, 3).sum(axis=1)
+    high, low = rows.max() - 1.0, 1.0 - rows.min()
+    assert high < low == residual
+    point = sinkhorn_relax(u, 1.0, tol=low, max_iter=1)
+    assert point.residual == _sinkhorn_oracle(u, 1.0, low, 1)[2]
+    tol = 0.5 * (high + low)
+    with pytest.raises(ConvergenceError) as want:
+        _sinkhorn_oracle(u, 1.0, tol, 1)
+    with pytest.raises(ConvergenceError) as got:
+        sinkhorn_relax(u, 1.0, tol=tol, max_iter=1)
+    assert got.value.residual == want.value.residual == low
+
+
 def test_sinkhorn_max_iter_one_still_raises():
     u = np.random.default_rng(19).normal(size=(3, 3))
     with pytest.raises(ConvergenceError) as exc:
@@ -236,3 +257,70 @@ def test_shift_property_integer_utilities(reg, data, t):
     u = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n), label="u"),
                  dtype=float)
     _check_shift(reg, StructureSpec(StructureKind.K_SUBSETS, n=n, k=k), u, t)
+
+
+ANNEAL = StructureSpec(StructureKind.K_SUBSETS, n=200, k=20)
+
+
+def test_shift_bracket_holds_at_the_rounding_of_z():
+    """At 1e17 the doubles are 16 apart, far wider than the bracket's margin
+    L = log n + 1, so the margin is widened by the rounding of z; the only
+    shifts that solve are the doubles in [z_(21), z_(20) - 1]."""
+    point = _check_shift("euclidean", ANNEAL, 1e17 + 16.0 * np.arange(200), 1.0)
+    assert point.x.tolist() == [0.0] * 180 + [1.0] * 20
+    # twenty values 2 apart (the spacing at 1e16), ten coordinates each
+    point = _check_shift("euclidean", ANNEAL, np.repeat(1e16 + 2.0 * np.arange(20), 10), 1.0)
+    assert point.x.tolist() == [0.0] * 180 + [1.0] * 20
+
+
+@pytest.mark.parametrize("reg", REGS)
+def test_hopeless_shift_search_stops_at_once(reg, monkeypatch):
+    """Near z = 1e7 the doubles are 2^-29 apart, so the sum of 200 equal
+    coordinates moves in steps far above 1e-10 and no double nu solves;
+    the search raises once its bracket holds no double, not after all 200
+    evaluations."""
+    log = watch_shift_solves(monkeypatch)
+    with pytest.raises(ConvergenceError) as exc:
+        MAPS[reg][0](ANNEAL, np.full(200, 1e3), 1e-4)
+    assert str(exc.value) == "shift search did not reach |sum(x) - 20| <= 1e-10"
+    assert exc.value.residual > 1e-10
+    assert log[0] <= 80
+
+
+def _evaluations(monkeypatch, reg, temperatures):
+    """Evaluations per search of ``reg`` on 50 normal draws (n = 200,
+    k = 20) at each temperature, one list per temperature."""
+    log = watch_shift_solves(monkeypatch)
+    draws = np.random.default_rng(65).normal(size=(50, 200))
+    counts = []
+    for t in temperatures:
+        log.clear()
+        for u in draws:
+            MAPS[reg][0](ANNEAL, u, float(t))
+        counts.append(list(log))
+    return counts
+
+
+def test_capped_exponential_shift_at_low_temperature(monkeypatch):
+    """The log-space step: at most 8 evaluations per search where the
+    Newton step on the sum itself took up to 47."""
+    for counts in _evaluations(monkeypatch, "categorical_entropy", [1e-2, 1e-3, 1e-4]):
+        assert max(counts) <= 8
+
+
+# The mean evaluations per search of the former search, which expanded a
+# bracket over the range of z and evaluated both of its ends, on the draws
+# of ``_evaluations`` along ``SCHEDULE`` (the anneal benchmark's schedule)
+SCHEDULE = np.geomspace(1.0, 0.03, 6)
+FORMER_MEANS = {
+    "euclidean": [6.74, 6.66, 7.2, 8.06, 8.76, 9.74],
+    "binary_entropy": [8.1, 8.0, 8.02, 8.1, 8.28, 8.94],
+    "categorical_entropy": [8.64, 8.48, 8.74, 9.12, 9.98, 11.76],
+}
+
+
+@pytest.mark.parametrize("reg", REGS)
+def test_shift_evaluations_along_the_anneal_schedule(reg, monkeypatch):
+    means = [np.mean(counts) for counts in _evaluations(monkeypatch, reg, SCHEDULE)]
+    assert np.mean(means) <= 6.0
+    assert all(new < old for new, old in zip(means, FORMER_MEANS[reg]))
