@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -160,15 +161,7 @@ def _relaxation_from_args(args) -> RelaxationSpec:
 def _cmd_solve(args) -> int:
     spec = _load_spec(args.spec)
     u = _load_vector(args.utilities)
-    sol = solve_map(spec, u)
-    _emit(
-        {
-            "vertex": sol.vertex,
-            "objective": sol.objective,
-            "tie_broken": sol.tie_broken,
-        },
-        args,
-    )
+    _emit(asdict(solve_map(spec, u)), args)
     return EXIT_OK
 
 
@@ -179,7 +172,7 @@ def _cmd_sample(args) -> int:
         raise InputError(
             f"noise dimension {uspec.dim} != embedding dimension {embedding_dim(spec)}"
         )
-    if not args.raw:
+    if not args.raw or args.draws > 0:
         _require_draws(args.draws)
     elif args.draws < 0:
         raise InputError("draws must be >= 0 with --raw")
@@ -202,16 +195,7 @@ def _cmd_relax(args) -> int:
     spec = _load_spec(args.spec)
     u = _load_vector(args.utilities)
     rspec = _relaxation_from_args(args)
-    point = relax(spec, rspec, u)
-    _emit(
-        {
-            "x": point.x,
-            "dual": point.dual,
-            "residual": point.residual,
-            "condition_estimate": point.condition_estimate,
-        },
-        args,
-    )
+    _emit(asdict(relax(spec, rspec, u)), args)
     return EXIT_OK
 
 

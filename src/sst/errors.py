@@ -131,10 +131,14 @@ def _require_solver_controls(tol, max_iter, error=InputError) -> None:
         raise error("max_iter must be positive")
 
 
-def _require_draws(draws: int) -> None:
-    """Raise ``InputError`` unless ``draws`` is an integer >= 1."""
+def _require_draws(draws: int, most: int = 2 ** 63 - 1,
+                   why: str = "the largest count an int64 tally holds") -> None:
+    """Raise ``InputError`` unless ``draws`` is an integer with
+    ``1 <= draws <= most``; ``why`` names what sets the cap."""
     if _require_int(draws, "draws") < 1:
         raise InputError("draws must be >= 1")
+    if draws > most:
+        raise InputError(f"draws must be <= {most}, {why}")
 
 
 def _require_seed(seed):

@@ -364,12 +364,12 @@ def _dp_certified(z, n, k):
     error, so no computed entry leaves that range either.
     """
     phi, psi = z[:, :n], z[:, n:]
-    with np.errstate(over="ignore"):  # a spread past the doubles fails the test
-        low = k * (phi.min(axis=1) - phi.max(axis=1))
-        high = 0.0
-        if psi.shape[1]:
-            low = low + (k - 1) * psi.min(axis=1, initial=0.0)
-            high = (k - 1) * psi.max(axis=1, initial=0.0)
+    # a spread past the doubles overflows to -inf and fails the test
+    low = k * (phi.min(axis=1) - phi.max(axis=1))
+    high = 0.0
+    if psi.shape[1]:
+        low = low + (k - 1) * psi.min(axis=1, initial=0.0)
+        high = (k - 1) * psi.max(axis=1, initial=0.0)
     c = min(k, n // 2)
     count = math.log(k) + math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
     return (low >= _LOG_TINY + 1.0) & (high <= _LOG_HUGE - count - 1.0)
@@ -437,7 +437,8 @@ def _chain_dp(n: int, k: int, z: np.ndarray, sr: _Semiring) -> np.ndarray:
             both[:, :, 1:], sr.plus(prev[:, :, 0], sr.times(prev[:, :, 1], b)))
     fwd, bwd = tab[:, 0, 1:, 1], tab[:, 1, :0:-1, 1, ::-1]
     mu = np.zeros((rows, 2 * n - 1))
-    unary = sr.plus.reduce(sr.times(sr.divide(fwd, a[:, None]), bwd), axis=1)
+    # an a_i of -inf divides out as the lowest double: -inf, not NaN, stays
+    unary = sr.plus.reduce(sr.times(sr.divide(fwd, np.maximum(a, _LOWEST)[:, None]), bwd), axis=1)
     scale = sr.divide(sr.count(k), sr.plus.reduce(unary, axis=1, keepdims=True))
     mu[:, :n] = sr.value(sr.times(unary, scale))
     if k >= 2:
@@ -557,43 +558,39 @@ def _tree_rows_by_inverse(nn, src, dst, w, directed):
     np.negative(lap, out=lap)
     lap.reshape(rows, -1)[:, ::nn + 1] = deg
     red = lap[:, :m, :m].transpose(0, 2, 1)
-    with np.errstate(all="ignore"):
-        g = np.zeros((rows, nn, nn))
-        g[:, :m, :m] = _inverses(red)
-        diag = g.reshape(rows, -1)[:, ::nn + 1]
+    g = np.zeros((rows, nn, nn))
+    g[:, :m, :m] = _inverses(red)
+    diag = g.reshape(rows, -1)[:, ::nn + 1]
+    if directed:
+        terms = (diag[:, dst], g[:, dst, src])
+        mu = w * (terms[0] - terms[1])
+    else:
+        terms = (diag[:, src], diag[:, dst], g[:, src, dst], g[:, dst, src])
+        mu = w * (terms[0] + terms[1] - terms[2] - terms[3])
+    # |G| |L|, padded with a zero row for the boundary; NaN where L is singular
+    skeel = np.zeros((rows, nn, m))
+    np.matmul(np.abs(g[:, :m, :m]), np.abs(red), out=skeel[:, :m])
+    cond = skeel.sum(axis=2).max(axis=1)
+    # the rounding term costs O(1) per edge and the first-order term O(n),
+    # and the whole bound is never below it, so it screens the rows first
+    last = 4 * _EPS * sum(map(np.abs, terms))
+    ok = (np.isfinite(mu).all(axis=1) & ((w * last).max(axis=1) <= 1e-12)
+          & (m * _EPS * cond <= 1e-3))
+    if ok.any():
         if directed:
-            terms = (diag[:, dst], g[:, dst, src])
-            mu = w * (terms[0] - terms[1])
+            # the columns of |G| as rows, each arc reading those of a and b
+            cols = np.abs(g.transpose(0, 2, 1)[:, :, :m])
+            first = skeel[:, dst] * (cols[:, dst] + cols[:, src])
         else:
-            terms = (diag[:, src], diag[:, dst], g[:, src, dst], g[:, dst, src])
-            mu = w * (terms[0] + terms[1] - terms[2] - terms[3])
-        # |G| |L|, padded with a zero row for the boundary; NaN where L is singular
-        skeel = np.zeros((rows, nn, m))
-        np.matmul(np.abs(g[:, :m, :m]), np.abs(red), out=skeel[:, :m])
-        cond = skeel.sum(axis=2).max(axis=1)
-        # the rounding term costs O(1) per edge and the first-order term
-        # O(n), so the rounding term screens the rows first
-        last = 4 * _EPS * sum(map(np.abs, terms))
-        ok = (np.isfinite(mu).all(axis=1) & ((w * last).max(axis=1) <= 1e-12)
-              & (m * _EPS * cond <= 1e-3))
-        live = np.flatnonzero(ok)
-        if live.size:
-            g, skeel = g[live], skeel[live]
-            if directed:
-                # the columns of |G| as rows, each arc reading those of a and b
-                cols = np.abs(g.transpose(0, 2, 1)[:, :, :m])
-                first = skeel[:, dst] * (cols[:, dst] + cols[:, src])
-            else:
-                # L and G are symmetric, so |L| |G e_s| is row s of |G| |L|;
-                # r cancels where the distribution concentrates, so it
-                # gets the first-order error of its two rows of G
-                glg = np.zeros((live.size, nn, m))
-                np.matmul(skeel[:, :m], np.abs(g[:, :m, :m]), out=glg[:, :m])
-                r = (np.abs(g[:, src, :m] - g[:, dst, :m])
-                     + 3 * m * _EPS * (glg[:, src] + glg[:, dst]))
-                first = r * (skeel[:, src] + skeel[:, dst])
-            bound = w[live] * (3 * m * _EPS * first.sum(axis=2) + last[live])
-            ok[live] = bound.max(axis=1) <= 1e-12
+            # L and G are symmetric, so |L| |G e_s| is row s of |G| |L|;
+            # r cancels where the distribution concentrates, so it
+            # gets the first-order error of its two rows of G
+            glg = np.zeros((rows, nn, m))
+            np.matmul(skeel[:, :m], np.abs(g[:, :m, :m]), out=glg[:, :m])
+            r = (np.abs(g[:, src, :m] - g[:, dst, :m])
+                 + 3 * m * _EPS * (glg[:, src] + glg[:, dst]))
+            first = r * (skeel[:, src] + skeel[:, dst])
+        ok &= (w * (3 * m * _EPS * first.sum(axis=2) + last)).max(axis=1) <= 1e-12
     cond[np.isnan(cond)] = np.inf
     return mu, ok, cond
 
@@ -617,7 +614,7 @@ def _inverses(a):
 def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> tuple:
     """Marginals of the spanning trees (``root`` None) or arborescences
     rooted at ``root``, one row per row of edge utilities ``u``, with each
-    row's ``condition_estimate`` (``RelaxedPoint`` defines it).
+    row's Skeel ``cond``, whose log ``_tree_point`` reports (1 on one node).
 
     Every row eliminates toward one boundary: the root, or the last node
     of a spanning-tree graph (the marginals hold whichever row and column
@@ -629,27 +626,29 @@ def _tree_rows(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None
     a certified row may differ from the elimination in its last bits.
     The graph must have such a tree: a ``StructureSpec`` proves it on
     construction, and the two raw-graph solvers check it before they get
-    here.
+    here.  One ``np.errstate`` covers the block and neither path sets its
+    own: a score past the doubles below its row's max weighs 0, and a
+    singular L leaves NaN, which the certificate rejects.
     """
     theta = _scaled(u, t)
     if not theta.shape[1]:  # one node: its only tree has no edges
-        return theta, np.zeros(len(theta))
-    # subtracting a row's max scales every tree's weight alike
-    theta = theta - theta.max(axis=1, keepdims=True)
+        return theta, np.ones(len(theta))
     directed = root is not None
     nn = graph.num_nodes
     src, dst = graph.tree_plan(root if directed else nn - 1)
-    mu, ok, cond = _tree_rows_by_inverse(nn, src, dst, np.exp(theta), directed)
-    if not ok.all():
-        mu[~ok] = _tree_marginals_by_logdet(nn, src, dst, theta[~ok], directed)
-    # math.log per value, so a row's bytes do not depend on the block
-    return np.clip(mu, 0.0, 1.0), np.fromiter(map(math.log, cond), float, len(cond))
+    with np.errstate(all="ignore"):
+        # subtracting a row's max scales every tree's weight alike
+        theta = theta - theta.max(axis=1, keepdims=True)
+        mu, ok, cond = _tree_rows_by_inverse(nn, src, dst, np.exp(theta), directed)
+        if not ok.all():
+            mu[~ok] = _tree_marginals_by_logdet(nn, src, dst, theta[~ok], directed)
+    return np.clip(mu, 0.0, 1.0), cond
 
 
 def _tree_point(graph: Graph, u: np.ndarray, t: float, root: Optional[int] = None) -> RelaxedPoint:
-    """The point of one vector of edge utilities ``u``."""
+    """The point of one vector of edge utilities ``u``, with ``log cond``."""
     mu, cond = _tree_rows(graph, u[None], t, root)
-    return RelaxedPoint(x=mu[0], condition_estimate=float(cond[0]))
+    return RelaxedPoint(x=mu[0], condition_estimate=math.log(cond[0]))
 
 
 def matrix_tree_marginals(graph: Graph, u: np.ndarray, t: float = 1.0) -> RelaxedPoint:
@@ -788,10 +787,12 @@ def _expfam_rows(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
         mu = np.stack([gibbs_moments(spec, row, DEFAULT_ENUM_LIMIT) for row in z])
         return np.clip(mu, 0.0, 1.0)
     n, k = spec.n, spec.k
-    ok = _dp_certified(z, n, k)
-    if kind == StructureKind.K_SUBSETS:
-        return _dp_rows(z, ok, lambda x, sr: _cardinality_dp(x, k, sr))
-    return _dp_rows(z, ok, lambda x, sr: _chain_dp(n, k, x, sr))
+    # a score past the doubles below its row's max fails the certificate
+    with np.errstate(over="ignore"):
+        ok = _dp_certified(z, n, k)
+        if kind == StructureKind.K_SUBSETS:
+            return _dp_rows(z, ok, lambda x, sr: _cardinality_dp(x, k, sr))
+        return _dp_rows(z, ok, lambda x, sr: _chain_dp(n, k, x, sr))
 
 
 def _dp_rows(z, ok, kernel):

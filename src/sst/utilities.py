@@ -140,11 +140,8 @@ def draw_block(spec: UtilitySpec, rng: np.random.Generator, draws: int) -> Utili
     an exact zero is replayed from the saved generator state through
     ``draw``'s redraw rule, and the block resumes after it.
     """
-    _require_draws(draws)
-    limit = np.iinfo(np.intp).max // (8 * max(spec.dim, 1))
-    if draws > limit:
-        raise InputError(f"draws must be <= {limit}, the most rows of {spec.dim} doubles "
-                         "one array holds")
+    _require_draws(draws, np.iinfo(np.intp).max // (8 * max(spec.dim, 1)),
+                   f"the most rows of {spec.dim} doubles one array holds")
     rows = []
     remaining = draws
     while remaining:

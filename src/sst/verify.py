@@ -14,6 +14,7 @@ failure is treated as an implementation error.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -281,9 +282,10 @@ def _report(name, ok, **extra) -> dict:
 
 
 def _with_retry(name: str, run: Callable[[int], tuple], seed: int, draws: int) -> dict:
-    """Report ``run(seed)``, which returns ``(passed, fields)``; a failed
-    first attempt is rerun once at ``seed + RETRY_OFFSET`` and the report
-    marked ``retried``."""
+    """Report ``run(seed)``, which returns ``(passed, fields)``, once
+    ``draws`` passes its gate; a failed first attempt is rerun once at
+    ``seed + RETRY_OFFSET`` and the report marked ``retried``."""
+    _require_draws(draws)
     passed, fields = run(seed)
     if not passed:
         passed, fields = run(seed + RETRY_OFFSET)
@@ -302,7 +304,6 @@ def _map_law(name: str, spec: StructureSpec, noise: Callable, seed: int, draws: 
     (a chi-square test) or a sampler of the categorical process, called
     ``draws`` times under seed ``s + 1`` (a two-sample test).
     """
-    _require_draws(draws)
 
     def run(noise_seed):
         rng = np.random.default_rng(noise_seed)
@@ -571,7 +572,11 @@ def run_suite(name: str, seed: int, **kwargs) -> list:
     """Run one named suite; returns a list of JSON-ready report dicts."""
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    reports = _SUITES[name](_require_seed(seed), **kwargs)
+    suite = _SUITES[name]
+    unknown = set(kwargs) - set(list(inspect.signature(suite).parameters)[1:])
+    if unknown:
+        raise InputError(f"suite {name!r} does not take {', '.join(sorted(unknown))}")
+    reports = suite(_require_seed(seed), **kwargs)
     for rep in reports:
         rep["suite"] = name
     return reports

@@ -28,6 +28,42 @@ def run_json(argv, capsys):
     return code, json.loads(out)
 
 
+# ``sst solve`` on a tied k-subset, then ``sst relax`` on a k-subset
+# (Euclidean, with a dual and a residual) and on a triangle (with a
+# condition estimate): every field of ``MapSolution`` and ``RelaxedPoint``,
+# in field order
+RECORD_OUTPUTS = {
+    "json": (
+        '{"objective": 1.5, "tie_broken": true, "vertex": [1, 1, 0, 0]}\n'
+        '{"condition_estimate": null, "dual": 0.4999999999999999, "residual": 0.0, '
+        '"x": [1.0, 0.5000000000000001, 0.5000000000000001, 0.0]}\n'
+        '{"condition_estimate": 1.0264588760043691, "dual": null, "residual": null, '
+        '"x": [0.6610072370227912, 0.4410954210660691, 0.8978973419111397]}\n'),
+    "csv": (
+        "vertex,[1, 1, 0, 0]\nobjective,1.5\ntie_broken,true\n"
+        "x,[1.0, 0.5000000000000001, 0.5000000000000001, 0.0]\ndual,0.4999999999999999\n"
+        "residual,0.0\ncondition_estimate,null\n"
+        "x,[0.6610072370227912, 0.4410954210660691, 0.8978973419111397]\ndual,null\n"
+        "residual,null\ncondition_estimate,1.0264588760043691\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RECORD_OUTPUTS))
+def test_solve_and_relax_print_their_result_records(files, capsys, fmt):
+    k_subsets = files("ks.json", {"kind": "k_subsets", "n": 4, "k": 2})
+    u4 = files("u4.json", [1.0, 0.5, 0.5, -2.0])
+    triangle = files("tri.json", {"kind": "spanning_tree",
+                                  "graph": {"num_nodes": 3, "edges": complete_edges(3)}})
+    u3 = files("u3.json", [0.3, -0.2, 1.5])
+    fmt_flag = ["--format", fmt]
+    assert run(["solve", "--spec", k_subsets, "--utilities", u4] + fmt_flag) == 0
+    assert run(["relax", "--spec", k_subsets, "--utilities", u4, "--regularizer", "euclidean",
+                "--temperature", "0.5"] + fmt_flag) == 0
+    assert run(["relax", "--spec", triangle, "--utilities", u3,
+                "--regularizer", "expfam"] + fmt_flag) == 0
+    assert capsys.readouterr().out == RECORD_OUTPUTS[fmt]
+
+
 class TestSolve:
     def test_one_hot_example(self, files, capsys):
         spec = files("spec.json", {"kind": "one_hot", "n": 3})

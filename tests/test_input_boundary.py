@@ -6,6 +6,9 @@ the standard library's bare ``ValueError``, ``TypeError``, ``IndexError`` or
 
 import argparse
 import importlib
+import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -41,11 +44,11 @@ from sst import (
     topk_select,
     utility_from_dict,
 )
-from sst.cli import _relaxation_from_args
+from sst.cli import _relaxation_from_args, build_parser
 from sst.grad import analytic_jacobian
 from sst.verify import gibbs_marginals_bruteforce, mc_frequencies, run_suite
 
-from graphs import D3, K4, complete_digraph, complete_graph
+from graphs import D3, K3, K4, complete_digraph, complete_graph
 from test_iterative_solvers import MAPS, _bisect_oracle
 
 _scaled = importlib.import_module("sst.relax")._scaled
@@ -177,12 +180,53 @@ def _extreme_gibbs_covariance():
     return not analytic_jacobian(ONE_OF_THREE, rspec, EXTREMES).any()
 
 
+def _extreme_expfam_point(spec, u):
+    """``relax`` and ``fd_vjp`` under the exponential-family entropy give the
+    enumerated marginals and a finite product on scores whose differences
+    pass the doubles; the chain's unary weight of -inf divides out."""
+    rspec = RelaxationSpec(Regularizer.EXPFAM_ENTROPY)
+    want = gibbs_marginals_bruteforce(spec, u, 1.0)
+    return (np.abs(relax(spec, rspec, u).x - want).max() <= 1e-12
+            and np.isfinite(fd_vjp(spec, rspec, u, np.ones(len(u)), FDConfig())).all())
+
+
+EXTREME_EXPFAM = [
+    ("k_subsets-k1", ONE_OF_THREE, EXTREMES),
+    ("k_subsets-k2", StructureSpec(StructureKind.K_SUBSETS, n=3, k=2), EXTREMES),
+    ("chain-n2", StructureSpec(StructureKind.CORR_K_SUBSETS, n=2, k=1), EXTREMES),
+    ("chain-n3", StructureSpec(StructureKind.CORR_K_SUBSETS, n=3, k=1),
+     np.array([0.0, -1e308, 1e308, 0.0, 0.0])),
+    ("triangle", StructureSpec(StructureKind.SPANNING_TREE, graph=K3), EXTREMES),
+    ("digraph", StructureSpec(StructureKind.ARBORESCENCE, graph=D3, root=0),
+     np.concatenate([EXTREMES, np.zeros(3)])),
+]
+
+
 # the most (draws, 2) rows of doubles numpy can shape
 MAX_DRAWS = np.iinfo(np.intp).max // 16
 
 
 def _sampler(rng):
     return np.zeros(2)
+
+
+# the largest count an int64 tally holds
+TALLY_CAP = f"draws must be <= {2 ** 63 - 1}, the largest count an int64 tally holds"
+
+
+def _sample_command(*flags):
+    """``sst sample`` on a one-hot spec under Gumbel noise, raising what the
+    command raises (``run`` would print it)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, payload in (("spec", {"kind": "one_hot", "n": 2}),
+                              ("noise", {"family": "gumbel", "theta": [0.0, 0.0]})):
+            paths.append(os.path.join(tmp, f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(payload, fh)
+        args = build_parser().parse_args(
+            ["sample", "--spec", paths[0], "--noise", paths[1], "--seed", "1", *flags])
+        return args.fn(args)
 
 
 # (id, call, error type and message, or None twice for a call that returns True)
@@ -240,6 +284,24 @@ BOUNDARY = [
      InputError, f"draws must be <= {MAX_DRAWS}, the most rows of 2 doubles one array holds"),
     ("draw_block-2**63-draws", lambda: draw_block(GUMBEL, np.random.default_rng(0), 2 ** 63),
      InputError, f"draws must be <= {MAX_DRAWS}, the most rows of 2 doubles one array holds"),
+    ("mc_frequencies-huge-draws", lambda: mc_frequencies(_sampler, HUGE, seed=1), InputError,
+     TALLY_CAP),
+    ("run_suite-huge-draws", lambda: run_suite("gumbel-max", 1, draws=HUGE), InputError,
+     TALLY_CAP),
+    ("cli-sample-huge-draws", lambda: _sample_command("--draws", str(HUGE)), InputError,
+     TALLY_CAP),
+    ("cli-sample-raw-huge-draws", lambda: _sample_command("--draws", str(HUGE), "--raw"),
+     InputError, TALLY_CAP),
+    ("run_suite-subsets-zero-draws", lambda: run_suite("subsets", 1, draws=0), InputError,
+     "draws must be >= 1"),
+    ("run_suite-subsets-negative-draws", lambda: run_suite("subsets", 1, draws=-1), InputError,
+     "draws must be >= 1"),
+    ("run_suite-subsets-float-draws", lambda: run_suite("subsets", 1, draws=2.5), InputError,
+     "draws must be an integer, got 2.5"),
+    ("run_suite-subsets-text-draws", lambda: run_suite("subsets", 1, draws="x"), InputError,
+     "draws must be an integer, got 'x'"),
+    ("run_suite-limits-draws", lambda: run_suite("limits", 1, draws=5), InputError,
+     "suite 'limits' does not take draws"),
     ("mc_frequencies-None-seed", lambda: mc_frequencies(_sampler, 3, seed=None).total == 3,
      None, None),
     ("singular-tree-point", _singular_tree_point_reports_inf, None, None),
@@ -248,6 +310,8 @@ BOUNDARY = [
       for reg in MAPS],
     ("extreme-softmax", _extreme_softmax_points, None, None),
     ("extreme-gibbs-covariance", _extreme_gibbs_covariance, None, None),
+    *[(f"extreme-expfam-{name}", lambda spec=spec, u=u: _extreme_expfam_point(spec, u), None, None)
+      for name, spec, u in EXTREME_EXPFAM],
 ]
 
 

@@ -447,14 +447,16 @@ def _both_paths(graph, root, u, t):
     marginals, certified mask and Skeel condition numbers with the
     ``condition_estimate`` of each row's public point, the kernel's
     marginals, the max-shifted log weights both read (formed as the tree
-    solves form them) and the boundary."""
+    solves form them) and the boundary.  Both paths run under the guard
+    ``_tree_rows`` holds for them."""
     nn, directed = graph.num_nodes, root is not None
     boundary = root if directed else nn - 1
     plan = graph.tree_plan(boundary)
     theta = u / t
     theta = theta - theta.max(axis=1, keepdims=True)
-    mu, ok, cond = relax_mod._tree_rows_by_inverse(nn, *plan, np.exp(theta), directed)
-    want = relax_mod._tree_marginals_by_logdet(nn, *plan, theta, directed)
+    with np.errstate(all="ignore"):
+        mu, ok, cond = relax_mod._tree_rows_by_inverse(nn, *plan, np.exp(theta), directed)
+        want = relax_mod._tree_marginals_by_logdet(nn, *plan, theta, directed)
     est = np.array([(matrix_tree_marginals(graph, row, t) if root is None
                      else directed_matrix_tree_marginals(graph, root, row, t)).condition_estimate
                     for row in u])
@@ -658,7 +660,8 @@ class TestLinearDPs:
         z = np.zeros((1, spec.dim))
         z[0, 0] = -np.finfo(float).max
         z[0, 1] = np.finfo(float).max  # the spread overflows
-        assert not relax_mod._dp_certified(z, n, k)[0]
+        with np.errstate(over="ignore"):  # the guard ``_expfam_rows`` holds
+            assert not relax_mod._dp_certified(z, n, k)[0]
 
     def test_equal_scores_at_the_overflow_edge(self, kind):
         """Equal scores on k = n / 2 around n = 1024, where k C(n, k) first

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import zlib
 
 import numpy as np
@@ -769,8 +770,9 @@ def _public_point(spec, u, t):
 
 
 def _block_conditions(spec, u, t):
-    """The condition estimates a tree block gives its rows."""
-    return _relax_module._tree_rows(spec.graph, u, t, spec.root)[1]
+    """The condition estimates a tree block gives its rows: the log of each
+    row's Skeel number, as ``_tree_point`` takes it."""
+    return [math.log(c) for c in _relax_module._tree_rows(spec.graph, u, t, spec.root)[1]]
 
 
 def _bridged_graph():
