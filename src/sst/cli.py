@@ -102,19 +102,11 @@ def _table_json(support: np.ndarray, counts: np.ndarray, total: int) -> str:
 
 
 def _csv_lines(payload) -> list:
-    if isinstance(payload, list):
-        lines = []
-        for i, row in enumerate(payload):
-            if isinstance(row, dict):
-                if i == 0:
-                    lines.append(",".join(row))
-                lines.append(",".join(_dumps(v) for v in row.values()))
-            else:
-                lines.append(f"{i},{_dumps(row)}")
-        return lines
+    """A dict payload as ``key,value`` lines; ``sst verify``'s list of report
+    dicts as a header of the first report's keys and one line per report."""
     if isinstance(payload, dict):
         return [f"{k},{_dumps(v)}" for k, v in payload.items()]
-    return [_dumps(payload)]
+    return [",".join(payload[0])] + [",".join(_dumps(v) for v in row.values()) for row in payload]
 
 
 def _emit(payload, args) -> None:

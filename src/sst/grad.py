@@ -65,23 +65,36 @@ def fd_vjp(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     if d.shape != u.shape:
         raise InputError(f"direction must have shape {u.shape}, got {d.shape}")
     _require_finite(d, "direction")
-    eps = fd.epsilon
-    xp, xm = _relax_rows(spec, rspec, np.stack([u + eps * d, u - eps * d]))
-    return (xp - xm) / (2.0 * eps)
+    return _central_differences(spec, rspec, u, d[None], fd.epsilon)[0]
 
 
 def fd_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
                 fd: FDConfig = FDConfig()) -> np.ndarray:
     """Dense central-difference Jacobian: column j is ``fd_vjp`` along the
-    j-th coordinate direction, byte for byte.  All 2 n points go to the
-    solver as one block, in the order ``u + eps e_0, u - eps e_0,
-    u + eps e_1, ...``, so a solve that fails raises on the same point as
-    the columns taken one at a time would."""
+    j-th coordinate direction, byte for byte."""
     u = _check_dim(spec, u)
-    n = u.shape[0]
-    step = fd.epsilon * np.eye(n)
-    x = _relax_rows(spec, rspec, np.stack([u + step, u - step], axis=1).reshape(2 * n, n))
-    return ((x[0::2] - x[1::2]) / (2.0 * fd.epsilon)).T.copy()
+    return _central_differences(spec, rspec, u, np.eye(u.shape[0]), fd.epsilon).T.copy()
+
+
+def _central_differences(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
+                         directions: np.ndarray, eps: float) -> np.ndarray:
+    """The central difference along each row of ``directions``, from one solver
+    block ordered ``u + eps d_0, u - eps d_0, u + eps d_1, ...``: a solve
+    that fails raises on the point the rows taken one at a time would."""
+    step = eps * directions
+    x = _relax_rows(spec, rspec, np.stack([u + step, u - step], axis=1).reshape(-1, u.shape[0]))
+    return (x[0::2] - x[1::2]) / (2.0 * eps)
+
+
+def _enumerated_jacobian(spec: StructureSpec, u: np.ndarray, t: float) -> np.ndarray:
+    """The Gibbs covariance at scores ``u / t`` over ``t``, enumerated."""
+    try:
+        _, cov = gibbs_moments(spec, _scaled(u, t), DEFAULT_ENUM_LIMIT, covariance=True)
+    except EnumerationLimitError as exc:
+        raise UnsupportedPairError(
+            f"{spec.kind.value!r} instance too large to enumerate a covariance Jacobian; use fd_vjp"
+        ) from exc
+    return cov / t
 
 
 def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> np.ndarray:
@@ -103,13 +116,7 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
         p = softmax_simplex(u, t).x
         return (np.diag(p) - np.outer(p, p)) / t
     if rule == "expfam" and kind != StructureKind.SUBSETS:
-        try:
-            _, cov = gibbs_moments(spec, _scaled(u, t), DEFAULT_ENUM_LIMIT, covariance=True)
-        except EnumerationLimitError as exc:
-            raise UnsupportedPairError(
-                f"{kind.value!r} instance too large to enumerate a covariance Jacobian; use fd_vjp"
-            ) from exc
-        return cov / t
+        return _enumerated_jacobian(spec, u, t)
     if rule == "expfam":
         reg = Regularizer.BINARY_ENTROPY  # the product-Bernoulli marginals are the sigmoid
     elif rule != "separable":
@@ -164,11 +171,9 @@ def gradcheck(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray,
     if expfam and spec.kind not in (StructureKind.ONE_HOT, StructureKind.SUBSETS):
         cov_disc = discrepancy  # analytic_jacobian enumerated this covariance
     elif expfam:
-        t = rspec.temperature
         try:
-            _, cov = gibbs_moments(spec, _scaled(u, t), DEFAULT_ENUM_LIMIT, covariance=True)
-            cov_disc = float(np.abs(jac - cov / t).max())
-        except EnumerationLimitError:
+            cov_disc = float(np.abs(jac - _enumerated_jacobian(spec, u, rspec.temperature)).max())
+        except UnsupportedPairError:
             pass
     checks = [symmetry] + [v for v in (discrepancy, cov_disc) if v is not None]
     return GradcheckReport(

@@ -88,8 +88,13 @@ class Graph:
             raise InvalidSpecError("graph needs at least one node")
         if not isinstance(self.directed, bool):
             raise InvalidSpecError(f"directed must be true or false, got {self.directed!r}")
+        try:
+            edges = iter(self.edges)
+        except TypeError as exc:
+            raise InvalidSpecError(
+                f"edges must be a list of node pairs, got {self.edges!r}") from exc
         norm = []
-        for e in self.edges:
+        for e in edges:
             try:
                 t, h = e
             except (TypeError, ValueError) as exc:
@@ -142,21 +147,20 @@ class Graph:
         return list(self.arcs[1][node])
 
     def is_connected(self) -> bool:
-        """Connectivity ignoring edge direction."""
-        return len(self._reach(0, both_ways=True)) == self.num_nodes
+        """Connectivity ignoring edge direction: n - 1 edges join two components."""
+        uf = _UnionFind(self.num_nodes)
+        return sum(uf.union(t, h) for t, h in self.edges) == self.num_nodes - 1
 
     def reachable_from(self, root: int) -> set:
         """Nodes reachable from ``root`` along directed edges."""
-        return self._reach(root, both_ways=False)
+        return self._reach(root)
 
-    def _reach(self, start: int, both_ways: bool) -> set:
+    def _reach(self, start: int) -> set:
         """Nodes a depth-first search from ``start`` reaches, following each
-        edge from tail to head, and also back when ``both_ways``."""
+        edge from tail to head."""
         adjacent = [[] for _ in range(self.num_nodes)]
         for t, h in self.edges:
             adjacent[t].append(h)
-            if both_ways:
-                adjacent[h].append(t)
         seen = {start}
         stack = [start]
         while stack:
@@ -188,6 +192,8 @@ class StructureSpec:
                 raise InvalidSpecError(f"{kind.value} requires a positive n")
             if self.graph is not None or self.root is not None:
                 raise InvalidSpecError(f"{kind.value} takes no graph or root")
+        elif self.n is not None:
+            raise InvalidSpecError(f"{kind.value} takes no n")
         if kind in (StructureKind.K_SUBSETS, StructureKind.CORR_K_SUBSETS):
             if self.k is None or not (1 <= self.k < self.n):
                 raise InvalidSpecError(f"{kind.value} requires 1 <= k < n, got k={self.k}, n={self.n}")
@@ -290,23 +296,12 @@ def _edges_form_spanning_tree(graph: Graph, edge_ids: Sequence[int]) -> bool:
 
 
 def _edges_form_arborescence(graph: Graph, root: int, edge_ids: Sequence[int]) -> bool:
-    if len(edge_ids) != graph.num_nodes - 1:
-        return False
-    parent = {}
-    for i in edge_ids:
-        t, h = graph.edges[i]
-        if h == root or h in parent:
-            return False
-        parent[h] = t
-    # every non-root has one entering edge; acyclicity <=> all chains reach root
-    for v in parent:
-        seen = set()
-        while v != root:
-            if v in seen or v not in parent:
-                return False
-            seen.add(v)
-            v = parent[v]
-    return True
+    # one arc into every node but the root, on a spanning tree of the underlying
+    # graph: following each node's single in-arc backwards cannot cycle in a
+    # tree, so it ends at the root
+    heads = [graph.edges[i][1] for i in edge_ids]
+    return (root not in heads and len(set(heads)) == len(heads)
+            and _edges_form_spanning_tree(graph, edge_ids))
 
 
 def is_vertex(spec: StructureSpec, x: Sequence) -> bool:
@@ -367,8 +362,8 @@ def _iter_vertices(spec: StructureSpec) -> Iterator[tuple]:
     else:  # an arborescence
         g = spec.graph
         in_lists = [g.in_edges(v) for v in range(g.num_nodes) if v != spec.root]
-        for combo in itertools.product(*in_lists):
-            if _edges_form_arborescence(g, spec.root, combo):
+        for combo in itertools.product(*in_lists):  # one arc into each non-root
+            if _edges_form_spanning_tree(g, combo):
                 yield _bits(g.num_edges, combo)
 
 

@@ -79,6 +79,11 @@ class FrequencyTable:
     def __post_init__(self):
         if len(set(self.support)) != len(self.support):
             raise InputError("support entries must be unique")
+        counts = _as_floats(self.counts, "counts")
+        whole = (counts >= 0) & (counts < 2.0 ** 63) & (np.floor(counts) == counts)
+        if counts.shape != (len(self.support),) or not whole.all():
+            raise InputError("counts must be integers in [0, 2**63), one per support entry")
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
         if int(self.counts.sum()) != self.total:
             raise InputError("counts must sum to total")
 
@@ -171,8 +176,9 @@ def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
                    support: Optional[Sequence] = None) -> FrequencyTable:
     """Tally ``draws`` calls of ``sampler(rng)`` under a fresh seeded stream.
 
-    The sampler returns int8-convertible vectors of one length; they are
-    stacked ``_TALLY_ROWS`` at a time and tallied by ``_tally_rows``.  With
+    The sampler returns vectors of one length with entries 0 or 1; they
+    are stacked ``_TALLY_ROWS`` at a time, checked by ``_vertex_rows`` and
+    tallied by ``_tally_rows``.  With
     ``support`` given, the table is aligned to it (zero counts kept)
     and draws outside it are an error; otherwise the realized support is
     used, sorted lexicographically.
@@ -180,10 +186,25 @@ def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
     _require_draws(draws)
     rng = np.random.default_rng(_require_seed(seed))
     blocks = (
-        np.array([sampler(rng) for _ in range(min(_TALLY_ROWS, draws - start))], dtype=np.int8)
+        _vertex_rows([sampler(rng) for _ in range(min(_TALLY_ROWS, draws - start))])
         for start in range(0, draws, _TALLY_ROWS)
     )
     return _table(*_tally_rows(blocks), draws, support)
+
+
+def _vertex_rows(outputs: list) -> np.ndarray:
+    """Sampler outputs as an int8 ``(rows, dim)`` block; raises ``InputError``
+    unless they are vectors of one length with entries 0 or 1."""
+    try:
+        rows = np.asarray(outputs)
+    except (TypeError, ValueError):  # ragged rows; _as_floats names them
+        rows = None
+    if rows is None or rows.dtype != np.int8:
+        rows = _as_floats(outputs, "sampler output")
+        rows = np.where((rows == 0) | (rows == 1), rows, 2).astype(np.int8)  # 2: neither
+    if rows.ndim != 2 or rows.view(np.uint8).max(initial=0) > 1:  # -1 reads as 255
+        raise InputError("sampler output must be vectors of one length with entries 0 or 1")
+    return rows
 
 
 def chi_square_gof(table: FrequencyTable, expected: np.ndarray,
@@ -257,7 +278,7 @@ def ks_report(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
     # scipy.stats takes about half a second to import; only this test needs it
     from scipy.stats import kstest
 
-    res = kstest(samples, cdf)
+    res = kstest(_as_floats(samples, "samples"), cdf)
     return TestReport(
         statistic=float(res.statistic), dof=None,
         p_value=float(res.pvalue), passed=bool(res.pvalue >= level),

@@ -17,6 +17,7 @@ import pytest
 from sst import (
     FDConfig,
     FrequencyTable,
+    Graph,
     InputError,
     InvalidSpecError,
     RelaxationSpec,
@@ -32,6 +33,7 @@ from sst import (
     gradcheck,
     hungarian_match,
     is_vertex,
+    ks_report,
     kruskal_max_tree,
     log_density,
     matrix_tree_marginals,
@@ -58,7 +60,8 @@ SHANNON = RelaxationSpec(Regularizer.SHANNON)
 GUMBEL = UtilitySpec("gumbel", [0.0, 0.0])
 TABLE = FrequencyTable(support=((1, 0), (0, 1)), counts=np.array([50, 50]), total=100)
 
-# (entry, call, error type, the value's name in the message)
+# (entry, call, error type, the value's name in the message) of every entry
+# that reads an array: text and ragged rows are not numbers
 ENTRIES = [
     ("relax", lambda: relax(ONE_HOT, SHANNON, ["a", "b"]), InputError, "input"),
     ("is_vertex", lambda: is_vertex(ONE_HOT, ["a", "b"]), InputError, "input"),
@@ -88,15 +91,6 @@ ENTRIES = [
 ]
 
 
-@pytest.mark.parametrize("call, error, what", [entry[1:] for entry in ENTRIES],
-                         ids=[entry[0] for entry in ENTRIES])
-def test_non_numeric_input_is_an_input_error(call, error, what):
-    with pytest.raises(error) as info:
-        call()
-    assert str(info.value) == f"{what} must be an array of numbers"
-    assert isinstance(info.value.__cause__, (TypeError, ValueError))
-
-
 def test_numeric_input_keeps_its_errors():
     """Numbers, as text that numpy reads too, still reach the shape checks."""
     with pytest.raises(InputError, match=r"^expected a vector of length 2, got shape \(3,\)$"):
@@ -108,26 +102,6 @@ def test_numeric_input_keeps_its_errors():
 
 # an integer past the doubles' range, as a JSON file may hold one
 HUGE = 10 ** 400
-
-
-@pytest.mark.parametrize("call, error, what", [
-    (lambda: topk_select([1, HUGE, 3], 1), InputError, "utilities"),
-    (lambda: relax(ONE_HOT, SHANNON, [1, HUGE]), InputError, "input"),
-    (lambda: softmax_simplex([1, HUGE], 1.0), InputError, "utilities"),
-    (lambda: UtilitySpec("gumbel", [0, HUGE]), InvalidSpecError, "theta"),
-], ids=["topk_select", "relax", "softmax_simplex", "UtilitySpec"])
-def test_integer_past_the_double_range_is_not_finite(call, error, what):
-    """Such an integer fails the finiteness gate, as the float literal 1e400
-    (read as inf) does, and not with a bare ``OverflowError``."""
-    with pytest.raises(error) as info:
-        call()
-    assert str(info.value) == f"{what} must be finite"
-    assert isinstance(info.value.__cause__, OverflowError)
-
-
-def test_utility_spec_dict_with_an_integer_past_the_double_range():
-    with pytest.raises(InvalidSpecError, match="^malformed utility spec"):
-        utility_from_dict({"family": "gumbel", "theta": [0, HUGE]})
 
 
 def _choices(enum):
@@ -210,6 +184,9 @@ def _sampler(rng):
     return np.zeros(2)
 
 
+# a table of ten draws of the vertex (1, 0)
+TEN_OF_ONE = {"support": [[1, 0]], "counts": [10], "total": 10}
+
 # the largest count an int64 tally holds
 TALLY_CAP = f"draws must be <= {2 ** 63 - 1}, the largest count an int64 tally holds"
 
@@ -229,8 +206,69 @@ def _sample_command(*flags):
         return args.fn(args)
 
 
-# (id, call, error type and message, or None twice for a call that returns True)
+def _sampled(output):
+    """``mc_frequencies`` over ten calls of the sampler ``output``."""
+    return lambda: mc_frequencies(output, 10, seed=1)
+
+
+NOT_NUMBERS = (TypeError, ValueError)
+NOT_VERTICES = "sampler output must be vectors of one length with entries 0 or 1"
+NOT_COUNTS = "counts must be integers in [0, 2**63), one per support entry"
+
+# (id, call, error type and message, or None twice for a call that returns
+# True); a gate that converts a numpy or standard-library exception gives the
+# pair (error type, the type of the exception it is raised from)
 BOUNDARY = [
+    *[(f"{name}-non-numeric", call, (error, NOT_NUMBERS), f"{what} must be an array of numbers")
+      for name, call, error, what in ENTRIES],
+    # an integer past the doubles' range fails the finiteness gate, as the
+    # float literal 1e400 (read as inf) does
+    ("topk_select-huge-int", lambda: topk_select([1, HUGE, 3], 1), (InputError, OverflowError),
+     "utilities must be finite"),
+    ("relax-huge-int", lambda: relax(ONE_HOT, SHANNON, [1, HUGE]), (InputError, OverflowError),
+     "input must be finite"),
+    ("softmax_simplex-huge-int", lambda: softmax_simplex([1, HUGE], 1.0),
+     (InputError, OverflowError), "utilities must be finite"),
+    ("UtilitySpec-huge-int", lambda: UtilitySpec("gumbel", [0, HUGE]),
+     (InvalidSpecError, OverflowError), "theta must be finite"),
+    ("utility_from_dict-huge-int",
+     lambda: utility_from_dict({"family": "gumbel", "theta": [0, HUGE]}),
+     (InvalidSpecError, OverflowError),
+     f"malformed utility spec: {({'family': 'gumbel', 'theta': [0, HUGE]})!r}"),
+    ("StructureSpec-spanning_tree-n", lambda: StructureSpec("spanning_tree", n=99, graph=K3),
+     InvalidSpecError, "spanning_tree takes no n"),
+    ("StructureSpec-arborescence-n",
+     lambda: StructureSpec("arborescence", n=-4, graph=D3, root=0), InvalidSpecError,
+     "arborescence takes no n"),
+    ("Graph-None-edges", lambda: Graph(3, None), (InvalidSpecError, TypeError),
+     "edges must be a list of node pairs, got None"),
+    ("mc_frequencies-float-output", _sampled(lambda rng: np.array([0.7, 0.3])), InputError,
+     NOT_VERTICES),
+    ("mc_frequencies-int-output", _sampled(lambda rng: [2, -1]), InputError, NOT_VERTICES),
+    ("mc_frequencies-int8-overflow", _sampled(lambda rng: [300, 0]), InputError, NOT_VERTICES),
+    ("mc_frequencies-int8-output", _sampled(lambda rng: np.array([-1, 2], dtype=np.int8)),
+     InputError, NOT_VERTICES),
+    ("mc_frequencies-scalar-output", _sampled(lambda rng: 1), InputError, NOT_VERTICES),
+    ("mc_frequencies-text-output", _sampled(lambda rng: ["a", "b"]), (InputError, NOT_NUMBERS),
+     "sampler output must be an array of numbers"),
+    ("mc_frequencies-ragged-output", _sampled(lambda rng: np.zeros(rng.integers(1, 3))),
+     (InputError, NOT_NUMBERS), "sampler output must be an array of numbers"),
+    ("mc_frequencies-float-vertex", lambda: mc_frequencies(
+        lambda rng: [1.0, 0.0], 10, seed=1).to_dict() == TEN_OF_ONE, None, None),
+    ("FrequencyTable-list-counts", lambda: FrequencyTable(
+        support=((1, 0), (0, 1)), counts=[5, 5], total=10).frequencies.tolist() == [0.5, 0.5],
+     None, None),
+    ("FrequencyTable-negative-counts", lambda: FrequencyTable(
+        support=((1, 0), (0, 1)), counts=[-5, 15], total=10), InputError, NOT_COUNTS),
+    ("FrequencyTable-fractional-counts", lambda: FrequencyTable(
+        support=((1, 0), (0, 1)), counts=[5.5, 4.5], total=10), InputError, NOT_COUNTS),
+    ("FrequencyTable-unaligned-counts", lambda: FrequencyTable(
+        support=((1, 0), (0, 1)), counts=[10], total=10), InputError, NOT_COUNTS),
+    ("FrequencyTable-text-counts", lambda: FrequencyTable(
+        support=((1, 0), (0, 1)), counts=["a", "b"], total=10), (InputError, NOT_NUMBERS),
+     "counts must be an array of numbers"),
+    ("ks_report-text", lambda: ks_report("abc", lambda x: x), (InputError, NOT_NUMBERS),
+     "samples must be an array of numbers"),
     ("StructureSpec-name", lambda: StructureSpec("bogus", n=3), InvalidSpecError,
      f"unknown structure kind 'bogus'; choose from {_choices(StructureKind)}"),
     ("StructureSpec-int", lambda: StructureSpec(3, n=3), InvalidSpecError,
@@ -318,10 +356,12 @@ BOUNDARY = [
 @pytest.mark.parametrize("call, error, message", [case[1:] for case in BOUNDARY],
                          ids=[case[0] for case in BOUNDARY])
 def test_boundary_table(call, error, message):
-    """Each bad input raises an ``SstError`` subclass, with its message, and
-    no warning on the way; the rows with no error type are good inputs (a
-    None seed draws from fresh entropy, and tree points whose Laplacian is
-    singular say so) that must not warn either."""
+    """Each bad input raises an ``SstError`` subclass, with its message and
+    the cause its row names, and no warning on the way; the rows with no
+    error type are good inputs (a None seed draws from fresh entropy, and
+    tree points whose Laplacian is singular say so) that must not warn
+    either."""
+    error, cause = error if isinstance(error, tuple) else (error, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if error is None:
@@ -331,3 +371,5 @@ def test_boundary_table(call, error, message):
             call()
     assert isinstance(info.value, SstError)
     assert str(info.value) == message
+    if cause is not None:
+        assert isinstance(info.value.__cause__, cause)

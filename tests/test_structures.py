@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -299,6 +301,103 @@ def test_reachability_is_returned_fresh():
     assert d.reachable_from(3) == {2, 3}
     assert d.is_connected()  # direction ignored
     assert not Graph(3, [(0, 1)]).is_connected()
+
+
+def _parent_walk_arborescence(arcs, n, root):
+    """An arborescence by definition: every node but the root has one parent,
+    and following parents from any node reaches the root."""
+    parent = {}
+    for t, h in arcs:
+        if h == root or h in parent:
+            return False
+        parent[h] = t
+    for v in range(n):
+        for _ in range(n):
+            if v == root:
+                break
+            if v not in parent:
+                return False
+            v = parent[v]
+        if v != root:
+            return False
+    return True
+
+
+def _union_find_spanning_tree(edges, n):
+    """A spanning tree by definition: n - 1 edges, none closing a cycle."""
+    comp = list(range(n))
+
+    def find(a):
+        while comp[a] != a:
+            a = comp[a]
+        return a
+
+    for t, h in edges:
+        a, b = find(t), find(h)
+        if a == b:
+            return False
+        comp[a] = b
+    return len(edges) == n - 1
+
+
+def _tree_cases():
+    """``(spec, chosen edge ids, whether they form a tree by definition)`` for
+    every arc subset of the complete digraphs on 1 to 4 nodes and every
+    4-arc subset on 5 nodes, for every root, and every edge subset of K1 to
+    K5: every (n - 1)-subset of each graph is among them."""
+    for n in range(1, 6):
+        g = complete_digraph(n)
+        sizes = range(g.num_edges + 1) if n < 5 else [n - 1]
+        for root in range(n):
+            spec = StructureSpec(StructureKind.ARBORESCENCE, graph=g, root=root)
+            for size in sizes:
+                for sel in itertools.combinations(range(g.num_edges), size):
+                    arcs = [g.edges[i] for i in sel]
+                    yield spec, sel, _parent_walk_arborescence(arcs, n, root)
+    for n in range(1, 6):
+        g = complete_graph(n)
+        spec = StructureSpec(StructureKind.SPANNING_TREE, graph=g)
+        for size in range(g.num_edges + 1):
+            for sel in itertools.combinations(range(g.num_edges), size):
+                yield spec, sel, _union_find_spanning_tree([g.edges[i] for i in sel], n)
+
+
+def test_tree_predicates_match_their_definitions():
+    """``is_vertex`` on arborescences and spanning trees agrees with a parent
+    walk and a union-find over every small arc subset, and
+    ``enumerate_vertices`` lists exactly the subsets that pass."""
+    trees = {}
+    for spec, sel, want in _tree_cases():
+        bits = np.zeros(spec.dim, dtype=np.int8)
+        bits[list(sel)] = 1
+        assert is_vertex(spec, bits) == want, (spec, sel)
+        if want:
+            trees.setdefault(spec, []).append(tuple(bits))
+    assert len(trees) == 15 + 5  # one arborescence spec per root, one tree spec per n
+    for spec, found in trees.items():
+        assert [tuple(v) for v in enumerate_vertices(spec)] == sorted(found)
+
+
+def test_connectivity_matches_a_search():
+    """``Graph.is_connected`` is a depth-first search over edges taken both
+    ways, on random graphs and digraphs."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(1, 8))
+        directed = bool(rng.integers(2))
+        p = rng.uniform(0.05, 0.6)
+        edges = [(i, j) for i in range(n) for j in range(n)
+                 if (i != j if directed else i < j) and rng.random() < p]
+        adjacent = {v: set() for v in range(n)}
+        for t, h in edges:
+            adjacent[t].add(h)
+            adjacent[h].add(t)
+        seen, stack = {0}, [0]
+        while stack:
+            for w in adjacent[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        assert Graph(n, edges, directed=directed).is_connected() == (len(seen) == n)
 
 
 def test_counts_and_indices_are_integers():
