@@ -142,9 +142,16 @@ class Graph:
             plan = self._plans[boundary] = tuple(plan)
         return plan
 
+    def _node(self, node, what: str) -> int:
+        """``node`` as an int; raises ``InputError("<what> <node> out of
+        range")`` unless it is one of the graph's nodes."""
+        if not 0 <= _require_int(node, what) < self.num_nodes:
+            raise InputError(f"{what} {node} out of range")
+        return int(node)
+
     def in_edges(self, node: int) -> list:
         """Indices of edges entering ``node`` (directed graphs)."""
-        return list(self.arcs[1][node])
+        return list(self.arcs[1][self._node(node, "node")])
 
     def is_connected(self) -> bool:
         """Connectivity ignoring edge direction: n - 1 edges join two components."""
@@ -152,17 +159,14 @@ class Graph:
         return sum(uf.union(t, h) for t, h in self.edges) == self.num_nodes - 1
 
     def reachable_from(self, root: int) -> set:
-        """Nodes reachable from ``root`` along directed edges."""
-        return self._reach(root)
-
-    def _reach(self, start: int) -> set:
-        """Nodes a depth-first search from ``start`` reaches, following each
+        """Nodes a depth-first search from ``root`` reaches, following each
         edge from tail to head."""
+        root = self._node(root, "root")
         adjacent = [[] for _ in range(self.num_nodes)]
         for t, h in self.edges:
             adjacent[t].append(h)
-        seen = {start}
-        stack = [start]
+        seen = {root}
+        stack = [root]
         while stack:
             for w in adjacent[stack.pop()]:
                 if w not in seen:
@@ -252,8 +256,8 @@ def _edge_vector(graph: Graph, x: Sequence, what: str, directed: bool,
     x = _as_floats(x, what)
     if x.shape != (graph.num_edges,):
         raise InputError(f"expected {graph.num_edges} {what}, got shape {x.shape}")
-    if directed and not 0 <= _require_int(root, "root") < graph.num_nodes:
-        raise InputError(f"root {root} out of range")
+    if directed:
+        graph._node(root, "root")
     return x
 
 

@@ -136,27 +136,19 @@ def draw_block(spec: UtilitySpec, rng: np.random.Generator, draws: int) -> Utili
 
     Consumes ``rng`` exactly as ``draws`` sequential ``draw(spec, rng)``
     calls do and returns the same bytes row by row: ``rng.random((D, n))``
-    yields the doubles of ``D`` calls of ``rng.random(n)``.  A row holding
-    an exact zero is replayed from the saved generator state through
-    ``draw``'s redraw rule, and the block resumes after it.
+    yields the doubles of ``D`` calls of ``rng.random(n)``.  A block
+    holding an exact zero (2**-53 per double) is thrown away: the saved
+    generator state is restored and every row is drawn again through
+    ``draw``'s redraw rule.
     """
     _require_draws(draws, np.iinfo(np.intp).max // (8 * max(spec.dim, 1)),
                    f"the most rows of {spec.dim} doubles one array holds")
-    rows = []
-    remaining = draws
-    while remaining:
-        state = rng.bit_generator.state
-        block = rng.random((remaining, spec.dim))
-        zero_rows = np.flatnonzero((block == 0.0).any(axis=1))
-        if zero_rows.size == 0:
-            rows.append(block)
-            break
-        r = int(zero_rows[0])
+    state = rng.bit_generator.state
+    base = rng.random((draws, spec.dim))
+    if not base.all():
         rng.bit_generator.state = state
-        rows.append(rng.random((r, spec.dim)))
-        rows.append(_open_unit(rng, spec.dim)[None])
-        remaining -= r + 1
-    return _transform(spec, np.concatenate(rows))
+        base = np.stack([_open_unit(rng, spec.dim) for _ in range(draws)])
+    return _transform(spec, base)
 
 
 def log_density(spec: UtilitySpec, u: np.ndarray) -> float:

@@ -15,6 +15,7 @@ failure is treated as an implementation error.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +29,8 @@ from .argmax import (
     sample_topk_without_replacement,
     solve_map,
 )
-from .errors import InputError, SolverError, _as_floats, _require_draws, _require_seed
+from .errors import (InputError, SolverError, _as_floats, _require_draws, _require_finite,
+                     _require_seed)
 from .grad import gradcheck
 from .relax import (
     _PAIRS,
@@ -67,16 +69,36 @@ __all__ = [
 
 RETRY_OFFSET = 1_000_003
 
+_NOT_VERTICES = "sampler output must be vectors of one length with entries 0 or 1"
+_NOT_SUPPORT = "support must be integer vectors of one length"
+
+
+def _support_keys(support) -> tuple:
+    """``support`` (tuples, lists or the rows of an array) as a tuple of
+    tuples of Python ints; raises ``InputError`` unless it is a sequence of
+    integer vectors of one length.  One array conversion checks every bit:
+    a per-bit ``_require_int`` costs about as much as drawing a sampler's
+    table of wide rows."""
+    try:
+        rows = np.asarray(support)
+    except ValueError as exc:  # ragged entries
+        raise InputError(_NOT_SUPPORT) from exc
+    if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):  # ((),) reads as float
+        raise InputError(_NOT_SUPPORT)
+    return tuple(map(tuple, rows.tolist()))
+
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Counts of realized vertices; support entries are unique bit tuples."""
+    """Counts of realized vertices over ``total >= 1`` draws; support entries
+    are unique integer vectors, stored as tuples of ints."""
 
     support: tuple
     counts: np.ndarray
     total: int
 
     def __post_init__(self):
+        object.__setattr__(self, "support", _support_keys(self.support))
         if len(set(self.support)) != len(self.support):
             raise InputError("support entries must be unique")
         counts = _as_floats(self.counts, "counts")
@@ -86,6 +108,8 @@ class FrequencyTable:
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
         if int(self.counts.sum()) != self.total:
             raise InputError("counts must sum to total")
+        if self.total < 1:
+            raise InputError("total must be >= 1")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -117,38 +141,29 @@ def gibbs_marginals_bruteforce(spec: StructureSpec, u: np.ndarray, t: float,
     return gibbs_moments(spec, _scaled(_check_dim(spec, u), t), limit)
 
 
-def _group(rows: np.ndarray, counts: np.ndarray) -> tuple:
-    """Distinct rows of an int8 block in lexicographic order, with summed counts.
-
-    ``np.lexsort`` sorts the rows (its last key is the primary one), a
-    group starts where a row differs from the row before, and
-    ``np.add.reduceat`` sums each group's counts.
-    """
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    rows, counts = rows[order], counts[order]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    return rows[starts], np.add.reduceat(counts, starts)
-
-
 def _tally_rows(blocks) -> tuple:
     """Distinct rows of a stream of int8 ``(rows, dim)`` blocks in
     lexicographic order, and how often each occurred (int64); an empty
     stream gives ``(None, None)``.
 
-    Each block is grouped on arrival.  The groups are merged with the
-    running tally once they hold at least as many rows as it does, so a
-    row takes part in O(1) merges on average, however wide the rows.
+    A ``Counter`` counts each row by its raw bytes (a width-0 row is
+    ``b""``), and the distinct rows are sorted once, at the end, by
+    ``np.lexsort`` on their values: byte order would put -1 after 2.
     """
-    parts, pending, merged = [], 0, 0
+    tally, width = Counter(), None
     for rows in blocks:
-        parts.append(_group(rows, np.ones(len(rows), dtype=np.int64)))
-        pending += len(parts[-1][0])
-        if len(parts) > 1 and pending >= merged:
-            parts = [_group(*map(np.concatenate, zip(*parts)))]
-            merged, pending = len(parts[0][0]), 0
-    if not parts:
+        if width not in (None, rows.shape[1]):
+            raise InputError(_NOT_VERTICES)
+        width = rows.shape[1]
+        step = max(width, 1)
+        raw = rows.tobytes()
+        tally.update(raw[i:i + width] for i in range(0, len(rows) * step, step))
+    if width is None:
         return None, None
-    return parts[0] if len(parts) == 1 else _group(*map(np.concatenate, zip(*parts)))
+    support = np.frombuffer(b"".join(tally), dtype=np.int8).reshape(len(tally), width)
+    counts = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
+    order = np.lexsort(support.T[::-1]) if width else slice(None)
+    return support[order], counts[order]
 
 
 # Sampler outputs stacked per tally chunk in ``mc_frequencies``.
@@ -157,18 +172,17 @@ _TALLY_ROWS = 1 << 12
 
 def _table(support, counts, draws: int, given: Optional[Sequence] = None) -> FrequencyTable:
     """A ``FrequencyTable`` from ``_tally_rows``' output, aligned to ``given`` if set."""
-    realized = tuple(map(tuple, support.tolist()))
     if given is None:
-        return FrequencyTable(support=realized, counts=counts, total=draws)
-    keys = [tuple(int(b) for b in v) for v in given]
-    unknown = set(realized) - set(keys)
+        return FrequencyTable(support=support, counts=counts, total=draws)
+    keys = _support_keys(given)
+    found = dict(zip(_support_keys(support), counts.tolist()))
+    unknown = set(found) - set(keys)
     if unknown:
         raise InputError(
             f"sampler produced vertices outside the given support: {sorted(unknown)[:3]}"
         )
-    found = dict(zip(realized, counts.tolist()))
     counts = np.array([found.get(k, 0) for k in keys], dtype=np.int64)
-    return FrequencyTable(support=tuple(keys), counts=counts, total=draws)
+    return FrequencyTable(support=keys, counts=counts, total=draws)
 
 
 def mc_frequencies(sampler: Callable[[np.random.Generator], np.ndarray],
@@ -203,7 +217,7 @@ def _vertex_rows(outputs: list) -> np.ndarray:
         rows = _as_floats(outputs, "sampler output")
         rows = np.where((rows == 0) | (rows == 1), rows, 2).astype(np.int8)  # 2: neither
     if rows.ndim != 2 or rows.view(np.uint8).max(initial=0) > 1:  # -1 reads as 255
-        raise InputError("sampler output must be vectors of one length with entries 0 or 1")
+        raise InputError(_NOT_VERTICES)
     return rows
 
 
@@ -278,7 +292,11 @@ def ks_report(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
     # scipy.stats takes about half a second to import; only this test needs it
     from scipy.stats import kstest
 
-    res = kstest(_as_floats(samples, "samples"), cdf)
+    samples = _as_floats(samples, "samples")
+    _require_finite(samples, "samples")
+    if samples.size == 0:
+        raise InputError("samples must not be empty")
+    res = kstest(samples, cdf)
     return TestReport(
         statistic=float(res.statistic), dof=None,
         p_value=float(res.pvalue), passed=bool(res.pvalue >= level),

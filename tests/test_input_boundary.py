@@ -6,6 +6,7 @@ the standard library's bare ``ValueError``, ``TypeError``, ``IndexError`` or
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import tempfile
@@ -48,7 +49,7 @@ from sst import (
 )
 from sst.cli import _relaxation_from_args, build_parser
 from sst.grad import analytic_jacobian
-from sst.verify import gibbs_marginals_bruteforce, mc_frequencies, run_suite
+from sst.verify import _TALLY_ROWS, gibbs_marginals_bruteforce, mc_frequencies, run_suite
 
 from graphs import D3, K3, K4, complete_digraph, complete_graph
 from test_iterative_solvers import MAPS, _bisect_oracle
@@ -214,6 +215,7 @@ def _sampled(output):
 NOT_NUMBERS = (TypeError, ValueError)
 NOT_VERTICES = "sampler output must be vectors of one length with entries 0 or 1"
 NOT_COUNTS = "counts must be integers in [0, 2**63), one per support entry"
+NOT_SUPPORT = "support must be integer vectors of one length"
 
 # (id, call, error type and message, or None twice for a call that returns
 # True); a gate that converts a numpy or standard-library exception gives the
@@ -269,6 +271,43 @@ BOUNDARY = [
      "counts must be an array of numbers"),
     ("ks_report-text", lambda: ks_report("abc", lambda x: x), (InputError, NOT_NUMBERS),
      "samples must be an array of numbers"),
+    ("ks_report-nan", lambda: ks_report([0.1, np.nan], lambda x: x), InputError,
+     "samples must be finite"),
+    ("ks_report-empty", lambda: ks_report([], lambda x: x), InputError,
+     "samples must not be empty"),
+    ("FrequencyTable-list-support", lambda: FrequencyTable(
+        support=([0, 1], [1, 0]), counts=[5, 5], total=10).support == ((0, 1), (1, 0)),
+     None, None),
+    ("FrequencyTable-array-support", lambda: FrequencyTable(
+        support=np.eye(2, dtype=np.int8), counts=[5, 5], total=10).to_dict()["support"]
+     == [[1, 0], [0, 1]], None, None),
+    ("FrequencyTable-text-support", lambda: FrequencyTable(
+        support=(("a", "b"), ("c", "d")), counts=[5, 5], total=10), InputError, NOT_SUPPORT),
+    ("FrequencyTable-ragged-support", lambda: FrequencyTable(
+        support=((1, 0), (1,)), counts=[5, 5], total=10), (InputError, ValueError),
+     NOT_SUPPORT),
+    ("FrequencyTable-zero-total", lambda: FrequencyTable(
+        support=((1, 0), (0, 1)), counts=[0, 0], total=0), InputError, "total must be >= 1"),
+    ("mc_frequencies-text-support", lambda: mc_frequencies(
+        _sampler, 3, seed=1, support=[("a", "b")]), InputError, NOT_SUPPORT),
+    ("mc_frequencies-list-support", lambda: mc_frequencies(
+        lambda rng: [1, 0], 10, seed=1, support=[[0, 1], [1, 0]]).to_dict()
+     == {"support": [[0, 1], [1, 0]], "counts": [0, 10], "total": 10}, None, None),
+    ("mc_frequencies-width-changes-between-chunks", lambda: mc_frequencies(
+        lambda rng, calls=itertools.count(): np.zeros(2 + (next(calls) >= _TALLY_ROWS)),
+        _TALLY_ROWS + 1, seed=1), InputError, NOT_VERTICES),
+    ("Graph-reachable_from-negative", lambda: D3.reachable_from(-1), InputError,
+     "root -1 out of range"),
+    ("Graph-reachable_from-wrapped", lambda: D3.reachable_from(-3), InputError,
+     "root -3 out of range"),
+    ("Graph-reachable_from-past-end", lambda: D3.reachable_from(5), InputError,
+     "root 5 out of range"),
+    ("Graph-reachable_from-bool", lambda: D3.reachable_from(True), InputError,
+     "root must be an integer, got True"),
+    ("Graph-reachable_from-numpy-int", lambda: D3.reachable_from(np.int64(2)) == {0, 1, 2},
+     None, None),
+    ("Graph-in_edges-negative", lambda: D3.in_edges(-1), InputError, "node -1 out of range"),
+    ("Graph-in_edges-past-end", lambda: D3.in_edges(3), InputError, "node 3 out of range"),
     ("StructureSpec-name", lambda: StructureSpec("bogus", n=3), InvalidSpecError,
      f"unknown structure kind 'bogus'; choose from {_choices(StructureKind)}"),
     ("StructureSpec-int", lambda: StructureSpec(3, n=3), InvalidSpecError,

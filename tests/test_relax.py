@@ -681,7 +681,7 @@ def test_tree_solves_trust_the_spec(monkeypatch):
     def no_search(self, *args):
         raise AssertionError("graph searched during a solve")
 
-    monkeypatch.setattr(Graph, "_reach", no_search)
+    monkeypatch.setattr(Graph, "reachable_from", no_search)
     monkeypatch.setattr(Graph, "is_connected", no_search)
     for spec, want in zip(specs, before):
         for got, ref in zip(solves(spec), want):

@@ -300,12 +300,15 @@ def test_map_block_keeps_the_lowest_index_among_ties():
 # --- tallies -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("width", [0, 1, 3, 17])
+@pytest.mark.parametrize("width", [0, 1, 3, 17, 45, 100])  # 45, 100: perturb_map's widths
 def test_tally_rows_matches_a_dict_tally(width):
     rng = np.random.default_rng(width)
     blocks = [rng.integers(-2, 3, size=(int(rng.integers(1, 40)), width)).astype(np.int8)
               for _ in range(30)]
     blocks.append(np.repeat(blocks[0][:1], 50, axis=0))  # one row many times
+    zero_tail = blocks[1].copy()
+    zero_tail[:, width // 2:] = 0  # rows whose last bytes are 0
+    blocks.append(zero_tail)
     support, counts = verify._tally_rows(iter(blocks))
     want = _dict_table([tuple(r) for b in blocks for r in b.tolist()])
     assert support.dtype == np.int8 and counts.dtype == np.int64

@@ -124,11 +124,15 @@ class TestDrawBlock:
         _sequential(spec, after, 1000)
         assert rng.random() == after.random()
 
-    def test_exact_zero_redraw_replays_the_stream(self):
+    @pytest.mark.parametrize("zeros", [
         # dim 3: the zeros at 7 and 8 fall in row 2 and are redrawn from
         # positions 9 and 10; 9 is zero too and is redrawn from 11.  The zero
         # at 20 falls in row 5 and is redrawn from 21.
-        zeros = {7, 8, 9, 20}
+        {7, 8, 9, 20},
+        {0},  # row 0
+        {29},  # the block's last double: its redraw reads past the block
+    ], ids=["rows-2-and-5", "row-0", "last-double"])
+    def test_exact_zero_redraw_replays_the_stream(self, zeros):
         spec = UtilitySpec(UtilityFamily.GUMBEL, np.zeros(3))
         want_u, want_base = _sequential(spec, _ZeroAt(2, zeros), 10)
         rng = _ZeroAt(2, zeros)
