@@ -126,11 +126,23 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
     s = _SEPARABLE[reg][1](relax(spec, rspec, u).x)
     if kind == StructureKind.SUBSETS:
         return np.diag(s) / t
+    # A coordinate of slope 0 has +0.0 in its whole row and column, so the
+    # block on the free set F = {i : s_i > 0} is the whole computation; the
+    # zero fill and the scatter cost more than the dense form once F holds
+    # most coordinates.  The sum runs over all of s, with the same bits.
     total = np.add.reduce(s)
-    if total == 0.0:
-        return np.zeros((u.shape[0], u.shape[0]))
-    # (diag(s) - s s^T / total) / t in one buffer, with the same roundings:
-    # 0 - a off the diagonal (+0.0 where a is 0), and -a + s == s - a on it
+    free = np.flatnonzero(s)
+    if len(free) > 0.65 * len(s):
+        return _rank_one_update(s, total, t)
+    jac = np.zeros((len(s), len(s)))
+    jac[np.ix_(free, free)] = _rank_one_update(s[free], total, t)
+    return jac
+
+
+def _rank_one_update(s: np.ndarray, total: float, t: float) -> np.ndarray:
+    """``(diag(s) - s s^T / total) / t`` in one buffer, with the roundings of
+    that formula: 0 - a off the diagonal (+0.0 where a is 0), and
+    -a + s == s - a on it."""
     jac = np.multiply.outer(s, s)
     jac /= total
     np.subtract(0.0, jac, out=jac)

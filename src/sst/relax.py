@@ -742,18 +742,21 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     f_col = f[:, None]  # f is updated in place from here on
     base_f = base - f_col  # refreshed after every row update
     sums, logs = np.empty(len(base)), np.empty(len(base))
-    top, bottom, add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+    # the sweep is a few short vector calls, so each ufunc is a local name
+    # and each output buffer a positional argument: less dispatch, same bits
+    top, bottom, total = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+    exp, log, add, subtract = np.exp, np.log, np.add, np.subtract
     for _ in range(max_iter):
-        np.exp(np.subtract(base_f, g, out=m), out=m)
-        add(m, 1, None, sums)
+        exp(subtract(base_f, g, m), m)
+        total(m, 1, None, sums)
         # either side alone fails a sweep, so the min side waits for the max side
         if top(sums) - 1.0 <= tol and 1.0 - bottom(sums) <= tol:
             return RelaxedPoint(x=m.reshape(-1), dual=np.stack([f, g]),
                                 residual=_row_residual(sums))
-        f += np.log(sums, out=logs)
-        np.subtract(base, f_col, out=base_f)
-        np.exp(np.subtract(base_f, g, out=m), out=m)
-        g += np.log(add(m, 0, None, logs), out=logs)
+        add(f, log(sums, logs), f)
+        subtract(base, f_col, base_f)
+        exp(subtract(base_f, g, m), m)
+        add(g, log(total(m, 0, None, logs), logs), g)
     residual = _row_residual(sums)  # of the last sweep's row sums, kept in sums
     raise ConvergenceError(
         f"sinkhorn row residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",

@@ -132,9 +132,13 @@ class Graph:
         """The tails and heads of the edges, renumbered so that ``boundary``
         comes last and the other nodes keep their order: the index arrays
         of the tree solves that eliminate toward ``boundary``, built once
-        per boundary and read-only."""
-        plan = self._plans.get(boundary)
+        per boundary and read-only; ``boundary`` is checked on a cache miss."""
+        try:
+            plan = self._plans.get(boundary)
+        except TypeError:  # an unhashable boundary has no plan; _node rejects it
+            plan = None
         if plan is None:
+            boundary = self._node(boundary, "boundary")
             pos = np.arange(self.num_nodes) - (np.arange(self.num_nodes) > boundary)
             pos[boundary] = self.num_nodes - 1
             plan = pos[np.array(self.edges, dtype=int).reshape(-1, 2)].T.copy()

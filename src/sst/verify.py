@@ -293,6 +293,8 @@ def ks_report(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
     from scipy.stats import kstest
 
     samples = _as_floats(samples, "samples")
+    if samples.ndim != 1:
+        raise InputError(f"samples must be a vector, got shape {samples.shape}")
     _require_finite(samples, "samples")
     if samples.size == 0:
         raise InputError("samples must not be empty")

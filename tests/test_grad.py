@@ -341,16 +341,58 @@ def _former_separable_jacobian(s, t):
     return (np.diag(s) - np.outer(s, s) / total) / t
 
 
+def _assert_former_bytes(spec, rspec, u, free=None):
+    """``analytic_jacobian`` against the dense formula, signed zeros included;
+    ``free`` pins the number of coordinates of nonzero slope the case has."""
+    s = _SEPARABLE[rspec.regularizer][1](relax(spec, rspec, u).x)
+    if free is not None:
+        assert np.count_nonzero(s) == free
+    t = rspec.temperature
+    assert analytic_jacobian(spec, rspec, u).tobytes() == _former_separable_jacobian(s, t).tobytes()
+
+
 @pytest.mark.parametrize("reg", [Regularizer.EUCLIDEAN, Regularizer.BINARY_ENTROPY,
                                  Regularizer.CATEGORICAL_ENTROPY])
 def test_separable_jacobian_keeps_the_former_bytes(reg):
-    """One buffer, the same roundings, +0.0 where the slope product is 0."""
+    """The dense form or the block on the free coordinates, whichever runs,
+    has the bytes of the dense formula: a coordinate of slope 0 has +0.0 in
+    its row and column, and the sum of slopes runs over every coordinate."""
     spec = StructureSpec(StructureKind.K_SUBSETS, n=60, k=6)
     for t in (1.0, 0.1, 1e-3):
-        rspec = RelaxationSpec(reg, temperature=t)
         u = 3.0 * np.random.default_rng(6).normal(size=60)
-        s = _SEPARABLE[reg][1](relax(spec, rspec, u).x)
-        assert analytic_jacobian(spec, rspec, u).tobytes() == _former_separable_jacobian(s, t).tobytes()
+        _assert_former_bytes(spec, RelaxationSpec(reg, temperature=t), u)
+    # a falling schedule, then t = 1e-3, where the capped and the underflowed
+    # coordinates of the entropic maps leave a free block whose slope sum
+    # over F alone rounds differently
+    spec = StructureSpec(StructureKind.K_SUBSETS, n=200, k=20)
+    for t in (*np.geomspace(1.0, 0.03, 6), 1e-3):
+        for draw in range(4):
+            _assert_former_bytes(spec, RelaxationSpec(reg, temperature=float(t)),
+                                 np.random.default_rng(draw).normal(size=200))
+    # no free coordinate: the top two are 1 and the rest 0 under every map
+    _assert_former_bytes(StructureSpec(StructureKind.K_SUBSETS, n=4, k=2), RelaxationSpec(reg),
+                         np.array([3000.0, 0.0, -2000.0, -2000.0]), free=0)
+    # every coordinate free
+    _assert_former_bytes(StructureSpec(StructureKind.K_SUBSETS, n=6, k=3), RelaxationSpec(reg),
+                         0.01 * np.random.default_rng(8).normal(size=6), free=6)
+
+
+def test_separable_jacobian_edges_of_the_free_block():
+    """One free coordinate of slope 1.9e-174, and the free sets on either side
+    of the switch between the block and the dense form (13 of 20 is the
+    block, 14 of 20 the dense form)."""
+    _assert_former_bytes(StructureSpec(StructureKind.ONE_HOT, n=3),
+                         RelaxationSpec(Regularizer.BINARY_ENTROPY),
+                         np.array([800.0, 0.0, -800.0]), free=1)
+    spec = StructureSpec(StructureKind.K_SUBSETS, n=20, k=10)
+    for free, clamped_at_1 in ((13, 3), (14, 3)):
+        # the free scores sum to a half-integer or an integer, so the shift
+        # keeps every one of them strictly inside (0, 1)
+        mid = np.linspace(0.3, 0.7, free)
+        u = np.concatenate([np.full(clamped_at_1, 10.0), mid, np.full(20 - free - clamped_at_1, -10.0)])
+        for t in (1.0, 0.5):
+            _assert_former_bytes(spec, RelaxationSpec(Regularizer.EUCLIDEAN, temperature=t),
+                                 t * u, free=free)
 
 
 # --- random small instances against the enumerated moments --------------------------

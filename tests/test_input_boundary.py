@@ -275,6 +275,10 @@ BOUNDARY = [
      "samples must be finite"),
     ("ks_report-empty", lambda: ks_report([], lambda x: x), InputError,
      "samples must not be empty"),
+    ("ks_report-2d", lambda: ks_report([[0.1, 0.2], [0.3, 0.4]], lambda x: x), InputError,
+     "samples must be a vector, got shape (2, 2)"),
+    ("ks_report-scalar", lambda: ks_report(0.5, lambda x: x), InputError,
+     "samples must be a vector, got shape ()"),
     ("FrequencyTable-list-support", lambda: FrequencyTable(
         support=([0, 1], [1, 0]), counts=[5, 5], total=10).support == ((0, 1), (1, 0)),
      None, None),
@@ -308,6 +312,17 @@ BOUNDARY = [
      None, None),
     ("Graph-in_edges-negative", lambda: D3.in_edges(-1), InputError, "node -1 out of range"),
     ("Graph-in_edges-past-end", lambda: D3.in_edges(3), InputError, "node 3 out of range"),
+    # a fresh graph per row: a cached plan is read without the check
+    ("Graph-tree_plan-negative", lambda: complete_digraph(3).tree_plan(-1), InputError,
+     "boundary -1 out of range"),
+    ("Graph-tree_plan-past-end", lambda: complete_digraph(3).tree_plan(7), InputError,
+     "boundary 7 out of range"),
+    ("Graph-tree_plan-bool", lambda: complete_digraph(3).tree_plan(True), InputError,
+     "boundary must be an integer, got True"),
+    ("Graph-tree_plan-list", lambda: complete_digraph(3).tree_plan([1]), InputError,
+     "boundary must be an integer, got [1]"),
+    ("Graph-tree_plan-numpy-int", lambda: [a.tolist() for a in complete_digraph(3).tree_plan(
+        np.int64(0))] == [[2, 2, 0, 0, 1, 1], [0, 1, 2, 1, 2, 0]], None, None),
     ("StructureSpec-name", lambda: StructureSpec("bogus", n=3), InvalidSpecError,
      f"unknown structure kind 'bogus'; choose from {_choices(StructureKind)}"),
     ("StructureSpec-int", lambda: StructureSpec(3, n=3), InvalidSpecError,
