@@ -103,10 +103,13 @@ def _table_json(support: np.ndarray, counts: np.ndarray, total: int) -> str:
 
 def _csv_lines(payload) -> list:
     """A dict payload as ``key,value`` lines; ``sst verify``'s list of report
-    dicts as a header of the first report's keys and one line per report."""
+    dicts as a header of every key the reports hold, in first-seen order, and
+    one line per report, a key it lacks left as an empty cell."""
     if isinstance(payload, dict):
         return [f"{k},{_dumps(v)}" for k, v in payload.items()]
-    return [",".join(payload[0])] + [",".join(_dumps(v) for v in row.values()) for row in payload]
+    keys = list(dict.fromkeys(k for row in payload for k in row))
+    return [",".join(keys)] + [",".join(_dumps(row[k]) if k in row else "" for k in keys)
+                               for row in payload]
 
 
 def _emit(payload, args) -> None:
@@ -126,11 +129,6 @@ def _write(text: str, args) -> None:
             raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _add_io_flags(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
 _REGULARIZER_ALIASES = {"expfam": Regularizer.EXPFAM_ENTROPY}
@@ -232,69 +230,51 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+# The subcommands as (name, handler, help, flags), each flag a (flag,
+# add_argument keywords) pair; a subcommand takes its flags in order, then
+# the output flags.  A flag several subcommands share is declared once.
+_SPEC = ("--spec", dict(required=True))
+_UTILITIES = ("--utilities", dict(required=True))
+_REGULARIZER = ("--regularizer", dict(required=True, choices=_REGULARIZER_CHOICES))
+_TEMPERATURE = ("--temperature", dict(type=float, default=1.0))
+_OUTPUT = (("--format", dict(choices=("json", "csv"), default="json")),
+           ("--out", dict(default=None, help="write output here instead of stdout")))
+_COMMANDS = (
+    ("solve", _cmd_solve, "maximize utilities over the vertex set", (_SPEC, _UTILITIES)),
+    ("sample", _cmd_sample, "draw argmax solutions under random utilities", (
+        _SPEC, ("--noise", dict(required=True, help="utility distribution JSON")),
+        ("--seed", dict(type=_uint64, required=True)), ("--draws", dict(type=int, default=1)),
+        ("--raw", dict(action="store_true", help="emit raw draws instead of a frequency table")))),
+    ("relax", _cmd_relax, "solve the regularized program at a temperature", (
+        _SPEC, _UTILITIES, _REGULARIZER, _TEMPERATURE, ("--tol", dict(type=float, default=1e-10)),
+        ("--max-iter", dict(type=int, default=None, dest="max_iter")))),
+    ("marginals", _cmd_marginals, "exponential-family marginals", (
+        _SPEC, _UTILITIES, _TEMPERATURE,
+        ("--bruteforce", dict(action="store_true", help="use the enumeration oracle "
+                              "instead of the structured solver")))),
+    ("gradcheck", _cmd_gradcheck, "finite-difference Jacobian validation", (
+        _SPEC, ("--utilities", dict(default=None)), _REGULARIZER, _TEMPERATURE,
+        ("--epsilon", dict(type=float, default=1e-4)),
+        ("--tolerance", dict(type=float, default=1e-6)),
+        ("--tol", dict(type=float, default=1e-12)),
+        ("--max-iter", dict(type=int, default=20_000, dest="max_iter")),
+        ("--seed", dict(type=_uint64, default=0)))),
+    ("verify", _cmd_verify, "run a named verification suite", (
+        ("--suite", dict(required=True, choices=list(SUITE_NAMES))),
+        ("--seed", dict(type=_uint64, required=True)))),
+    ("enumerate", _cmd_enumerate, "list every vertex of a small instance",
+     (_SPEC, ("--limit", dict(type=int, default=None)))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sst", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("solve", help="maximize utilities over the vertex set")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--utilities", required=True)
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = subs.add_parser("sample", help="draw argmax solutions under random utilities")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--noise", required=True, help="utility distribution JSON")
-    p.add_argument("--seed", type=_uint64, required=True)
-    p.add_argument("--draws", type=int, default=1)
-    p.add_argument("--raw", action="store_true", help="emit raw draws instead of a frequency table")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_sample)
-
-    p = subs.add_parser("relax", help="solve the regularized program at a temperature")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--utilities", required=True)
-    p.add_argument("--regularizer", required=True, choices=_REGULARIZER_CHOICES)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_relax)
-
-    p = subs.add_parser("marginals", help="exponential-family marginals")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--utilities", required=True)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--bruteforce", action="store_true",
-                   help="use the enumeration oracle instead of the structured solver")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_marginals)
-
-    p = subs.add_parser("gradcheck", help="finite-difference Jacobian validation")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--utilities", default=None)
-    p.add_argument("--regularizer", required=True, choices=_REGULARIZER_CHOICES)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=20_000, dest="max_iter")
-    p.add_argument("--seed", type=_uint64, default=0)
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_gradcheck)
-
-    p = subs.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
-    p.add_argument("--seed", type=_uint64, required=True)
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = subs.add_parser("enumerate", help="list every vertex of a small instance")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--limit", type=int, default=None)
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_enumerate)
-
+    for name, fn, text, flags in _COMMANDS:
+        p = subs.add_parser(name, help=text)
+        for flag, settings in flags + _OUTPUT:
+            p.add_argument(flag, **settings)
+        p.set_defaults(fn=fn)
     return parser
 
 

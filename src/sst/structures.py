@@ -132,13 +132,10 @@ class Graph:
         """The tails and heads of the edges, renumbered so that ``boundary``
         comes last and the other nodes keep their order: the index arrays
         of the tree solves that eliminate toward ``boundary``, built once
-        per boundary and read-only; ``boundary`` is checked on a cache miss."""
-        try:
-            plan = self._plans.get(boundary)
-        except TypeError:  # an unhashable boundary has no plan; _node rejects it
-            plan = None
+        per boundary and read-only; ``boundary`` is checked on every call."""
+        boundary = self._node(boundary, "boundary")
+        plan = self._plans.get(boundary)
         if plan is None:
-            boundary = self._node(boundary, "boundary")
             pos = np.arange(self.num_nodes) - (np.arange(self.num_nodes) > boundary)
             pos[boundary] = self.num_nodes - 1
             plan = pos[np.array(self.edges, dtype=int).reshape(-1, 2)].T.copy()
@@ -413,8 +410,9 @@ def gibbs_moments(spec: StructureSpec, z: np.ndarray, limit: int, covariance: bo
     ``EnumerationLimitError`` past ``limit`` vertices.
     """
     verts = _vertex_matrix(spec, limit)
-    logw = verts @ z
-    with np.errstate(over="ignore"):  # a weight past the doubles below the max is 0
+    # a score past the doubles is infinite, and a weight past them below the max is 0
+    with np.errstate(over="ignore"):
+        logw = verts @ z
         w = np.exp(logw - logw.max())
     if not covariance:
         return verts.T @ w / w.sum()

@@ -368,7 +368,7 @@ def suite_gumbel_max(seed: int, draws: int = 100_000) -> list:
     expected = np.array([softmax_simplex(theta, 1.0).x @ v for v in enumerate_vertices(spec)])
     return [_map_law("one_hot argmax matches softmax law", spec,
                      lambda rng, rows: draw_block(uspec, rng, rows).u,
-                     ss[1].generate_state(1)[0], draws, expected)]
+                     int(ss[1].generate_state(1)[0]), draws, expected)]
 
 
 def suite_subsets(seed: int, draws: int = 100_000) -> list:
@@ -390,7 +390,7 @@ def suite_subsets(seed: int, draws: int = 100_000) -> list:
         return z <= 3.0, {"max_z_score": z}
 
     return [_with_retry("subset coordinate frequencies match sigmoid(theta)", run,
-                        ss[1].generate_state(1)[0], draws)]
+                        int(ss[1].generate_state(1)[0]), draws)]
 
 
 def suite_topk(seed: int, draws: int = 100_000) -> list:
@@ -402,7 +402,7 @@ def suite_topk(seed: int, draws: int = 100_000) -> list:
     return [_map_law(
         "top-k on gumbel scores matches without-replacement sampling",
         StructureSpec(StructureKind.K_SUBSETS, n=n, k=k),
-        lambda rng, rows: draw_block(uspec, rng, rows).u, ss[1].generate_state(1)[0], draws,
+        lambda rng, rows: draw_block(uspec, rng, rows).u, int(ss[1].generate_state(1)[0]), draws,
         lambda rng: sample_topk_without_replacement(theta, k, rng),
     )]
 
@@ -416,7 +416,7 @@ def suite_tree(seed: int, draws: int = 100_000) -> list:
     return [_map_law(
         "kruskal on gumbel scores matches categorical tree process",
         StructureSpec(StructureKind.SPANNING_TREE, graph=graph),
-        lambda rng, rows: draw_block(uspec, rng, rows).u, ss[1].generate_state(1)[0], draws,
+        lambda rng, rows: draw_block(uspec, rng, rows).u, int(ss[1].generate_state(1)[0]), draws,
         lambda rng: sample_tree_categorical(graph, theta, rng),
     )]
 
@@ -436,7 +436,7 @@ def suite_arborescence(seed: int, draws: int = 100_000) -> list:
         f"max arborescence on -Exp(rates) matches rate sampling (root {root})",
         StructureSpec(StructureKind.ARBORESCENCE, graph=graph, root=root),
         lambda rng, rows: -rng.exponential(scale=1.0 / lam, size=(rows, lam.size)),
-        ss[1].generate_state(1)[0] + 7 * root, draws,
+        int(ss[1].generate_state(1)[0]) + 7 * root, draws,
         lambda rng: sample_arborescence_categorical(graph, root, lam, rng),
     ) for root in range(3)]
 

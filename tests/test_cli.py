@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 
 import sst
-from sst.cli import _dumps, _table_json, run
+from sst import verify as verify_mod
+from sst import cli
+from sst.cli import _dumps, _table_json, build_parser, run
 
 from graphs import complete_arcs, complete_edges
 
@@ -94,6 +98,15 @@ class TestSolve:
             err = json.loads(capsys.readouterr().err)["error"]
             assert err == {"code": "invalid_input", "type": "DimensionMismatchError",
                            "message": f"expected a vector of length 3, got shape {shape}"}
+
+    def test_utilities_object_reads_as_its_list(self, files, capsys):
+        spec = files("spec.json", {"kind": "one_hot", "n": 3})
+        outs = []
+        for payload in ([0.1, 2.0, -1.0], {"u": [0.1, 2.0, -1.0]}):
+            assert run(["solve", "--spec", spec, "--utilities", files("u.json", payload)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["vertex"] == [0, 1, 0]
 
     def test_missing_file(self, files, capsys):
         spec = files("spec.json", {"kind": "one_hot", "n": 3})
@@ -348,6 +361,21 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
         assert all(r["passed"] for r in json.loads(first))
 
+    def test_csv_rows_align_when_some_checks_retried(self, capsys, monkeypatch):
+        # at 2000 draws, seed 48 retries the root-1 check only, whose report
+        # holds a "retried" key that the other two lack
+        suite = verify_mod.run_suite
+        monkeypatch.setattr(verify_mod, "run_suite",
+                            lambda name, seed: suite(name, seed, draws=2000))
+        assert run(["verify", "--suite", "arborescence", "--seed", "48", "--format", "csv"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["check", "passed", "statistic", "dof", "p_value", "draws", "suite",
+                          "retried"]
+        assert [len(row) for row in rows] == [len(header)] * 3
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [c["retried"] for c in cells] == ["", "true", ""]
+        assert [(c["draws"], c["suite"]) for c in cells] == [("2000", "arborescence")] * 3
+
 
 class TestEnumerate:
     def test_subsets(self, files, capsys):
@@ -423,6 +451,14 @@ class TestUnreadableFiles:
         err = self._error(["solve", "--spec", spec, "--utilities", u], capsys)
         assert err == {"code": "invalid_input", "type": "InputError",
                        "message": f"{u}: utilities must be an array of numbers"}
+
+    def test_malformed_json(self, files, capsys, tmp_path):
+        spec = files("spec.json", {"kind": "one_hot", "n": 2})
+        u = tmp_path / "u.json"
+        u.write_text("[1.0, 2.0")
+        err = self._error(["solve", "--spec", spec, "--utilities", str(u)], capsys)
+        assert err["type"] == "InputError"
+        assert err["message"].startswith(f"malformed JSON in {u}: ")
 
     def test_integer_past_the_double_range(self, files, capsys):
         spec = files("spec.json", {"kind": "one_hot", "n": 2})
@@ -553,7 +589,75 @@ def test_tree_solves_and_a_sample_leave_slow_scipy_modules_unloaded(files):
     assert proc.stderr.strip() == "[]"
 
 
+# (argv, the namespace it parses to) for each subcommand: only the required
+# flags, then every flag set to a value other than its default
+PARSED = [
+    (["solve", "--spec", "s", "--utilities", "u"],
+     dict(command="solve", spec="s", utilities="u", format="json", out=None)),
+    (["solve", "--spec", "s", "--utilities", "u", "--format", "csv", "--out", "o"],
+     dict(command="solve", spec="s", utilities="u", format="csv", out="o")),
+    (["sample", "--spec", "s", "--noise", "n", "--seed", "3"],
+     dict(command="sample", spec="s", noise="n", seed=3, draws=1, raw=False, format="json",
+          out=None)),
+    (["sample", "--spec", "s", "--noise", "n", "--seed", "3", "--draws", "5", "--raw",
+      "--format", "csv", "--out", "o"],
+     dict(command="sample", spec="s", noise="n", seed=3, draws=5, raw=True, format="csv",
+          out="o")),
+    (["relax", "--spec", "s", "--utilities", "u", "--regularizer", "expfam"],
+     dict(command="relax", spec="s", utilities="u", regularizer="expfam", temperature=1.0,
+          tol=1e-10, max_iter=None, format="json", out=None)),
+    (["relax", "--spec", "s", "--utilities", "u", "--regularizer", "shannon",
+      "--temperature", "0.5", "--tol", "1e-8", "--max-iter", "50", "--format", "csv",
+      "--out", "o"],
+     dict(command="relax", spec="s", utilities="u", regularizer="shannon", temperature=0.5,
+          tol=1e-8, max_iter=50, format="csv", out="o")),
+    (["marginals", "--spec", "s", "--utilities", "u"],
+     dict(command="marginals", spec="s", utilities="u", temperature=1.0, bruteforce=False,
+          format="json", out=None)),
+    (["marginals", "--spec", "s", "--utilities", "u", "--temperature", "2", "--bruteforce",
+      "--format", "csv", "--out", "o"],
+     dict(command="marginals", spec="s", utilities="u", temperature=2.0, bruteforce=True,
+          format="csv", out="o")),
+    (["gradcheck", "--spec", "s", "--regularizer", "euclidean"],
+     dict(command="gradcheck", spec="s", utilities=None, regularizer="euclidean",
+          temperature=1.0, epsilon=1e-4, tolerance=1e-6, tol=1e-12, max_iter=20_000, seed=0,
+          format="json", out=None)),
+    (["gradcheck", "--spec", "s", "--utilities", "u", "--regularizer", "expfam_entropy",
+      "--temperature", "0.25", "--epsilon", "1e-5", "--tolerance", "1e-3", "--tol", "1e-9",
+      "--max-iter", "7", "--seed", "18446744073709551615", "--format", "csv", "--out", "o"],
+     dict(command="gradcheck", spec="s", utilities="u", regularizer="expfam_entropy",
+          temperature=0.25, epsilon=1e-5, tolerance=1e-3, tol=1e-9, max_iter=7,
+          seed=2 ** 64 - 1, format="csv", out="o")),
+    (["verify", "--suite", "limits", "--seed", "0"],
+     dict(command="verify", suite="limits", seed=0, format="json", out=None)),
+    (["verify", "--suite", "tree", "--seed", "9", "--format", "csv", "--out", "o"],
+     dict(command="verify", suite="tree", seed=9, format="csv", out="o")),
+    (["enumerate", "--spec", "s"],
+     dict(command="enumerate", spec="s", limit=None, format="json", out=None)),
+    (["enumerate", "--spec", "s", "--limit", "4", "--format", "csv", "--out", "o"],
+     dict(command="enumerate", spec="s", limit=4, format="csv", out="o")),
+]
+
+
+@pytest.mark.parametrize("argv, want", PARSED,
+                         ids=[f"{argv[0]}-{('required', 'every-flag')[i % 2]}"
+                              for i, (argv, _) in enumerate(PARSED)])
+def test_parser_reads_each_flag(argv, want):
+    """Each flag's dest, type, default and order, and the handler."""
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("fn") is getattr(cli, f"_cmd_{argv[0]}")
+    assert list(parsed.items()) == list(want.items())
+
+
 def test_bad_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_negative_seed_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", "limits", "--seed", "-1"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "sst verify: error: argument --seed: seed must be an unsigned 64-bit integer\n")

@@ -26,10 +26,13 @@ from sst import (
     SstError,
     StructureKind,
     StructureSpec,
+    UnsupportedPairError,
     UtilitySpec,
+    binary_entropy_relax,
     chi_square_gof,
     directed_matrix_tree_marginals,
     draw_block,
+    euclidean_project,
     fd_vjp,
     gradcheck,
     hungarian_match,
@@ -177,6 +180,24 @@ EXTREME_EXPFAM = [
 ]
 
 
+def _extreme_gibbs_oracle():
+    """The enumeration oracle gives the marginals of scores whose sums pass
+    the doubles (two edges of -1e308 on one vertex) with no warning."""
+    graph = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 2)))
+    spec = StructureSpec(StructureKind.SPANNING_TREE, graph=graph)
+    mu = gibbs_marginals_bruteforce(spec, np.array([1e308, -1e308, -1e308, 5.0]), 1.0)
+    return mu.tolist() == [1.0, 0.0, 1.0, 1.0]
+
+
+def _plan_after_cached(boundary):
+    """``tree_plan(boundary)`` on a graph that holds node 1's plan."""
+    def call():
+        graph = complete_digraph(3)
+        graph.tree_plan(1)
+        return graph.tree_plan(boundary)
+    return call
+
+
 # the most (draws, 2) rows of doubles numpy can shape
 MAX_DRAWS = np.iinfo(np.intp).max // 16
 
@@ -312,7 +333,6 @@ BOUNDARY = [
      None, None),
     ("Graph-in_edges-negative", lambda: D3.in_edges(-1), InputError, "node -1 out of range"),
     ("Graph-in_edges-past-end", lambda: D3.in_edges(3), InputError, "node 3 out of range"),
-    # a fresh graph per row: a cached plan is read without the check
     ("Graph-tree_plan-negative", lambda: complete_digraph(3).tree_plan(-1), InputError,
      "boundary -1 out of range"),
     ("Graph-tree_plan-past-end", lambda: complete_digraph(3).tree_plan(7), InputError,
@@ -323,6 +343,49 @@ BOUNDARY = [
      "boundary must be an integer, got [1]"),
     ("Graph-tree_plan-numpy-int", lambda: [a.tolist() for a in complete_digraph(3).tree_plan(
         np.int64(0))] == [[2, 2, 0, 0, 1, 1], [0, 1, 2, 1, 2, 0]], None, None),
+    # a cached plan does not skip the check on a key equal to its node
+    ("Graph-tree_plan-bool-after-int", _plan_after_cached(True), InputError,
+     "boundary must be an integer, got True"),
+    ("Graph-tree_plan-float-after-int", _plan_after_cached(1.0), InputError,
+     "boundary must be an integer, got 1.0"),
+    ("Graph-no-nodes", lambda: Graph(0, ()), InvalidSpecError, "graph needs at least one node"),
+    ("StructureSpec-one_hot-no-n", lambda: StructureSpec("one_hot"), InvalidSpecError,
+     "one_hot requires a positive n"),
+    ("StructureSpec-one_hot-root", lambda: StructureSpec("one_hot", n=3, root=0),
+     InvalidSpecError, "one_hot takes no graph or root"),
+    ("StructureSpec-one_hot-k", lambda: StructureSpec("one_hot", n=3, k=1), InvalidSpecError,
+     "one_hot takes no cardinality k"),
+    ("StructureSpec-spanning_tree-directed", lambda: StructureSpec("spanning_tree", graph=D3),
+     InvalidSpecError, "spanning_tree requires an undirected graph"),
+    ("StructureSpec-spanning_tree-root", lambda: StructureSpec("spanning_tree", graph=K3, root=0),
+     InvalidSpecError, "spanning_tree takes no root"),
+    ("StructureSpec-arborescence-undirected",
+     lambda: StructureSpec("arborescence", graph=K3, root=0), InvalidSpecError,
+     "arborescence requires a directed graph"),
+    ("StructureSpec-arborescence-root", lambda: StructureSpec("arborescence", graph=D3, root=5),
+     InvalidSpecError, "arborescence requires a valid root node"),
+    ("spec_from_dict-graph-no-num_nodes",
+     lambda: spec_from_dict({"kind": "spanning_tree", "graph": {"edges": [[0, 1]]}}),
+     (InvalidSpecError, KeyError), "malformed graph: {'edges': [[0, 1]]}"),
+    ("UtilitySpec-2d-theta", lambda: UtilitySpec("gumbel", [[0.0, 1.0]]), InvalidSpecError,
+     "theta must be a 1-d vector"),
+    ("sample-shape", lambda: sample(GUMBEL, np.zeros(3)), InputError,
+     "base noise must have shape (2,), got (3,)"),
+    ("log_density-shape", lambda: log_density(GUMBEL, np.zeros(3)), InputError,
+     "u must have shape (2,), got (3,)"),
+    ("fd_vjp-direction-shape", lambda: fd_vjp(ONE_HOT, SHANNON, [0.0, 1.0], [1.0, 2.0, 3.0]),
+     InputError, "direction must have shape (2,), got (3,)"),
+    ("chi_square_gof-unaligned", lambda: chi_square_gof(TABLE, [0.2, 0.3, 0.5]), InputError,
+     "expected probabilities must align with the table support"),
+    ("euclidean_project-matching",
+     lambda: euclidean_project(StructureSpec("matching", n=2), np.zeros(4), 1.0),
+     UnsupportedPairError, "euclidean relaxation does not support matching"),
+    ("binary_entropy_relax-one-point", lambda: binary_entropy_relax(
+        StructureSpec("one_hot", n=1), [0.5], 1.0).x.tolist() == [1.0], None, None),
+    # 2**14 vertices pass the default enumeration limit, so no covariance
+    ("gradcheck-expfam-past-the-enumeration-limit", lambda: gradcheck(
+        StructureSpec("subsets", n=14), RelaxationSpec("expfam_entropy"), np.zeros(14)
+    ).covariance_discrepancy is None, None, None),
     ("StructureSpec-name", lambda: StructureSpec("bogus", n=3), InvalidSpecError,
      f"unknown structure kind 'bogus'; choose from {_choices(StructureKind)}"),
     ("StructureSpec-int", lambda: StructureSpec(3, n=3), InvalidSpecError,
@@ -402,6 +465,7 @@ BOUNDARY = [
       for reg in MAPS],
     ("extreme-softmax", _extreme_softmax_points, None, None),
     ("extreme-gibbs-covariance", _extreme_gibbs_covariance, None, None),
+    ("extreme-gibbs-oracle", _extreme_gibbs_oracle, None, None),
     *[(f"extreme-expfam-{name}", lambda spec=spec, u=u: _extreme_expfam_point(spec, u), None, None)
       for name, spec, u in EXTREME_EXPFAM],
 ]

@@ -370,7 +370,7 @@ def _per_draw_topk(seed, draws):
     return _retry(lambda s: two_sample_equivalence(
         mc_frequencies(lambda rng: topk_select(draw(uspec, rng).u, 2), draws, s),
         mc_frequencies(lambda rng: sample_topk_without_replacement(theta, 2, rng), draws, s + 1),
-        level=0.01), ss[1].generate_state(1)[0])
+        level=0.01), int(ss[1].generate_state(1)[0]))
 
 
 def _per_draw_tree(seed, draws):
@@ -380,7 +380,7 @@ def _per_draw_tree(seed, draws):
     return _retry(lambda s: two_sample_equivalence(
         mc_frequencies(lambda rng: kruskal_max_tree(K4, draw(uspec, rng).u), draws, s),
         mc_frequencies(lambda rng: sample_tree_categorical(K4, theta, rng), draws, s + 1),
-        level=0.01), ss[1].generate_state(1)[0])
+        level=0.01), int(ss[1].generate_state(1)[0]))
 
 
 def _per_draw_arborescence(seed, draws, root, i):
@@ -391,7 +391,7 @@ def _per_draw_arborescence(seed, draws, root, i):
             D3, root, -rng.exponential(scale=1.0 / lam)), draws, s),
         mc_frequencies(lambda rng: sample_arborescence_categorical(D3, root, lam, rng),
                        draws, s + 1),
-        level=0.01), ss[1].generate_state(1)[0] + 7 * i)
+        level=0.01), int(ss[1].generate_state(1)[0]) + 7 * i)
 
 
 def _per_draw_subsets_z(seed, draws, offset=0):
@@ -399,7 +399,7 @@ def _per_draw_subsets_z(seed, draws, offset=0):
     theta = np.random.default_rng(ss[0]).uniform(-2.0, 2.0, 6)
     spec = StructureSpec(StructureKind.SUBSETS, n=6)
     uspec = UtilitySpec(UtilityFamily.LOGISTIC, theta)
-    rng = np.random.default_rng(ss[1].generate_state(1)[0] + offset)
+    rng = np.random.default_rng(int(ss[1].generate_state(1)[0]) + offset)
     hits = np.zeros(6)
     for _ in range(draws):
         hits += solve_map(spec, draw(uspec, rng).u).vertex
@@ -415,8 +415,10 @@ def _same_report(got, rep, retried):
 
 
 # Retried seeds were found by scanning seeds at 2000 draws: their first
-# attempt fails at level 0.01 (for subsets: some |z| > 3).
-@pytest.mark.parametrize("seed, retried", [(5, False), (22, True)])
+# attempt fails at level 0.01 (for subsets: some |z| > 3).  Seeds 74687
+# (top-k) and 127044 (subsets) retry from a noise seed within RETRY_OFFSET
+# of 2**32, so their retry seed does not fit a uint32.
+@pytest.mark.parametrize("seed, retried", [(5, False), (22, True), (74687, True)])
 def test_topk_suite_matches_per_draw_path(seed, retried):
     rep, was = _per_draw_topk(seed, 2000)
     assert was is retried
@@ -443,7 +445,7 @@ def test_arborescence_suite_matches_per_draw_path(seed):
     assert any(retries) is (seed == 48)
 
 
-@pytest.mark.parametrize("seed, retried", [(5, False), (95, True)])
+@pytest.mark.parametrize("seed, retried", [(5, False), (95, True), (127044, True)])
 def test_subsets_suite_matches_per_draw_path(seed, retried):
     z = _per_draw_subsets_z(seed, 2000)
     assert bool(z.max() > 3.0) is retried

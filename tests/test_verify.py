@@ -283,7 +283,7 @@ def _per_draw_gumbel_max(seed, draws):
     support = enumerate_vertices(spec)
     e = np.exp(theta - theta.max())
     expected = np.array([(e / e.sum()) @ v for v in support])
-    noise_seed = ss[1].generate_state(1)[0]
+    noise_seed = int(ss[1].generate_state(1)[0])
     retried = False
     while True:
         table = mc_frequencies(
@@ -298,8 +298,10 @@ def _per_draw_gumbel_max(seed, draws):
 
 
 # Seed 87 was found by scanning seeds 0..399 at 2000 draws: its first
-# attempt fails at level 0.01, so the suite reports the retry.
-@pytest.mark.parametrize("seed, retried", [(7, False), (87, True)])
+# attempt fails at level 0.01, so the suite reports the retry.  Seed 188490
+# also retries, from a noise seed within RETRY_OFFSET of 2**32, so the retry
+# seed does not fit a uint32.
+@pytest.mark.parametrize("seed, retried", [(7, False), (87, True), (188490, True)])
 def test_gumbel_max_suite_matches_per_draw_path(seed, retried):
     want, want_retried = _per_draw_gumbel_max(seed, 2000)
     assert want_retried is retried
