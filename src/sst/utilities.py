@@ -158,19 +158,19 @@ def log_density(spec: UtilitySpec, u: np.ndarray) -> float:
         raise InputError(f"u must have shape ({spec.dim},), got {u.shape}")
     _require_finite(u, "u")
     th = spec.theta
-    if spec.family == UtilityFamily.GUMBEL:
-        z = u - th
-        with np.errstate(over="ignore"):  # exp(-z) -> inf saturates to -inf honestly
+    with np.errstate(over="ignore"):  # a term past the doubles saturates to -inf honestly
+        if spec.family == UtilityFamily.GUMBEL:
+            z = u - th
             return float(np.sum(-z - np.exp(-z)))
-    if spec.family == UtilityFamily.LOGISTIC:
-        z = u - th
-        return float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z)))
-    if spec.family == UtilityFamily.NEG_EXPONENTIAL:
-        if (u > 0).any():
-            raise OutOfSupportError("neg_exponential utilities must satisfy u <= 0")
-        return float(np.sum(np.log(th) + th * u))
-    z = u - th  # Gaussian
-    return float(np.sum(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)))
+        if spec.family == UtilityFamily.LOGISTIC:
+            z = u - th
+            return float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z)))
+        if spec.family == UtilityFamily.NEG_EXPONENTIAL:
+            if (u > 0).any():
+                raise OutOfSupportError("neg_exponential utilities must satisfy u <= 0")
+            return float(np.sum(np.log(th) + th * u))
+        z = u - th  # Gaussian
+        return float(np.sum(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)))
 
 
 def kl_to_standard(spec: UtilitySpec) -> float:
@@ -184,7 +184,8 @@ def kl_to_standard(spec: UtilitySpec) -> float:
             f"kl_to_standard is defined for the gumbel family only, got {spec.family.value}"
         )
     th = spec.theta
-    return float(np.sum(th + np.exp(-th) - 1.0))
+    with np.errstate(over="ignore"):  # exp(-theta) -> inf saturates to +inf honestly
+        return float(np.sum(th + np.exp(-th) - 1.0))
 
 
 # --- JSON wire format -------------------------------------------------------

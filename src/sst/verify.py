@@ -4,12 +4,13 @@ Provides the brute-force Gibbs-marginal oracle, Monte Carlo frequency
 tables, chi-square goodness-of-fit and two-sample homogeneity tests,
 and the named verification suites exposed by the CLI.
 
-Seeding policy: a suite seed feeds ``numpy.random.SeedSequence(seed)``
-whose children are consumed in a fixed order (instance parameters
-first, then noise streams), so reports are byte-stable.  Statistical
-checks at level 0.01 that fail are rerun once with the noise seed
-offset by ``RETRY_OFFSET``; the laws under test are exact, so a repeat
-failure is treated as an implementation error.
+Seeding policy: a suite seed feeds ``numpy.random.SeedSequence(seed)``, so
+reports are byte-stable.  A statistical suite draws its scores from child 0
+and its noise seed from child 1, as a Python int (``_instance``); the
+categorical side of a two-sample check runs at noise seed + 1, and the
+arborescence check of root r at noise seed + 7r.  A check at level 0.01
+that fails is rerun once at noise seed + ``RETRY_OFFSET``; the laws under
+test are exact, so a repeat failure is treated as an implementation error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .argmax import (
     solve_map,
 )
 from .errors import (InputError, SolverError, _as_floats, _require_draws, _require_finite,
-                     _require_seed)
+                     _require_int, _require_seed)
 from .grad import gradcheck
 from .relax import (
     _PAIRS,
@@ -90,8 +91,9 @@ def _support_keys(support) -> tuple:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Counts of realized vertices over ``total >= 1`` draws; support entries
-    are unique integer vectors, stored as tuples of ints."""
+    """Counts of realized vertices over ``total >= 1`` draws (an integer,
+    stored as a Python int); support entries are unique integer vectors,
+    stored as tuples of ints."""
 
     support: tuple
     counts: np.ndarray
@@ -106,6 +108,7 @@ class FrequencyTable:
         if counts.shape != (len(self.support),) or not whole.all():
             raise InputError("counts must be integers in [0, 2**63), one per support entry")
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
+        object.__setattr__(self, "total", _require_int(self.total, "total"))
         if int(self.counts.sum()) != self.total:
             raise InputError("counts must sum to total")
         if self.total < 1:
@@ -249,6 +252,8 @@ def two_sample_equivalence(table_a: FrequencyTable, table_b: FrequencyTable,
     the degrees of freedom drop to match.  The test refuses to run when
     only the whole table reaches 5.
     """
+    if len(table_a.support[0]) != len(table_b.support[0]):
+        raise InputError("tables must hold vertices of one length")
     keys = sorted(set(table_a.support) | set(table_b.support))
     idx_a = dict(zip(table_a.support, table_a.counts))
     idx_b = dict(zip(table_b.support, table_b.counts))
@@ -359,24 +364,29 @@ def _map_law(name: str, spec: StructureSpec, noise: Callable, seed: int, draws: 
     return _with_retry(name, run, seed, draws)
 
 
+def _instance(seed: int, spread: float, size: int) -> tuple:
+    """A statistical suite's ``uniform(-spread, spread, size)`` scores and noise
+    seed (an int: an ``np.uint32`` would wrap in ``noise_seed + RETRY_OFFSET``)."""
+    scores, noise = np.random.SeedSequence(seed).spawn(2)
+    return (np.random.default_rng(scores).uniform(-spread, spread, size),
+            int(noise.generate_state(1)[0]))
+
+
 def suite_gumbel_max(seed: int, draws: int = 100_000) -> list:
     """Argmax of Gumbel-perturbed scores follows the softmax law."""
-    ss = np.random.SeedSequence(seed).spawn(2)
-    theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, 5)
+    theta, noise_seed = _instance(seed, 1.0, 5)
     spec = StructureSpec(StructureKind.ONE_HOT, n=5)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
     expected = np.array([softmax_simplex(theta, 1.0).x @ v for v in enumerate_vertices(spec)])
     return [_map_law("one_hot argmax matches softmax law", spec,
-                     lambda rng, rows: draw_block(uspec, rng, rows).u,
-                     int(ss[1].generate_state(1)[0]), draws, expected)]
+                     lambda rng, rows: draw_block(uspec, rng, rows).u, noise_seed, draws,
+                     expected)]
 
 
 def suite_subsets(seed: int, draws: int = 100_000) -> list:
     """Thresholded logistic utilities give coordinatewise Bernoulli(sigmoid)."""
-    ss = np.random.SeedSequence(seed).spawn(2)
-    n = 6
-    theta = np.random.default_rng(ss[0]).uniform(-2.0, 2.0, n)
-    spec = StructureSpec(StructureKind.SUBSETS, n=n)
+    theta, noise_seed = _instance(seed, 2.0, 6)
+    spec = StructureSpec(StructureKind.SUBSETS, n=6)
     uspec = UtilitySpec(UtilityFamily.LOGISTIC, theta)
     target = expit(theta)
 
@@ -390,33 +400,31 @@ def suite_subsets(seed: int, draws: int = 100_000) -> list:
         return z <= 3.0, {"max_z_score": z}
 
     return [_with_retry("subset coordinate frequencies match sigmoid(theta)", run,
-                        int(ss[1].generate_state(1)[0]), draws)]
+                        noise_seed, draws)]
 
 
 def suite_topk(seed: int, draws: int = 100_000) -> list:
     """Top-k of Gumbel scores equals k sequential draws without replacement."""
-    ss = np.random.SeedSequence(seed).spawn(3)
     n, k = 4, 2
-    theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, n)
+    theta, noise_seed = _instance(seed, 1.0, n)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
     return [_map_law(
         "top-k on gumbel scores matches without-replacement sampling",
         StructureSpec(StructureKind.K_SUBSETS, n=n, k=k),
-        lambda rng, rows: draw_block(uspec, rng, rows).u, int(ss[1].generate_state(1)[0]), draws,
+        lambda rng, rows: draw_block(uspec, rng, rows).u, noise_seed, draws,
         lambda rng: sample_topk_without_replacement(theta, k, rng),
     )]
 
 
 def suite_tree(seed: int, draws: int = 100_000) -> list:
     """Max tree under Gumbel scores equals the categorical edge process."""
-    ss = np.random.SeedSequence(seed).spawn(3)
     graph = _complete_graph(4)
-    theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, graph.num_edges)
+    theta, noise_seed = _instance(seed, 1.0, graph.num_edges)
     uspec = UtilitySpec(UtilityFamily.GUMBEL, theta)
     return [_map_law(
         "kruskal on gumbel scores matches categorical tree process",
         StructureSpec(StructureKind.SPANNING_TREE, graph=graph),
-        lambda rng, rows: draw_block(uspec, rng, rows).u, int(ss[1].generate_state(1)[0]), draws,
+        lambda rng, rows: draw_block(uspec, rng, rows).u, noise_seed, draws,
         lambda rng: sample_tree_categorical(graph, theta, rng),
     )]
 
@@ -427,16 +435,15 @@ def suite_arborescence(seed: int, draws: int = 100_000) -> list:
     Run once per root of the 3-node complete digraph, so the union of
     the tested supports covers all nine of its arborescences.
     """
-    ss = np.random.SeedSequence(seed).spawn(3)
     graph = _complete_digraph(3)
-    theta = np.random.default_rng(ss[0]).uniform(-1.0, 1.0, graph.num_edges)
+    theta, noise_seed = _instance(seed, 1.0, graph.num_edges)
     lam = np.exp(theta)
     # a (rows, m) block holds the bytes of rows sequential size-m draws
     return [_map_law(
         f"max arborescence on -Exp(rates) matches rate sampling (root {root})",
         StructureSpec(StructureKind.ARBORESCENCE, graph=graph, root=root),
         lambda rng, rows: -rng.exponential(scale=1.0 / lam, size=(rows, lam.size)),
-        int(ss[1].generate_state(1)[0]) + 7 * root, draws,
+        noise_seed + 7 * root, draws,
         lambda rng: sample_arborescence_categorical(graph, root, lam, rng),
     ) for root in range(3)]
 
@@ -458,8 +465,6 @@ def _random_rooted_digraph(rng: np.random.Generator) -> tuple:
         edges = [(i, j) for i in range(n) for j in range(n)
                  if i != j and rng.random() < 0.6]
         root = int(rng.integers(n))
-        if not edges:
-            continue
         g = Graph(n, tuple(edges), directed=True)
         if g.reachable_from(root) == set(range(n)):
             return g, root
@@ -516,55 +521,49 @@ def _pair_instances(n: int) -> list:
     return [(specs[kind], reg) for kind, reg in supported_pairs()]
 
 
-def suite_limits(seed: int) -> list:
-    """Halving the temperature from 1 drives every relaxation within 1e-3 of
-    the argmax vertex, on 100 draws per pair, before it falls below 1e-6.
+def _limit_temperature(spec: StructureSpec, reg, u: np.ndarray) -> Optional[float]:
+    """The first t of 1, 1/2, 1/4, ... >= 1e-6 at which the relaxation of ``u``
+    lies within 1e-3 of ``solve_map``'s vertex; None if none does or a solve fails.
 
     The Sinkhorn solve runs at a looser tolerance with duals warmed
     along the temperature schedule: near the permutation limit its
     residual decays like 1/iterations, and the pass condition is
     checked on the computed point either way.
     """
+    hard = solve_map(spec, u).vertex.astype(float)
+    t, warm = 1.0, None
+    while t >= 1e-6:
+        try:
+            if _PAIRS[spec.kind, reg] == "sinkhorn":
+                point = sinkhorn_relax(u.reshape(spec.n, spec.n), t,
+                                       tol=5e-4, max_iter=100_000, warm_start=warm)
+                warm = point.dual
+            else:
+                point = relax(spec, RelaxationSpec(reg, temperature=t, tol=1e-8,
+                                                   max_iter=400_000), u)
+        except SolverError:
+            return None
+        if np.abs(point.x - hard).max() <= 1e-3:
+            return t
+        t *= 0.5
+    return None
+
+
+def suite_limits(seed: int) -> list:
+    """Halving the temperature from 1 drives every relaxation within 1e-3 of
+    the argmax vertex, on 100 draws per pair, before it falls below 1e-6."""
     ss = np.random.SeedSequence(seed)
     out = []
     for (spec, reg), child in zip(_pair_instances(5), ss.spawn(64)):
         rng = np.random.default_rng(child)
-        sinkhorn_pair = _PAIRS[spec.kind, reg] == "sinkhorn"
         worst_t = 1.0
-        ok = True
         for _ in range(100):
-            u = rng.normal(size=spec.dim)
-            hard = solve_map(spec, u).vertex.astype(float)
-            t = 1.0
-            warm = None
-            while True:
-                try:
-                    if sinkhorn_pair:
-                        point = sinkhorn_relax(
-                            u.reshape(spec.n, spec.n), t,
-                            tol=5e-4, max_iter=100_000, warm_start=warm,
-                        )
-                        warm = point.dual
-                    else:
-                        rspec = RelaxationSpec(reg, temperature=t, tol=1e-8,
-                                               max_iter=400_000)
-                        point = relax(spec, rspec, u)
-                except SolverError:
-                    ok = False
-                    break
-                if np.abs(point.x - hard).max() <= 1e-3:
-                    worst_t = min(worst_t, t)
-                    break
-                t *= 0.5
-                if t < 1e-6:
-                    ok = False
-                    break
-            if not ok:
+            t = _limit_temperature(spec, reg, rng.normal(size=spec.dim))
+            if t is None:
                 break
-        out.append(_report(
-            f"zero-temperature limit: {spec.kind.value} / {reg.value}",
-            ok, smallest_t=worst_t, draws=100,
-        ))
+            worst_t = min(worst_t, t)
+        out.append(_report(f"zero-temperature limit: {spec.kind.value} / {reg.value}",
+                           t is not None, smallest_t=worst_t, draws=100))
     return out
 
 
@@ -576,22 +575,12 @@ def suite_gradcheck(seed: int) -> list:
     for (spec, reg), child in zip(_pair_instances(4), ss.spawn(64)):
         rng = np.random.default_rng(child)
         rspec = RelaxationSpec(reg, temperature=1.0, tol=1e-12, max_iter=20_000)
-        worst_sym = worst_disc = worst_cov = 0.0
-        ok = True
-        for _ in range(20):
-            u = rng.normal(size=spec.dim)
-            rep = gradcheck(spec, rspec, u)
-            worst_sym = max(worst_sym, rep.symmetry_defect)
-            if rep.max_discrepancy is not None:
-                worst_disc = max(worst_disc, rep.max_discrepancy)
-            if rep.covariance_discrepancy is not None:
-                worst_cov = max(worst_cov, rep.covariance_discrepancy)
-            ok = ok and rep.passed
-        out.append(_report(
-            f"gradcheck: {spec.kind.value} / {reg.value}", ok,
-            symmetry_defect=worst_sym, max_discrepancy=worst_disc,
-            covariance_discrepancy=worst_cov, instances=20,
-        ))
+        reps = [gradcheck(spec, rspec, rng.normal(size=spec.dim)) for _ in range(20)]
+        # 0.0 comes first, so ties and NaN fold as a running max from 0.0 does
+        worst = {f: max([0.0] + [getattr(r, f) for r in reps if getattr(r, f) is not None])
+                 for f in ("symmetry_defect", "max_discrepancy", "covariance_discrepancy")}
+        out.append(_report(f"gradcheck: {spec.kind.value} / {reg.value}",
+                           all(r.passed for r in reps), **worst, instances=20))
     return out
 
 

@@ -4,9 +4,10 @@
 tables (seed 7, 200 draws) and ``sst marginals --bruteforce`` output for
 one instance of every structure kind, the five statistical suites
 (``gumbel-max``, ``subsets``, ``topk``, ``tree`` and ``arborescence``) at
-seed 20240 with 2000 draws and at their default draw counts
-(``suites_full.json``: the acceptance criteria 1-4 check the other four
-suites against it, this module checks ``subsets``), and the exception
+seed 20240 with 2000 draws and at their default draw counts, with the
+``limits`` suite at seed 20240 (``suites_full.json``: the acceptance
+criteria 1-4 and 7 check the other four statistical suites and ``limits``
+against it, this module checks ``subsets``), and the exception
 type and message (or ``null`` for a result) of ``relax`` and
 ``analytic_jacobian`` on a small and a large instance of every (kind,
 regularizer) pair.  A seed maps to the same output across versions, so

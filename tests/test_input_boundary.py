@@ -48,6 +48,7 @@ from sst import (
     softmax_simplex,
     spec_from_dict,
     topk_select,
+    two_sample_equivalence,
     utility_from_dict,
 )
 from sst.cli import _relaxation_from_args, build_parser
@@ -313,6 +314,21 @@ BOUNDARY = [
      NOT_SUPPORT),
     ("FrequencyTable-zero-total", lambda: FrequencyTable(
         support=((1, 0), (0, 1)), counts=[0, 0], total=0), InputError, "total must be >= 1"),
+    ("FrequencyTable-bool-total", lambda: FrequencyTable(
+        support=[(1,)], counts=[1], total=True), InputError,
+     "total must be an integer, got True"),
+    ("FrequencyTable-float-total", lambda: FrequencyTable(
+        support=[(1,)], counts=[1], total=1.0), InputError,
+     "total must be an integer, got 1.0"),
+    ("FrequencyTable-numpy-float-total", lambda: FrequencyTable(
+        support=[(1,)], counts=[1], total=np.float64(1.0)), InputError,
+     "total must be an integer, got np.float64(1.0)"),
+    ("FrequencyTable-numpy-int-total", lambda: type(FrequencyTable(
+        support=[(1,)], counts=[1], total=np.int64(1)).to_dict()["total"]) is int, None, None),
+    ("two_sample_equivalence-widths-differ", lambda: two_sample_equivalence(
+        FrequencyTable(support=[(0, 1), (1, 0)], counts=[500, 500], total=1000),
+        FrequencyTable(support=[(0, 1, 0), (1, 0, 0)], counts=[500, 500], total=1000)),
+     InputError, "tables must hold vertices of one length"),
     ("mc_frequencies-text-support", lambda: mc_frequencies(
         _sampler, 3, seed=1, support=[("a", "b")]), InputError, NOT_SUPPORT),
     ("mc_frequencies-list-support", lambda: mc_frequencies(

@@ -226,6 +226,20 @@ class TestKl:
             kl_to_standard(UtilitySpec(UtilityFamily.GAUSSIAN, np.zeros(1)))
 
 
+# a density term past the doubles saturates to an infinity, with no warning
+# (under this suite's warnings-as-errors a RuntimeWarning fails the call)
+@pytest.mark.parametrize("call, want", [
+    (lambda: kl_to_standard(UtilitySpec(UtilityFamily.GUMBEL, [-1000.0])), math.inf),
+    (lambda: log_density(UtilitySpec(UtilityFamily.GUMBEL, [0.0]), [-800.0]), -math.inf),
+    (lambda: log_density(UtilitySpec(UtilityFamily.GAUSSIAN, [0.0]), [1e200]), -math.inf),
+    (lambda: log_density(UtilitySpec(UtilityFamily.NEG_EXPONENTIAL, [1e300]), [-1e300]),
+     -math.inf),
+], ids=["kl-gumbel", "log_density-gumbel", "log_density-gaussian",
+        "log_density-neg_exponential"])
+def test_overflow_saturates_to_infinity(call, want):
+    assert call() == want
+
+
 class TestSpecValidation:
     def test_rates_positive(self):
         with pytest.raises(InvalidSpecError):
