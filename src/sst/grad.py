@@ -22,6 +22,7 @@ from .errors import (EnumerationLimitError, InputError, InvalidSpecError,
 from .relax import (
     _PAIRS,
     _SEPARABLE,
+    _last_separable_point,
     _relax_rows,
     _scaled,
     Regularizer,
@@ -123,7 +124,11 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
         raise UnsupportedPairError(
             f"no closed-form Jacobian for {kind.value!r} with {reg.value!r}; use fd_vjp"
         )
-    s = _SEPARABLE[reg][1](relax(spec, rspec, u).x)
+    # the point the caller's forward ``relax`` just solved, or a solve of it
+    x = _last_separable_point(spec, rspec, u) if rule == "separable" else None
+    if x is None:
+        x = relax(spec, rspec, u).x
+    s = _SEPARABLE[reg][1](x)
     if kind == StructureKind.SUBSETS:
         return np.diag(s) / t
     # A coordinate of slope 0 has +0.0 in its whole row and column, so the

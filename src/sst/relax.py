@@ -714,14 +714,16 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     """
     base = _scaled(_square_matrix(u), t)
     _require_solver_controls(tol, max_iter)
-    if warm_start is None:
-        g = np.zeros(len(base))
-    else:
+    # the column duals g as a tiled buffer whose every row is g: each
+    # subtraction of g then runs on operands of one shape, with the bits
+    # of the broadcast one
+    g = np.zeros_like(base)
+    if warm_start is not None:
         warm_start = _as_floats(warm_start, "warm_start")
         if warm_start.shape != (2, len(base)):
             raise InputError(f"warm_start must have shape (2, {len(base)}), got {warm_start.shape}")
         _require_finite(warm_start, "warm_start")
-        g = warm_start[1].copy()
+        g[:] = warm_start[1]
     m = np.empty_like(base)
 
     def lse(axis, shift):
@@ -737,8 +739,8 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
     # rows (or columns) summing to 1, so every entry is at most 1, and the
     # other update divides each entry by at most n.  So exp(base - f - g)
     # can neither overflow nor lose a whole row or column to underflow.
-    f = lse(1, g[None, :])
-    g = lse(0, f[:, None])
+    f = lse(1, g)
+    g[:] = lse(0, f[:, None])
     f_col = f[:, None]  # f is updated in place from here on
     base_f = base - f_col  # refreshed after every row update
     sums, logs = np.empty(len(base)), np.empty(len(base))
@@ -751,7 +753,7 @@ def sinkhorn_relax(u: np.ndarray, t: float, tol: float = 1e-10,
         total(m, 1, None, sums)
         # either side alone fails a sweep, so the min side waits for the max side
         if top(sums) - 1.0 <= tol and 1.0 - bottom(sums) <= tol:
-            return RelaxedPoint(x=m.reshape(-1), dual=np.stack([f, g]),
+            return RelaxedPoint(x=m.reshape(-1), dual=np.stack([f, g[0]]),
                                 residual=_row_residual(sums))
         add(f, log(sums, logs), f)
         subtract(base, f_col, base_f)
@@ -858,8 +860,30 @@ def _relax_rows(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> np
     return np.stack([relax(spec, rspec, row).x for row in u])
 
 
+# The last point ``relax`` solved under a "separable" rule, as
+# ``(spec, rspec, u.tobytes(), x)``: written after each such solve that
+# returns, and read by ``grad.analytic_jacobian`` through
+# ``_last_separable_point``, the backward pass of the forward solve just
+# made.  The bytes of ``u`` and the private copy of ``x`` keep a caller's
+# writes into either array from reaching the slot.  The slot is one tuple,
+# replaced whole and read once, so a reader in another thread finds a
+# whole entry or a miss; a miss only costs a solve.
+_last_separable = None
+
+
+def _last_separable_point(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray):
+    """The ``x`` of the last separable ``relax(spec, rspec, u)``, or None
+    when the last separable solve had other inputs.  Read-only."""
+    slot = _last_separable
+    if slot is not None and slot[:3] == (spec, rspec, u.tobytes()):
+        return slot[3]
+    return None
+
+
 def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedPoint:
-    """Dispatch to the solver ``_PAIRS`` names for (structure kind, regularizer)."""
+    """Dispatch to the solver ``_PAIRS`` names for (structure kind, regularizer).
+    Every call solves; a separable solve that returns is also held in
+    ``_last_separable``."""
     u = _check_dim(spec, u)
     t = rspec.temperature
     reg = rspec.regularizer
@@ -876,7 +900,11 @@ def relax(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray) -> RelaxedP
         return sinkhorn_relax(u.reshape(spec.n, spec.n), t, rspec.tol, max_iter)
     max_iter = DEFAULT_BISECT_ITER if rspec.max_iter is None else rspec.max_iter
     if reg == Regularizer.EUCLIDEAN:
-        return euclidean_project(spec, u, t, rspec.tol, max_iter)
-    if reg == Regularizer.BINARY_ENTROPY:
-        return binary_entropy_relax(spec, u, t, rspec.tol, max_iter)
-    return categorical_entropy_relax(spec, u, t, rspec.tol, max_iter)
+        point = euclidean_project(spec, u, t, rspec.tol, max_iter)
+    elif reg == Regularizer.BINARY_ENTROPY:
+        point = binary_entropy_relax(spec, u, t, rspec.tol, max_iter)
+    else:
+        point = categorical_entropy_relax(spec, u, t, rspec.tol, max_iter)
+    global _last_separable
+    _last_separable = (spec, rspec, u.tobytes(), point.x.copy())
+    return point

@@ -159,11 +159,14 @@ def log_density(spec: UtilitySpec, u: np.ndarray) -> float:
     _require_finite(u, "u")
     th = spec.theta
     with np.errstate(over="ignore"):  # a term past the doubles saturates to -inf honestly
-        if spec.family == UtilityFamily.GUMBEL:
+        if spec.family in (UtilityFamily.GUMBEL, UtilityFamily.LOGISTIC):
             z = u - th
-            return float(np.sum(-z - np.exp(-z)))
-        if spec.family == UtilityFamily.LOGISTIC:
-            z = u - th
+            # where u - theta itself passes the doubles below, the term's
+            # form reads inf - inf; the density there underflows to 0
+            if (z == -np.inf).any():
+                return -math.inf
+            if spec.family == UtilityFamily.GUMBEL:
+                return float(np.sum(-z - np.exp(-z)))
             return float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z)))
         if spec.family == UtilityFamily.NEG_EXPONENTIAL:
             if (u > 0).any():

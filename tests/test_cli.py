@@ -523,9 +523,11 @@ def test_console_entry_point(tmp_path):
     spec.write_text(json.dumps({"kind": "one_hot", "n": 3}))
     u = tmp_path / "u.json"
     u.write_text(json.dumps([0.1, 2.0, -1.0]))
+    # the child imports the package this test imported, installed or not
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sst.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "sst.cli", "solve", "--spec", str(spec), "--utilities", str(u)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vertex"] == [0, 1, 0]

@@ -26,6 +26,7 @@ from sst.errors import ConvergenceError, InputError, InvalidSpecError
 from sst.structures import gibbs_moments
 
 from graphs import D3, K3, K4, complete_digraph, complete_graph
+from shift_solves import watch_shift_solves
 from tree_solves import assert_one_solve_per_block, watch_tree_solves
 
 _grad_module = importlib.import_module("sst.grad")
@@ -393,6 +394,109 @@ def test_separable_jacobian_edges_of_the_free_block():
         for t in (1.0, 0.5):
             _assert_former_bytes(spec, RelaxationSpec(Regularizer.EUCLIDEAN, temperature=t),
                                  t * u, free=free)
+
+
+# --- the separable Jacobian reads the point relax just solved -----------------------
+
+_SEPARABLE_SPECS = {
+    StructureKind.ONE_HOT: StructureSpec(StructureKind.ONE_HOT, n=7),
+    StructureKind.SUBSETS: StructureSpec(StructureKind.SUBSETS, n=7),
+    StructureKind.K_SUBSETS: StructureSpec(StructureKind.K_SUBSETS, n=200, k=20),
+}
+_SEPARABLE_PAIRS = [pair for pair, rule in _relax_module._PAIRS.items() if rule == "separable"]
+_ANNEAL = [float(t) for t in np.geomspace(1.0, 0.03, 6)]
+
+
+def _count_relax_calls(monkeypatch):
+    """Wrap ``grad.relax``; the returned list gets one entry per call."""
+    calls = []
+    solve = _grad_module.relax
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_grad_module, "relax", counted)
+    return calls
+
+
+def _cold_jacobian(monkeypatch, spec, rspec, u):
+    """``analytic_jacobian`` with no separable point held: it solves its own."""
+    monkeypatch.setattr(_relax_module, "_last_separable", None)
+    return analytic_jacobian(spec, rspec, u).tobytes()
+
+
+@pytest.mark.parametrize("kind, reg", _SEPARABLE_PAIRS)
+def test_jacobian_after_relax_reads_its_point(kind, reg, monkeypatch):
+    """Right after ``relax`` at the same input, ``analytic_jacobian`` calls no
+    ``relax`` and has the bytes of a cold call, along the anneal schedule."""
+    spec = _SEPARABLE_SPECS[kind]
+    calls = _count_relax_calls(monkeypatch)
+    for t in _ANNEAL:
+        rspec = RelaxationSpec(reg, temperature=t)
+        u = np.random.default_rng(17).normal(size=spec.dim)
+        cold = _cold_jacobian(monkeypatch, spec, rspec, u)
+        relax(spec, rspec, u)
+        calls.clear()
+        assert analytic_jacobian(spec, rspec, u).tobytes() == cold
+        assert calls == []
+
+
+@pytest.mark.parametrize("reg", [Regularizer.EUCLIDEAN, Regularizer.BINARY_ENTROPY,
+                                 Regularizer.CATEGORICAL_ENTROPY])
+def test_jacobian_misses_a_point_of_other_inputs(reg, monkeypatch):
+    """A Jacobian at another ``u``, ``t``, ``tol`` or ``max_iter`` than the
+    last ``relax``, or at the same ``u`` written in place since, solves its
+    own point and has its cold bytes; a write into the returned ``x`` does
+    not reach the point held, and a solve that raises writes nothing."""
+    spec = _SEPARABLE_SPECS[StructureKind.K_SUBSETS]
+    rspec = RelaxationSpec(reg, temperature=0.3)
+    u = np.random.default_rng(23).normal(size=spec.dim)
+    others = [(rspec, u + 1e-9), (RelaxationSpec(reg, temperature=0.31), u),
+              (RelaxationSpec(reg, temperature=0.3, tol=1e-9), u),
+              (RelaxationSpec(reg, temperature=0.3, max_iter=150), u)]
+    calls = _count_relax_calls(monkeypatch)
+    for other, v in others:
+        cold = _cold_jacobian(monkeypatch, spec, other, v)
+        relax(spec, rspec, u)
+        calls.clear()
+        assert analytic_jacobian(spec, other, v).tobytes() == cold
+        assert len(calls) == 1
+    written = u.copy()
+    relax(spec, rspec, written)
+    written[0] += 1.0
+    calls.clear()
+    assert analytic_jacobian(spec, rspec, written).tobytes() == _cold_jacobian(
+        monkeypatch, spec, rspec, written)
+    assert len(calls) == 2
+    cold = _cold_jacobian(monkeypatch, spec, rspec, u)
+    relax(spec, rspec, u).x[:] = 0.5
+    calls.clear()
+    assert analytic_jacobian(spec, rspec, u).tobytes() == cold
+    assert calls == []
+    held = _relax_module._last_separable
+    with pytest.raises(ConvergenceError):
+        relax(spec, RelaxationSpec(reg, temperature=0.3, tol=1e-300, max_iter=1), u)
+    assert _relax_module._last_separable is held
+
+
+@pytest.mark.parametrize("reg", [Regularizer.EUCLIDEAN, Regularizer.BINARY_ENTROPY,
+                                 Regularizer.CATEGORICAL_ENTROPY])
+def test_relax_and_its_jacobian_run_one_shift_search(reg, monkeypatch):
+    """The forward and backward pass of one k-subset point: one search, and
+    no ``relax`` call from ``analytic_jacobian``, so the traced
+    ``grad.relax_calls_per_jacobian`` reads 0."""
+    spec = _SEPARABLE_SPECS[StructureKind.K_SUBSETS]
+    log = watch_shift_solves(monkeypatch)
+    calls = _count_relax_calls(monkeypatch)
+    for t in _ANNEAL:
+        rspec = RelaxationSpec(reg, temperature=t)
+        u = np.random.default_rng(29).normal(size=spec.dim)
+        log.clear()
+        relax(spec, rspec, u)
+        analytic_jacobian(spec, rspec, u)
+        assert len(log) == 1
+    assert calls == []
 
 
 # --- random small instances against the enumerated moments --------------------------

@@ -190,6 +190,13 @@ def _extreme_gibbs_oracle():
     return mu.tolist() == [1.0, 0.0, 1.0, 1.0]
 
 
+def _saturated_log_density(family, sign):
+    """``u - theta`` past the doubles on one coordinate, above (``sign`` 1)
+    or below (-1): the density there is 0, so the log density is -inf, and
+    below it is not inf - inf."""
+    return log_density(UtilitySpec(family, [-sign * 1e308, 0.0]), [sign * 1e308, 0.0]) == -np.inf
+
+
 def _plan_after_cached(boundary):
     """``tree_plan(boundary)`` on a graph that holds node 1's plan."""
     def call():
@@ -482,6 +489,9 @@ BOUNDARY = [
     ("extreme-softmax", _extreme_softmax_points, None, None),
     ("extreme-gibbs-covariance", _extreme_gibbs_covariance, None, None),
     ("extreme-gibbs-oracle", _extreme_gibbs_oracle, None, None),
+    *[(f"saturated-log_density-{family}-{side}",
+       lambda family=family, sign=sign: _saturated_log_density(family, sign), None, None)
+      for family in ("gumbel", "logistic") for side, sign in (("above", 1), ("below", -1))],
     *[(f"extreme-expfam-{name}", lambda spec=spec, u=u: _extreme_expfam_point(spec, u), None, None)
       for name, spec, u in EXTREME_EXPFAM],
 ]

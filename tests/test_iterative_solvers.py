@@ -189,6 +189,82 @@ def test_sinkhorn_max_iter_one_still_raises():
     assert exc.value.residual > 1e-12
 
 
+def _broadcast_sweep(u, t, tol, max_iter, warm_start=None):
+    """The sweep with the column duals ``g`` as a vector broadcast over the
+    rows, kept as it was; returns (x, dual, residual, sweeps) or raises the
+    ``ConvergenceError`` of ``sinkhorn_relax``."""
+    base = u / t
+    g = np.zeros(len(base)) if warm_start is None else np.array(warm_start[1], dtype=float)
+    m = np.empty_like(base)
+
+    def lse(axis, shift):
+        np.subtract(base, shift, out=m)
+        mx = m.max(axis=axis, keepdims=True)
+        np.subtract(m, mx, out=m)
+        np.exp(m, out=m)
+        return np.log(m.sum(axis=axis)) + mx.reshape(-1)
+
+    f = lse(1, g[None, :])
+    g = lse(0, f[:, None])
+    base_f = base - f[:, None]
+    sums, logs = np.empty(len(base)), np.empty(len(base))
+    for sweep in range(1, max_iter + 1):
+        np.exp(np.subtract(base_f, g, m), m)
+        np.add.reduce(m, 1, None, sums)
+        if sums.max() - 1.0 <= tol and 1.0 - sums.min() <= tol:
+            residual = float(max(sums.max() - 1.0, 1.0 - sums.min()))
+            return m.reshape(-1), np.stack([f, g]), residual, sweep
+        np.add(f, np.log(sums, logs), f)
+        np.subtract(base, f[:, None], base_f)
+        np.exp(np.subtract(base_f, g, m), m)
+        np.add(g, np.log(np.add.reduce(m, 0, None, logs), logs), g)
+    residual = float(max(sums.max() - 1.0, 1.0 - sums.min()))
+    raise ConvergenceError(
+        f"sinkhorn row residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",
+        residual=residual,
+    )
+
+
+def _sweep_outcome(solve, u, t, tol, max_iter, warm_start=None):
+    """The bytes of a solve's point, duals and residual, or its error's
+    message and residual."""
+    try:
+        out = solve(u, t, tol=tol, max_iter=max_iter, warm_start=warm_start)
+    except ConvergenceError as exc:
+        return str(exc), exc.residual
+    if isinstance(out, tuple):
+        x, dual, residual, _ = out
+    else:
+        x, dual, residual = out.x, out.dual, out.residual
+    return x.tobytes(), dual.tobytes(), residual
+
+
+def _assert_broadcast_bytes(u, t, tol, max_iter, warm_start=None):
+    """``sinkhorn_relax`` returns or raises what the broadcast sweep does, to
+    the byte; where the sweep converges, one sweep fewer raises in both, so
+    both stop after the same sweep."""
+    outcomes = [_sweep_outcome(solve, u, t, tol, max_iter, warm_start)
+                for solve in (_broadcast_sweep, sinkhorn_relax)]
+    assert outcomes[0] == outcomes[1]
+    if len(outcomes[0]) == 3:
+        sweeps = _broadcast_sweep(u, t, tol, max_iter, warm_start)[3]
+        if sweeps > 1:
+            fewer = [_sweep_outcome(solve, u, t, tol, sweeps - 1, warm_start)
+                     for solve in (_broadcast_sweep, sinkhorn_relax)]
+            assert len(fewer[0]) == 2 and fewer[0] == fewer[1]
+
+
+@pytest.mark.parametrize("n, t, u", list(_instances()))
+def test_tiled_column_duals_keep_the_broadcast_bytes(n, t, u):
+    _assert_broadcast_bytes(u, t, 1e-10, 4000)
+    _assert_broadcast_bytes(u, t, 1e-10, 4000, np.random.default_rng(n).normal(size=(2, n)))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 10, 300, 20_000])
+def test_tiled_column_duals_keep_the_broadcast_failure(max_iter):
+    _assert_broadcast_bytes(_failing_instance(), FAILING["t"], FAILING["tol"], max_iter)
+
+
 # --- the shift ----------------------------------------------------------------
 
 REGS = tuple(MAPS)
