@@ -98,6 +98,40 @@ def _kruskal(graph: Graph, order) -> list:
     raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
 
 
+def _kruskal_block(graph: Graph, U: np.ndarray) -> np.ndarray:
+    """``_kruskal``'s indicator for every row of ``U`` at once, scanning each
+    row's edges in ``_stable_order``.  Per rank, every row's next edge joins
+    the components of its ends when their ids differ, and the head's id
+    becomes the tail's; a finished row holds one id, so it takes nothing
+    more.  The scan stops once every row holds n - 1 edges."""
+    rows, m = U.shape
+    n = graph.num_nodes
+    bits = np.zeros((rows, m), dtype=np.int8)
+    need = rows * (n - 1)
+    if not need:
+        return bits
+    order = _stable_order(U)
+    # node-major component ids, and per rank every row's end positions in them
+    comp = np.repeat(np.arange(n, dtype=np.int32), rows)
+    per_node = comp.reshape(n, rows)
+    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T * rows
+    within = np.arange(rows)
+    tails, heads = ends[0][order.T] + within, ends[1][order.T] + within
+    joined = np.zeros((m, rows), dtype=bool)
+    same = np.empty((n, rows), dtype=bool)
+    for rank, (tail, head, join) in enumerate(zip(tails, heads, joined)):
+        a, b = comp.take(tail), comp.take(head)
+        np.not_equal(a, b, out=join)
+        # a row that joins nothing has a == b, so this relabels nothing in it
+        np.equal(per_node, b, out=same)
+        np.putmask(per_node, same, a)
+        need -= np.count_nonzero(join)
+        if not need:
+            np.put_along_axis(bits, order[:, :rank + 1], joined[:rank + 1].T, axis=1)
+            return bits
+    raise InfeasibleStructureError("graph is disconnected; no spanning tree exists")
+
+
 def kruskal_max_tree(graph: Graph, u: np.ndarray) -> np.ndarray:
     """Edge indicator of the maximum-utility spanning tree.
 
@@ -110,35 +144,42 @@ def kruskal_max_tree(graph: Graph, u: np.ndarray) -> np.ndarray:
 
 
 def _assignment(u: np.ndarray) -> np.ndarray:
-    """Flat row-major indices of the permutation maximizing a square ``u``."""
+    """Per row of a square ``u``, the column of the permutation maximizing ``u``."""
     # scipy.optimize takes about half a second to import; only matchings need it
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(u, maximize=True)
-    return rows * u.shape[0] + cols
+    return linear_sum_assignment(u, maximize=True)[1]
+
+
+def _matching_block(U: np.ndarray) -> np.ndarray:
+    """Per square matrix of the ``(rows, n, n)`` stack ``U``, the permutation
+    maximizing it, flattened row-major into an int8 row: one write of the
+    column arrays of ``_assignment``."""
+    rows, n, _ = U.shape
+    bits = np.zeros(U.size, dtype=np.int8)
+    # the flat cell of row i of matrix r is (r * n + i) * n plus its column
+    bits[np.arange(0, U.size, n) + np.concatenate([_assignment(u) for u in U])] = 1
+    return bits.reshape(rows, n * n)
 
 
 def _matching_tie(n: int, u: np.ndarray, bits: np.ndarray) -> bool:
     """Whether a second n x n permutation scores ``u @ bits``, the best score
     of the flat utilities ``u``.  Every other permutation leaves out a cell
-    of ``bits``, so each is forbidden (-inf) in turn and the rest re-solved.
-    One row has one permutation."""
+    of ``bits``, so n copies of ``u``, each with one of those cells forbidden
+    (-inf), are re-solved as one stack.  One row has one permutation."""
     if n == 1:
         return False
     best = u @ bits
-    for cell in np.flatnonzero(bits):
-        w = u.copy()
-        w[cell] = -np.inf
-        if u @ _indicator(u.size, _assignment(w.reshape(n, n))) == best:
-            return True
-    return False
+    w = np.tile(u, (n, 1))
+    w[np.arange(n), np.flatnonzero(bits)] = -np.inf
+    return any(u @ x == best for x in _matching_block(w.reshape(n, n, n)))
 
 
 def hungarian_match(u: np.ndarray) -> np.ndarray:
     """Permutation matrix (flattened row-major) maximizing sum(u[i, sigma(i)])."""
     u = _square_matrix(u)
     _require_finite(u, "utilities")
-    return _indicator(u.size, _assignment(u))
+    return _indicator(u.size, np.arange(0, u.size, u.shape[0]) + _assignment(u))
 
 
 # --- cycle-contraction engine ------------------------------------------------
@@ -151,7 +192,7 @@ def hungarian_match(u: np.ndarray) -> np.ndarray:
 # are then expanded from the last to the first.  The two differ only in the
 # pick rule, supplied as a callback.
 
-def _contract(graph: Graph, root: int, pick) -> list:
+def _contract(graph: Graph, root: int, pick, first=None) -> list:
     """Edge ids of the arborescence rooted at ``root`` that ``pick`` builds.
 
     ``pick(cands)`` gets the ids of the edges entering one (super)node in
@@ -160,16 +201,18 @@ def _contract(graph: Graph, root: int, pick) -> list:
     contraction that leaves it in place.  Nodes are numbered as they are
     made (the original ones, then each supernode), cycles are searched from
     the live nodes in that order, and repeated picks run in that order
-    before the new supernode's.
+    before the new supernode's.  ``first``, when given, holds each original
+    node's first pick (None at the root), made outside by the rule of
+    ``pick`` with no repeats; the rounds then start at the cycle search.
     """
     tails, entering = graph.arcs
     n = graph.num_nodes
-    parent = [None] * n  # per node: the id of its chosen entering edge
+    parent = [None] * n if first is None else first  # per node: its entering edge id
     rep = list(range(n))  # per original node: the live node holding it
     again = []
     live = list(range(n))
     del live[root]
-    cands, pending = entering, live  # pending: the nodes to pick next
+    cands, pending = entering, live if first is None else []  # pending: the nodes to pick next
     made = []
     while True:
         for v in pending:
@@ -228,12 +271,14 @@ def _contract(graph: Graph, root: int, pick) -> list:
     return chosen
 
 
-def _cle(graph: Graph, root: int, work: list, tie) -> list:
+def _cle(graph: Graph, root: int, work: list, tie, first=None) -> list:
     """Edges of the maximum arborescence for the utilities ``work`` (a list
     of floats, consumed).  Per node keep the best entering edge and subtract
     its utility from all entering edges, so the kept edge weighs 0.0 and a
     supernode's candidates weigh what they would gain over their member's
-    kept edge.  ``tie[0]`` is set when a tie decided a pick."""
+    kept edge.  ``tie[0]`` is set when a tie decided a pick.  With
+    ``_contract``'s ``first``, ``work`` already has the first round's
+    subtractions."""
 
     def pick(cands):
         ws = [work[e] for e in cands]
@@ -249,7 +294,50 @@ def _cle(graph: Graph, root: int, work: list, tie) -> list:
             work[e] -= best
         return ws.index(best), False
 
-    return _contract(graph, root, pick)
+    return _contract(graph, root, pick, first)
+
+
+def _cle_block(graph: Graph, root: int, U: np.ndarray) -> np.ndarray:
+    """``_cle``'s indicator for every row of ``U``.  The first round runs on
+    the block: per non-root node, the first best entering edge (the lowest
+    of its entering ids at their maximum, as ``_cle`` picks) and that
+    utility subtracted from every edge entering the node.  Rows whose picks
+    reach the root from every node are done; the others contract per row."""
+    rows, m = U.shape
+    n = graph.num_nodes
+    tails, entering = graph.arcs
+    nodes = [v for v in range(n) if v != root]
+    if not nodes:
+        return np.zeros((rows, m), dtype=np.int8)
+    if not all(entering[v] for v in nodes):
+        raise InfeasibleStructureError("no arborescence: a (super)node has no entering edge")
+    # the ids entering each non-root node, node by node, and where each node's run starts
+    counts = [len(entering[v]) for v in nodes]
+    ids = np.concatenate([entering[v] for v in nodes])
+    starts = np.cumsum([0] + counts[:-1])
+    runs = U[:, ids]
+    at_max = runs == np.repeat(np.maximum.reduceat(runs, starts, axis=1), counts, axis=1)
+    picks = np.minimum.reduceat(np.where(at_max, ids, m), starts, axis=1)
+    best = np.zeros((rows, n))
+    best[:, nodes] = np.take_along_axis(U, picks, axis=1)
+    # x - 0.0 keeps every x's bits, so edges entering the root keep theirs
+    work = U - best[:, [h for _, h in graph.edges]]
+    # Follow each node's pick to its tail (the root stays put), in flat
+    # row-major positions: n - 1 steps reach the root from every node of a
+    # row exactly when its picks hold no cycle.
+    start = n * np.arange(rows)[:, None]
+    up = np.full((rows, n), root) + start
+    up[:, nodes] = np.array(tails)[picks] + start
+    up = up.reshape(-1)
+    for _ in range((n - 1).bit_length()):
+        up = up.take(up)
+    for i in np.flatnonzero((up.reshape(rows, n) != root + start).any(axis=1)).tolist():
+        first = picks[i].tolist()
+        first.insert(root, None)
+        picks[i] = _cle(graph, root, work[i].tolist(), None, first)
+    bits = np.zeros((rows, m), dtype=np.int8)
+    np.put_along_axis(bits, picks, 1, axis=1)
+    return bits
 
 
 def cle_max_arborescence(graph: Graph, root: int, u: np.ndarray) -> np.ndarray:
@@ -298,7 +386,8 @@ def _pick(weights, r: float) -> int:
     total, or the last position when none is (a sum rounded up, or weights
     that all underflowed to 0.0)."""
     cum = list(accumulate(weights))
-    return min(bisect_right(cum, r * cum[-1]), len(cum) - 1)
+    p = bisect_right(cum, r * cum[-1])
+    return p - 1 if p == len(cum) else p
 
 
 def _sampled_order(weights, rng, ahead):
@@ -312,8 +401,9 @@ def _sampled_order(weights, rng, ahead):
     live = list(range(len(weights)))
     ws = list(weights)
     doubles = rng.random(ahead).tolist()[::-1]
+    pop = doubles.pop
     while live:
-        p = _pick(ws, doubles.pop() if doubles else rng.random())
+        p = _pick(ws, pop() if doubles else rng.random())
         del ws[p]
         yield live.pop(p)
 
@@ -342,19 +432,19 @@ def sample_topk_without_replacement(
     theta = _k_of_n(theta, k, "scores")
     w = np.exp(theta - theta.max())
     n = w.shape[0]
-    bits = np.zeros(n, dtype=np.int8)
+    picks = []
     # The doubles of k scalar rng.random() calls.  Taken items weigh 0.0, so
     # every sequential prefix sum equals _pick's over the live items alone,
     # and the first sum above r * total is its pick.
     for r in rng.random(k).tolist():
-        cum = w.cumsum()
+        cum = np.add.accumulate(w)
         i = int(cum.searchsorted(r * cum[-1], "right"))
         if i == n:  # no sum exceeds r * total (rounded up, or all live weights
             # underflowed to 0.0): the last live item
-            i = int(np.flatnonzero(bits == 0)[-1])
+            i = max(set(range(n)).difference(picks))
         w[i] = 0.0
-        bits[i] = 1
-    return bits
+        picks.append(i)
+    return _indicator(n, picks)
 
 
 def _viterbi_block(n: int, k: int, U: np.ndarray):
@@ -413,35 +503,31 @@ def _map_block(spec: StructureSpec, U: np.ndarray) -> np.ndarray:
         return (U > 0).astype(np.int8)
     if kind == StructureKind.CORR_K_SUBSETS:
         return _viterbi_block(spec.n, spec.k, U)[0]
+    if kind == StructureKind.MATCHING:
+        return _matching_block(U.reshape(rows, spec.n, spec.n))
+    if kind == StructureKind.SPANNING_TREE:
+        return _kruskal_block(spec.graph, U)
+    if kind == StructureKind.ARBORESCENCE:
+        return _cle_block(spec.graph, spec.root, U)
     bits = np.zeros((rows, dim), dtype=np.int8)
     if kind == StructureKind.ONE_HOT:
         bits[np.arange(rows), U.argmax(axis=1)] = 1
-    elif kind == StructureKind.K_SUBSETS:
+    else:  # k-subsets
         np.put_along_axis(bits, _stable_order(U)[:, : spec.k], 1, axis=1)
-    elif kind == StructureKind.MATCHING:
-        for row, u in zip(bits, U.reshape(rows, spec.n, spec.n)):
-            row[_assignment(u)] = 1
-    elif kind == StructureKind.SPANNING_TREE:
-        for row, order in zip(bits, _stable_order(U).tolist()):
-            row[_kruskal(spec.graph, order)] = 1
-    else:  # an arborescence
-        for row, work in zip(bits, U.tolist()):
-            row[_cle(spec.graph, spec.root, work, None)] = 1
     return bits
 
 
-# Rows per chunk of ``_map_chunks``: a chunk's utilities (doubles), and the
-# Viterbi back-pointers of correlated k-subsets (bytes), hold at most this
-# many elements.  On a 2-core VM, 64 KiB blocks ran the benchmark's
-# perturb_map workload as fast as 512 KiB ones, with a peak resident set
-# 2-3 MB lower.
-_MAP_CHUNK = 1 << 13
+# Bytes of the largest array a chunk of ``_map_chunks`` holds: its
+# utilities (doubles), or the Viterbi back-pointers of correlated k-subsets
+# (int8).  On a 2-core VM, 64 KiB blocks ran the benchmark's perturb_map
+# workload as fast as 512 KiB ones, with a peak resident set 2-3 MB lower.
+_MAP_CHUNK = 1 << 16
 
 
 def _chunk_rows(spec: StructureSpec) -> int:
-    width = max(spec.dim, 1)  # a one-node tree's rows have width 0
+    width = 8 * max(spec.dim, 1)  # a one-node tree's rows have width 0
     if spec.kind == StructureKind.CORR_K_SUBSETS:
-        width = 2 * spec.n * (spec.k + 1)
+        width = max(width, 2 * spec.n * (spec.k + 1))
     return max(1, _MAP_CHUNK // width)
 
 
@@ -471,6 +557,9 @@ def solve_map(spec: StructureSpec, u: np.ndarray) -> MapSolution:
         cell = [False]
         bits = _indicator(spec.dim, _cle(spec.graph, spec.root, u.tolist(), cell))
         tie = cell[0]
+    elif kind == StructureKind.SPANNING_TREE:
+        bits = _indicator(spec.dim, _kruskal(spec.graph, _stable_order(u).tolist()))
+        tie = _has_duplicates(u)
     else:
         bits = _map_block(spec, u[None])[0]
         if kind == StructureKind.ONE_HOT:
@@ -482,8 +571,6 @@ def solve_map(spec: StructureSpec, u: np.ndarray) -> MapSolution:
             # the greatest unchosen one
             chosen = bits.astype(bool)
             tie = u[chosen].min() == u[~chosen].max()
-        elif kind == StructureKind.MATCHING:
+        else:  # a matching
             tie = _matching_tie(spec.n, u, bits)
-        else:  # spanning tree
-            tie = _has_duplicates(u)
     return MapSolution(vertex=bits, objective=float(u @ bits), tie_broken=bool(tie))

@@ -114,8 +114,8 @@ def analytic_jacobian(spec: StructureSpec, rspec: RelaxationSpec, u: np.ndarray)
     kind = spec.kind
     rule = _PAIRS.get((kind, reg))
     if rule == "expfam" and kind == StructureKind.ONE_HOT:
-        p = softmax_simplex(u, t).x
-        return (np.diag(p) - np.outer(p, p)) / t
+        # (diag(p) - p p^T) / t, the cardinality form with a total of 1.0
+        return _rank_one_update(softmax_simplex(u, t).x, 1.0, t)
     if rule == "expfam" and kind != StructureKind.SUBSETS:
         return _enumerated_jacobian(spec, u, t)
     if rule == "expfam":

@@ -85,9 +85,8 @@ class UtilityDraw:
 
 
 def _transform(spec: UtilitySpec, base: np.ndarray) -> UtilityDraw:
-    """Map base noise of shape ``(..., dim)`` to utilities, rowwise."""
-    if not ((base > 0.0) & (base < 1.0)).all():
-        raise InputError("base noise must be strictly inside (0, 1)")
+    """Map base noise of shape ``(..., dim)``, strictly inside (0, 1), to
+    utilities, rowwise."""
     th = spec.theta
     if spec.family == UtilityFamily.GUMBEL:
         u = th - np.log(-np.log(base))
@@ -109,6 +108,8 @@ def sample(spec: UtilitySpec, base: np.ndarray) -> UtilityDraw:
     base = _as_floats(base, "base noise")
     if base.shape != (spec.dim,):
         raise InputError(f"base noise must have shape ({spec.dim},), got {base.shape}")
+    if not ((base > 0.0) & (base < 1.0)).all():
+        raise InputError("base noise must be strictly inside (0, 1)")
     return _transform(spec, base)
 
 
@@ -128,7 +129,7 @@ def draw(spec: UtilitySpec, rng: np.random.Generator) -> UtilityDraw:
     ``Generator.random`` can return exact zeros; those are redrawn so
     the base stays in the open interval.
     """
-    return sample(spec, _open_unit(rng, spec.dim))
+    return _transform(spec, _open_unit(rng, spec.dim))
 
 
 def draw_block(spec: UtilitySpec, rng: np.random.Generator, draws: int) -> UtilityDraw:

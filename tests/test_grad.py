@@ -396,6 +396,24 @@ def test_separable_jacobian_edges_of_the_free_block():
                                  t * u, free=free)
 
 
+@pytest.mark.parametrize("reg", [Regularizer.SHANNON, Regularizer.CATEGORICAL_ENTROPY,
+                                 Regularizer.EXPFAM_ENTROPY])
+def test_softmax_jacobian_keeps_the_bytes_of_its_former_expression(reg):
+    """The one-hot pairs' ``(diag(p) - p p^T) / t``, formed in one buffer,
+    against the expression it replaced: sizes 1 to 200, temperatures from
+    1e-8 to 7, and utilities rounded to integers, so that ties and
+    probabilities of exactly 0.0 and 1.0 occur."""
+    g = np.random.default_rng(31)
+    for n in (1, 2, 3, 7, 50, 200):
+        for t in (1e-8, 1e-3, 0.3, 1.0, 7.0):
+            for u in (g.normal(size=n), np.round(3.0 * g.normal(size=n))):
+                spec = StructureSpec(StructureKind.ONE_HOT, n=n)
+                rspec = RelaxationSpec(reg, temperature=t)
+                p = relax(spec, rspec, u).x
+                want = (np.diag(p) - np.outer(p, p)) / t
+                assert analytic_jacobian(spec, rspec, u).tobytes() == want.tobytes(), (n, t)
+
+
 # --- the separable Jacobian reads the point relax just solved -----------------------
 
 _SEPARABLE_SPECS = {

@@ -118,17 +118,29 @@ def test_sample_matches_per_draw_path(files, capsys, kind, family):
 def test_chunk_boundaries(files, capsys, monkeypatch, kind):
     spec_d = SPECS[kind]
     spec = sst.spec_from_dict(spec_d)
-    monkeypatch.setattr(argmax, "_MAP_CHUNK", 64)
+    monkeypatch.setattr(argmax, "_MAP_CHUNK", 64 * 8)  # bytes: 64 doubles
     rows = argmax._chunk_rows(spec)
     noise_d = _noise("gumbel", spec.dim, seed=3)
     for draws in sorted({1, rows - 1, rows, rows + 1, 4 * rows + 1} - {0}):
         _check_sample(files, capsys, spec_d, noise_d, seed=draws, draws=draws)
 
 
+def test_two_row_chunks_of_correlated_k_subsets(files, capsys, monkeypatch):
+    # test_chunk_boundaries' 64 doubles make 7-row chunks of these 9-double rows
+    spec_d = SPECS["corr_k_subsets"]
+    spec = sst.spec_from_dict(spec_d)
+    monkeypatch.setattr(argmax, "_MAP_CHUNK", 2 * 8 * spec.dim)
+    rows = argmax._chunk_rows(spec)
+    assert rows == 2
+    noise_d = _noise("gumbel", spec.dim, seed=3)
+    for draws in (1, rows, rows + 1, 4 * rows + 1):
+        _check_sample(files, capsys, spec_d, noise_d, seed=draws, draws=draws)
+
+
 def test_chunk_boundaries_at_the_real_chunk_size(files, capsys):
     spec_d = {"kind": "one_hot", "n": 5}
     rows = argmax._chunk_rows(sst.spec_from_dict(spec_d))
-    assert rows == argmax._MAP_CHUNK // 5
+    assert rows == argmax._MAP_CHUNK // (8 * 5)
     for draws in (rows - 1, rows, rows + 1):
         _check_sample(files, capsys, spec_d, _noise("logistic", 5), seed=draws, draws=draws)
 
@@ -165,7 +177,7 @@ def test_exact_zero_redraw_in_a_later_chunk(files, capsys, monkeypatch):
     spec = sst.spec_from_dict(spec_d)
     noise_d = _noise("gumbel", spec.dim, seed=5)
     uspec = sst.utility_from_dict(noise_d)
-    monkeypatch.setattr(argmax, "_MAP_CHUNK", 60)  # 10 rows of 6 per chunk
+    monkeypatch.setattr(argmax, "_MAP_CHUNK", 60 * 8)  # 10 rows of 6 doubles per chunk
     positions = [2 * 60 + 17, 4 * 60 + 5]  # rows 22 and 40: chunks 3 and 5
     real = np.random.default_rng
     verts = _per_draw(spec, uspec, _ZeroAt(real(4), positions), 47)
